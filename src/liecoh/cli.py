@@ -112,6 +112,8 @@ def resolve_pair(algebra, builtin_echo, sub_spec, sub_file):
         k = int(param)
     except ValueError as exc:
         raise InputError(f"sub parameter must be an integer: {sub_spec!r}") from exc
+    if k < 1:
+        raise InputError(f"sub parameter must be at least 1: {sub_spec!r}")
     if builtin_echo is None:
         raise InputError("canonical --sub shorthand requires a --builtin ambient algebra")
     ambient_name, n = builtin_echo
@@ -183,9 +185,12 @@ def cmd_export(args, started):
     g, digest, _ = resolve_algebra(args.builtin, args.file)
     payload = algebra_to_json(g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
         result = {"path": args.output, "dim": g.dim}
         return _report("export", {"algebra": digest}, result, started), 0
     # bare algebra document, suitable for --file input elsewhere
@@ -307,6 +312,8 @@ def _resolve_side(entry, what):
 
 def cmd_functoriality(args, started):
     data, digest = _read_json(args.morphism)
+    if not isinstance(data, dict):
+        raise InputError("morphism file must be an object with 'source', 'target' and 'matrix'")
     source, src_inputs = _resolve_side(data.get("source"), "source")
     target, dst_inputs = _resolve_side(data.get("target"), "target")
     if "matrix" not in data:

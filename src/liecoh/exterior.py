@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import DimensionMismatch, InputError
-from .linalg import Matrix, det_dense
+from .linalg import Matrix
 from .rationals import format_rational, parse_rational
 
 
@@ -151,16 +151,18 @@ class Form:
         return Form(n, k, {idx: v for idx, v in zip(basis, vec) if v})
 
     def evaluate(self, vectors):
-        """Pair the form with a list of coordinate vectors."""
+        """Pair with vectors: sum_I c_I (F^* theta^I) for the frame F they span."""
         if len(vectors) != self.degree:
             raise DimensionMismatch(f"need {self.degree} vectors, got {len(vectors)}")
         for v in vectors:
             if len(v) != self.ambient_dim:
                 raise DimensionMismatch("vector length != ambient dimension")
+        frame = Matrix.from_cols([[Fraction(x) for x in v] for v in vectors], self.ambient_dim)
+        minors = pullback_matrix(frame, self.degree)
+        positions = multi_index_positions(self.ambient_dim, self.degree)
         total = Fraction(0)
         for idx, c in self.coeffs.items():
-            sub = [[Fraction(v[i]) for v in vectors] for i in idx]
-            total += c * det_dense(sub)
+            total += c * minors.entry(0, positions[idx])
         return total
 
 
@@ -320,23 +322,35 @@ def pullback_matrix(f: Matrix, k: int) -> Matrix:
 
     For f: V -> W of shape (dim W, dim V), returns the map
     Lambda^k W* -> Lambda^k V* whose entries are the k x k minors of f:
-    entry[I, J] = det f[J, I] (rows J, columns I).
+    entry[I, J] = det f[J, I] (rows J, columns I).  No minor is expanded:
+    Lambda^k f^* = (f^*)^(wedge k) gives f^* theta^J = f^* theta^(j_1) ^
+    f^* theta^(J minus j_1), with f^* theta^j the row j of f, so each form wedges
+    one sparse row onto its memoized suffix form and integers stay integers.
     """
     dim_w, dim_v = f.shape
-    rows_idx = multi_indices(dim_v, k)
+    rows_idx = multi_index_positions(dim_v, k)
     cols_idx = multi_indices(dim_w, k)
-    if k == 0:
-        return Matrix(1, 1, {(0, 0): 1})
-    fd = f.rows_dense()
+    rows = [{} for _ in range(dim_w)]
+    for (j, i), v in f.entries.items():
+        rows[j][i] = v
+    pulled = {(): {(): 1}}
+
+    def pull(J):
+        if J not in pulled:
+            form = pulled[J] = {}
+            for i, c in rows[J[0]].items():
+                for I, v in pull(J[1:]).items():
+                    ins = _insert(I, i)
+                    if ins is not None:
+                        pos, merged = ins
+                        form[merged] = form.get(merged, 0) + (-c * v if pos % 2 else c * v)
+        return pulled[J]
+
     entries = {}
     for col_pos, J in enumerate(cols_idx):
-        sub_rows = [fd[j] for j in J]
-        if all(not any(r) for r in sub_rows):
-            continue
-        for row_pos, I in enumerate(rows_idx):
-            minor = det_dense([[r[i] for i in I] for r in sub_rows])
-            if minor:
-                entries[(row_pos, col_pos)] = minor
+        for I, v in pull(J).items():
+            if v:
+                entries[(rows_idx[I], col_pos)] = v
     return Matrix(len(rows_idx), len(cols_idx), entries)
 
 

@@ -95,6 +95,27 @@ class PairAnalysis:
     def sub_cohomology(self) -> CohomologySpace:
         return compute_cohomology(self.restriction.target, threads=self.threads)
 
+    @cached_property
+    def koszul(self) -> KoszulResult:
+        """Induced map H(g, h) -> H(g), injectivity verdict, kernel classes."""
+        chain = delta_chain(self)
+        mapping = induced_map(chain, self.relative_cohomology, self.ambient_cohomology)
+        kernel = []
+        invq = self.quotient_model
+        q = self.pair.dim_quotient
+        for k in range(self.relative_cohomology.top_degree + 1):
+            for coords in mapping.kernel_basis(k):
+                rep = self.relative_cohomology.representative_matrix(k).apply(coords)
+                ambient_vec = invq.embeddings[k].apply(rep)
+                kernel.append((k, Form.from_vector(q, k, ambient_vec)))
+        return KoszulResult(
+            pair=self.pair,
+            chain_map=tuple(chain),
+            cohomology_map=mapping,
+            injective=not kernel,
+            kernel_basis=tuple(kernel),
+        )
+
 
 def _analysis(pair_or_analysis, threads=None) -> PairAnalysis:
     if isinstance(pair_or_analysis, PairAnalysis):
@@ -147,25 +168,8 @@ class KoszulResult:
 
 
 def delta_cohom(pair, threads=None) -> KoszulResult:
-    """Induced map H(g, h) -> H(g), injectivity verdict, kernel classes."""
-    ana = _analysis(pair, threads)
-    chain = delta_chain(ana)
-    mapping = induced_map(chain, ana.relative_cohomology, ana.ambient_cohomology)
-    kernel = []
-    invq = ana.quotient_model
-    q = ana.pair.dim_quotient
-    for k in range(ana.relative_cohomology.top_degree + 1):
-        for coords in mapping.kernel_basis(k):
-            rep = ana.relative_cohomology.representative_matrix(k).apply(coords)
-            ambient_vec = invq.embeddings[k].apply(rep)
-            kernel.append((k, Form.from_vector(q, k, ambient_vec)))
-    return KoszulResult(
-        pair=ana.pair,
-        chain_map=tuple(chain),
-        cohomology_map=mapping,
-        injective=not kernel,
-        kernel_basis=tuple(kernel),
-    )
+    """Induced map H(g, h) -> H(g), computed once per ``PairAnalysis``."""
+    return _analysis(pair, threads).koszul
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,13 +398,12 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra, threads=None) -> DirectPr
                 f"quotient invariants are not all of Lambda^{k}: factor action is nonzero"
             )
     first_projection = Matrix(g.dim, total.dim, {(i, i): 1 for i in range(g.dim)})
-    chain = delta_chain(ana)
+    result = delta_cohom(ana)
     formula_holds = True
     for k in range(g.dim + 1):
         expected = pullback_matrix(first_projection, k).scale((-1) ** k) @ invq.embeddings[k]
-        if chain[k] != expected:
+        if result.chain_map[k] != expected:
             raise FormulaMismatch(f"chain-level sign formula fails in degree {k}")
-    result = delta_cohom(ana)
 
     left = compute_cohomology(ce_complex(g, threads=threads), threads=threads)
     right = compute_cohomology(ce_complex(h, threads=threads), threads=threads)

@@ -436,9 +436,7 @@ class PairMorphism:
 def pair_morphism(source: SubalgebraPair, target: SubalgebraPair, matrix) -> PairMorphism:
     """Validate bracket preservation and subalgebra containment."""
     if not isinstance(matrix, Matrix):
-        matrix = Matrix.from_rows(
-            [[Fraction(parse_rational(x)) for x in row] for row in matrix]
-        )
+        matrix = Matrix.from_rows(_rows_from_json(matrix, "morphism matrix"))
     gs, gt = source.ambient, target.ambient
     if matrix.shape != (gt.dim, gs.dim):
         raise InputError(
@@ -558,7 +556,7 @@ def algebra_from_json(data) -> LieAlgebra:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError("algebra file must be an object with a 'dim' field")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"invalid dimension {dim!r}")
     names = data.get("basis")
     table = []
@@ -570,7 +568,17 @@ def algebra_from_json(data) -> LieAlgebra:
     return validate_structure(table, dim, names)
 
 
+def _rows_from_json(rows, what):
+    """Parse a JSON list of equal-length rows of rationals."""
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+    ):
+        raise InputError(f"{what} must be a list of equal-length lists")
+    return [[parse_rational(x) for x in row] for row in rows]
+
+
 def vectors_from_json(data):
     if not isinstance(data, dict) or "vectors" not in data:
         raise InputError("subalgebra file must be an object with a 'vectors' field")
-    return [[parse_rational(x) for x in row] for row in data["vectors"]]
+    return _rows_from_json(data["vectors"], "'vectors'")

@@ -4,7 +4,8 @@ All ranks, kernels and solutions are computed by integer-preserving Gaussian
 elimination with a fixed pivot rule (first nonzero by row-major scan), so
 results are reproducible bit for bit.  Rows are cleared of denominators and
 reduced with cross-multiplication updates followed by gcd stripping; no
-floating point appears anywhere.
+floating point appears anywhere.  Kernels are read straight off the reduced
+integer rows; minors are built in ``exterior`` by the wedge recursion.
 
 The elimination inner loop is the hot kernel of the whole library.  It is
 implemented twice with identical semantics: a compiled Cython extension
@@ -37,15 +38,15 @@ def kernel_backend() -> str:
 
 def clear_denominators(row):
     """Scale a row of rationals to coprime integers (positive scale)."""
+    # Rows are mostly int zeros; isinstance(x, Fraction) would run the ABC check on each.
     mult = 1
     for x in row:
-        d = x.denominator if isinstance(x, Fraction) else 1
-        if d != 1:
-            mult = lcm(mult, d)
+        if type(x) is not int and x.denominator != 1:
+            mult = lcm(mult, x.denominator)
     if mult == 1:
-        return [x.numerator if isinstance(x, Fraction) else x for x in row]
+        return [x if type(x) is int else x.numerator for x in row]
     return [
-        (x.numerator * (mult // x.denominator)) if isinstance(x, Fraction) else x * mult
+        x * mult if type(x) is int else x.numerator * (mult // x.denominator)
         for x in row
     ]
 
@@ -267,33 +268,24 @@ class Matrix:
             self._rank = len(row_reduce(rows, self.ncols, False))
         return self._rank
 
-    def rref(self):
-        """Deterministic reduced echelon data.
+    def nullspace(self):
+        """Canonical kernel basis (one vector per free column, ascending).
 
-        Returns ``(pivots, rows)`` where pivots are (row, col) pairs in
-        creation order and rows are the reduced rows as Fractions with
-        pivot entries normalized to 1.
+        Read off the reduced integer rows; zero entries stay ``int`` 0.
         """
         rows = self._int_rows()
         pivots = row_reduce(rows, self.ncols, True)
-        out = []
-        for ri, ci in pivots:
-            piv = rows[ri][ci]
-            out.append([Fraction(x, piv) for x in rows[ri]])
-        return [(k, ci) for k, (_, ci) in enumerate(pivots)], out
-
-    def nullspace(self):
-        """Canonical kernel basis (one vector per free column, ascending)."""
-        pivots, rows = self.rref()
-        pivot_cols = {ci: k for k, ci in pivots}
+        pivot_cols = {ci for _, ci in pivots}
         basis = []
         for f in range(self.ncols):
             if f in pivot_cols:
                 continue
-            vec = [Fraction(0)] * self.ncols
+            vec = [0] * self.ncols
             vec[f] = Fraction(1)
-            for k, ci in pivots:
-                vec[ci] = -rows[k][f]
+            for ri, ci in pivots:
+                x = rows[ri][f]
+                if x:
+                    vec[ci] = Fraction(-x, rows[ri][ci])
             basis.append(vec)
         return basis
 
@@ -413,27 +405,3 @@ class SpanBuilder:
 
     def basis(self):
         return [list(row) for _, row in self.rows]
-
-
-def det_dense(rows) -> Fraction:
-    """Determinant of a small dense square matrix by rational elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        piv = m[c][c]
-        det *= piv
-        for r in range(c + 1, n):
-            f = m[r][c] / piv
-            if f:
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-    return det
