@@ -231,36 +231,27 @@ def test_sub_file_input(capsys, tmp_path):
     assert report["result"]["betti"] == {"0": 1, "1": 2, "2": 1}
 
 
-def run_cli_error(capsys, *argv):
-    """Exit code and error type of a rejected input: one JSON document, no traceback."""
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    report = json.loads(captured.out)
-    return code, report["error"]["type"]
-
 
 def test_export_to_unwritable_path_exit_1(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
-    assert run_cli_error(capsys, "export", "--builtin", "so:3", "-o", str(target)) == (
-        1, "InputError"
-    )
+    code, report = run_cli(capsys, "export", "--builtin", "so:3", "-o", str(target))
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_sub_file_with_non_list_vector_exit_1(capsys, tmp_path):
     path = tmp_path / "bad_vectors.json"
     path.write_text(json.dumps({"vectors": [1]}))
-    assert run_cli_error(
+    code, report = run_cli(
         capsys, "betti", "--builtin", "heisenberg:3", "--relative-file", str(path)
-    ) == (1, "InputError")
+    )
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_morphism_file_not_an_object_exit_1(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[]")
-    assert run_cli_error(capsys, "functoriality", "--morphism", str(path)) == (
-        1, "InputError"
-    )
+    code, report = run_cli(capsys, "functoriality", "--morphism", str(path))
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_morphism_file_with_ragged_matrix_exit_1(capsys, tmp_path):
@@ -271,18 +262,17 @@ def test_morphism_file_with_ragged_matrix_exit_1(capsys, tmp_path):
     }
     path = tmp_path / "ragged.json"
     path.write_text(json.dumps(morphism))
-    assert run_cli_error(capsys, "functoriality", "--morphism", str(path)) == (
-        1, "InputError"
-    )
+    code, report = run_cli(capsys, "functoriality", "--morphism", str(path))
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_bool_dim_rejected_exit_1(capsys, tmp_path):
     path = tmp_path / "bool_dim.json"
     path.write_text(json.dumps({"dim": True}))
-    assert run_cli_error(capsys, "validate", "--file", str(path)) == (1, "InputError")
+    code, report = run_cli(capsys, "validate", "--file", str(path))
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_negative_so_sub_rejected_exit_1(capsys):
-    assert run_cli_error(
-        capsys, "betti", "--builtin", "so:3", "--relative", "so:-1"
-    ) == (1, "InputError")
+    code, report = run_cli(capsys, "betti", "--builtin", "so:3", "--relative", "so:-1")
+    assert (code, report["error"]["type"]) == (1, "InputError")
