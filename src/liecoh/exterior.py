@@ -151,7 +151,7 @@ class Form:
         return Form(n, k, {idx: v for idx, v in zip(basis, vec) if v})
 
     def evaluate(self, vectors):
-        """Pair with vectors: sum_I c_I (F^* theta^I) for the frame F they span."""
+        """Pair with vectors: sum_I c_I F^* theta^I, F the frame with the vectors as columns."""
         if len(vectors) != self.degree:
             raise DimensionMismatch(f"need {self.degree} vectors, got {len(vectors)}")
         for v in vectors:
