@@ -240,14 +240,6 @@ class CohomologyMap:
             for k in range(self.source.top_degree + 1)
         )
 
-    def is_surjective(self) -> bool:
-        return all(
-            self.degree(k).rank() == self.target.betti(k)
-            for k in range(
-                max(self.source.top_degree, self.target.top_degree) + 1
-            )
-        )
-
     def kernel_basis(self, k: int):
         """Kernel classes in degree k, as coordinates in source representatives."""
         return self.degree(k).nullspace()

@@ -41,10 +41,6 @@ class ParseError(InputError):
     pass
 
 
-class IoError(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class AntisymmetryViolation:
     i: int

@@ -176,15 +176,15 @@ def _unit(n, j):
 # ---------------------------------------------------------------------------
 
 def _matrix_unit(n, a, b):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[a][b] = Fraction(1)
+    m = [[0] * n for _ in range(n)]
+    m[a][b] = 1
     return m
 
 
 def _mat_mul(a, b):
     n = len(a)
     return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
 

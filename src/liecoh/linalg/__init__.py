@@ -37,7 +37,10 @@ def kernel_backend() -> str:
 
 
 def clear_denominators(row):
-    """Scale a row of rationals to coprime integers (positive scale)."""
+    """Scale a row of rationals to integers by the lcm of its denominators.
+
+    No common factor is divided out: ``[2, 4]`` stays ``[2, 4]``.
+    """
     # Rows are mostly int zeros; isinstance(x, Fraction) would run the ABC check on each.
     mult = 1
     for x in row:
@@ -118,13 +121,6 @@ class Matrix:
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), 0)
-
-    def row_dense(self, i: int):
-        row = [0] * self.ncols
-        for (r, c), v in self.entries.items():
-            if r == i:
-                row[c] = v
-        return row
 
     def col_dense(self, j: int):
         col = [0] * self.nrows
@@ -247,20 +243,27 @@ class Matrix:
             offset += m.nrows
         return Matrix(offset, ncols, entries)
 
-    def submatrix_cols(self, cols) -> "Matrix":
-        index = {c: j for j, c in enumerate(cols)}
-        entries = {}
-        for (i, c), v in self.entries.items():
-            j = index.get(c)
-            if j is not None:
-                entries[(i, j)] = v
-        return Matrix(self.nrows, len(index), entries)
-
     # -- elimination-backed operations --------------------------------
 
+    def _scaled_int_rows(self, width: int):
+        """Dense integer rows of length ``width`` and their scales.
+
+        Row i is row i of the matrix times ``scales[i]``, the lcm of its
+        denominators, zero-padded past ``ncols``: exactly what
+        ``clear_denominators`` makes of the dense row, built from the entries.
+        """
+        scales = [1] * self.nrows
+        for (i, _), v in self.entries.items():
+            if type(v) is not int and v.denominator != 1:
+                scales[i] = lcm(scales[i], v.denominator)
+        rows = [[0] * width for _ in range(self.nrows)]
+        for (i, j), v in self.entries.items():
+            s = scales[i]
+            rows[i][j] = v * s if type(v) is int else v.numerator * (s // v.denominator)
+        return rows, scales
+
     def _int_rows(self):
-        rows = self.rows_dense()
-        return [clear_denominators(r) for r in rows]
+        return self._scaled_int_rows(self.ncols)[0]
 
     def rank(self) -> int:
         if self._rank is None:
@@ -302,56 +305,60 @@ class Matrix:
 class ColumnSolver:
     """Solve A x = b repeatedly for a fixed matrix A, exactly.
 
-    The constructor reduces the tableau [A | I] once; each ``solve`` is then
-    a pass of dot products.  The particular solution returned sets all free
-    variables to zero, so it is deterministic.  When the system is
-    inconsistent, ``solve_with_certificate`` returns a rational row vector
-    lam with lam @ A = 0 and lam @ b != 0.
+    The constructor reduces the tableau [A | I] once and keeps its transform
+    block T (the row operations, to be applied to b) as sparse integer
+    columns: one list of (tableau row, value) per entry of b.  A solve forms
+    T b from the columns that the nonzero entries of b pick out, and no
+    others.  The particular solution returned sets all free variables to
+    zero, so it is deterministic.  When the system is inconsistent,
+    ``solve_with_certificate`` returns a rational row vector lam with
+    lam @ A = 0 and lam @ b != 0: the transform row of the first non-pivot
+    tableau row whose image is nonzero.
     """
 
     def __init__(self, a: Matrix):
         self.nrows = a.nrows
         self.ncols = a.ncols
-        rows = a.rows_dense()
-        for i, row in enumerate(rows):
-            ext = row + [0] * a.nrows
-            ext[a.ncols + i] = 1
-            rows[i] = clear_denominators(ext)
-        self.pivots = row_reduce(rows, a.ncols, True)
-        self.rows = rows
-        self.pivot_rows = {ri for ri, _ in self.pivots}
+        n = a.ncols
+        rows, scales = a._scaled_int_rows(n + a.nrows)
+        for i, s in enumerate(scales):
+            rows[i][n + i] = s
+        self.pivots = row_reduce(rows, n, True)
+        # tableau row -> (pivot column, pivot entry)
+        self._pivot_at = {ri: (ci, rows[ri][ci]) for ri, ci in self.pivots}
+        self._tcols = [[] for _ in range(a.nrows)]
+        for ri, row in enumerate(rows):
+            for j, t in enumerate(row[n:]):
+                if t:
+                    self._tcols[j].append((ri, t))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _transformed(self, ri, b):
-        n = self.ncols
-        row = self.rows[ri]
-        total = 0
-        for j, x in enumerate(b):
-            if x:
-                t = row[n + j]
-                if t:
-                    total += t * x
-        return total
-
     def solve_with_certificate(self, b):
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
-        for ri in range(self.nrows):
-            if ri in self.pivot_rows:
-                continue
-            t = self._transformed(ri, b)
-            if t:
-                n = self.ncols
-                cert = [Fraction(self.rows[ri][n + j]) for j in range(self.nrows)]
-                return None, cert
+        image = {}
+        for j, x in enumerate(b):
+            if x:
+                for ri, t in self._tcols[j]:
+                    image[ri] = image.get(ri, 0) + t * x
+        pivot_at = self._pivot_at
+        bad = [ri for ri, t in image.items() if t and ri not in pivot_at]
+        if bad:
+            ri = min(bad)
+            cert = [Fraction(0)] * self.nrows
+            for j, col in enumerate(self._tcols):
+                for r, t in col:
+                    if r == ri:
+                        cert[j] = Fraction(t)
+            return None, cert
         x = [Fraction(0)] * self.ncols
-        for ri, ci in self.pivots:
-            t = self._transformed(ri, b)
+        for ri, t in image.items():
             if t:
-                x[ci] = Fraction(t, 1) / self.rows[ri][ci]
+                ci, piv = pivot_at[ri]
+                x[ci] = Fraction(t, 1) / piv
         return x, None
 
     def solve(self, b):

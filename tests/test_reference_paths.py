@@ -1,4 +1,4 @@
-"""The integer-native pullback and kernel paths against slow Fraction references.
+"""The integer-native pullback, kernel and solve paths against slow references.
 
 ``pullback_matrix`` builds every minor by the wedge recursion and
 ``Matrix.nullspace`` reads the kernel straight off fraction-free integer
@@ -8,6 +8,12 @@ echelon form over ``Fraction``.  Both must agree exactly with the fast paths
 on random rational matrices (zero rows, non-square shapes, k = 0 and
 k > min(shape) included) and on the projection and inclusion matrices of
 the builtin pairs up to dimension 10.
+
+``ColumnSolver`` keeps the transform block of its reduced tableau as sparse
+columns and solves over the support of the right-hand side.  The reference
+solver keeps the dense tableau and scans every transform row on every solve;
+solutions and certificates must be equal, entry for entry, on random
+systems and on the embedding and reducer solvers of the same pairs.
 """
 
 import random
@@ -18,8 +24,9 @@ import sympy
 from liecoh import builtin, subalgebra
 from liecoh.classes import canonical_gl_so_pair
 from liecoh.exterior import Form, multi_indices, pullback_matrix
+from liecoh.koszul import PairAnalysis
 from liecoh.liealg import full_subalgebra, so_in_gl_vectors, so_in_so_vectors, zero_subalgebra
-from liecoh.linalg import Matrix
+from liecoh.linalg import ColumnSolver, Matrix, clear_denominators, row_reduce
 
 
 def reference_det(rows) -> Fraction:
@@ -85,6 +92,51 @@ def reference_nullspace(a: Matrix):
             vec[c] = -rows[i][free]
         basis.append(vec)
     return basis
+
+
+class ReferenceSolver:
+    """Dense-tableau solve: every transform row is scanned on every solve."""
+
+    def __init__(self, a: Matrix):
+        self.nrows = a.nrows
+        self.ncols = a.ncols
+        rows = a.rows_dense()
+        for i, row in enumerate(rows):
+            ext = row + [0] * a.nrows
+            ext[a.ncols + i] = 1
+            rows[i] = clear_denominators(ext)
+        self.pivots = row_reduce(rows, a.ncols, True)
+        self.rows = rows
+        self.pivot_rows = {ri for ri, _ in self.pivots}
+
+    def _transformed(self, ri, b):
+        n = self.ncols
+        row = self.rows[ri]
+        total = 0
+        for j, x in enumerate(b):
+            if x:
+                t = row[n + j]
+                if t:
+                    total += t * x
+        return total
+
+    def solve_with_certificate(self, b):
+        if len(b) != self.nrows:
+            raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
+        for ri in range(self.nrows):
+            if ri in self.pivot_rows:
+                continue
+            t = self._transformed(ri, b)
+            if t:
+                n = self.ncols
+                cert = [Fraction(self.rows[ri][n + j]) for j in range(self.nrows)]
+                return None, cert
+        x = [Fraction(0)] * self.ncols
+        for ri, ci in self.pivots:
+            t = self._transformed(ri, b)
+            if t:
+                x[ci] = Fraction(t, 1) / self.rows[ri][ci]
+        return x, None
 
 
 def random_matrix(rng, m, n):
@@ -177,3 +229,90 @@ def test_form_evaluate_against_sympy_det():
             minor = sympy.Matrix(k, k, lambda i, j: sympy.Rational(vectors[j][idx[i]]))
             expected += sympy.Rational(c) * (minor.det() if k else 1)
         assert sympy.Rational(form.evaluate(vectors)) == expected
+
+
+def random_rhs(rng, a: Matrix):
+    """Right-hand sides for A x = b: images of int and Fraction x, sparse int
+    and Fraction vectors (mostly outside the image), a unit vector and zero."""
+    m, n = a.shape
+    out = [
+        a.apply([rng.randint(-3, 3) for _ in range(n)]),
+        a.apply([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]),
+        [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(m)],
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3 else 0 for _ in range(m)],
+        [0] * m,
+    ]
+    if m:
+        unit = [0] * m
+        unit[rng.randrange(m)] = 1
+        out.append(unit)
+    return out
+
+
+def assert_solver_matches_reference(a: Matrix, rhs):
+    fast, ref = ColumnSolver(a), ReferenceSolver(a)
+    assert fast.pivots == ref.pivots
+    inconsistent = 0
+    for b in rhs:
+        x, cert = fast.solve_with_certificate(b)
+        x_ref, cert_ref = ref.solve_with_certificate(b)
+        assert (x, cert) == (x_ref, cert_ref), (a.entries, b)
+        for got, want in ((x, x_ref), (cert, cert_ref)):
+            if got is not None:
+                assert [type(v) for v in got] == [type(v) for v in want]
+        if cert is None:
+            assert a.apply(x) == list(b)
+        else:
+            inconsistent += 1
+            assert (Matrix.from_rows([cert], a.nrows) @ a).is_zero()
+            assert sum(c * v for c, v in zip(cert, b)) != 0
+    return inconsistent
+
+
+def test_int_rows_match_clear_denominators():
+    rng = random.Random(14)
+    for _ in range(80):
+        a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        assert a._int_rows() == [clear_denominators(r) for r in a.rows_dense()]
+    scaled = Matrix.from_rows([[2, 4], [Fraction(1, 2), Fraction(3, 4)], [Fraction(6, 3), 0]])
+    assert scaled._int_rows() == [[2, 4], [2, 3], [2, 0]]
+
+
+def test_solver_matches_reference_on_random_systems():
+    rng = random.Random(15)
+    inconsistent = 0
+    for _ in range(150):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        a = random_matrix(rng, m, n)
+        if rng.random() < 0.3 and n >= 2:
+            # a repeated column and a zero column: rank-deficient on purpose
+            a = a.hstack(Matrix.from_cols([a.cols_dense()[0], [0] * m], m))
+        inconsistent += assert_solver_matches_reference(a, random_rhs(rng, a))
+    assert inconsistent > 50
+
+
+def test_solver_matches_reference_on_degenerate_shapes():
+    rng = random.Random(16)
+    for m in (0, 1, 45, 120):
+        a = Matrix.zeros(m, 0)
+        rhs = random_rhs(rng, a)
+        # with no columns, every nonzero right-hand side is inconsistent
+        assert assert_solver_matches_reference(a, rhs) == sum(1 for b in rhs if any(b))
+    for n in (0, 1, 4):
+        assert_solver_matches_reference(Matrix.zeros(0, n), [[]])
+
+
+def test_solver_matches_reference_on_sweep_pairs():
+    rng = random.Random(17)
+    inconsistent = 0
+    for pair in sweep_pairs():
+        ana = PairAnalysis(pair)
+        spaces = (ana.relative_cohomology, ana.basic_cohomology)
+        for embeddings in (ana.quotient_model.embeddings, ana.basic_model.embeddings):
+            for e in embeddings:
+                inconsistent += assert_solver_matches_reference(e, random_rhs(rng, e))
+        for space in spaces:
+            for k in range(space.top_degree + 1):
+                a = space.representative_matrix(k).hstack(space.complex.differential(k - 1))
+                inconsistent += assert_solver_matches_reference(a, random_rhs(rng, a))
+    assert inconsistent > 0
