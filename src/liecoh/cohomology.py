@@ -2,10 +2,20 @@
 
 A complex is a tuple of per-degree dimensions plus the differential
 matrices; construction checks the shapes and that consecutive
-differentials compose to zero.  Cohomology is computed by exact rank:
-betti_k = dim ker d_k - rank d_(k-1).  Representatives are kernel-basis
-vectors not in the coboundary span, selected greedily in the fixed pivot
-order, so the whole output is deterministic.
+differentials compose to zero, in integers: d_(k+1) d_k = 0 is decided on
+R d_(k+1) and d_k C, with R and C the invertible diagonal matrices that
+clear the row denominators of d_(k+1) and the column denominators of d_k.
+
+Cohomology is computed by exact rank: betti_k = dim ker d_k - rank d_(k-1).
+Each d_k is eliminated once, by ``nullspace``, which also fixes its rank.
+Its canonical kernel basis has one vector kappa_i per free column f_i, equal
+to 1 at f_i and 0 at the other free columns, so a coboundary y has kernel
+coordinates (y[f_1], ..., y[f_r]).  The representatives are the kappa_i
+that no coboundary has as its last nonzero kernel coordinate: one
+elimination of the coboundaries in those coordinates, dim ker d_k wide.
+These are exactly the kernel vectors a greedy scan of [coboundaries ;
+kernel basis] would keep, and they depend only on the row spaces, so the
+whole output is deterministic.
 
 Complexes that carry a graded product (all complexes in this library do)
 also support cup products and the odd-generation test on their cohomology.
@@ -88,7 +98,9 @@ class CochainComplex:
                     f"({self.dims[k + 1]}, {self.dims[k]})"
                 )
         for k in range(len(self.differentials) - 1):
-            if not (self.differentials[k + 1] @ self.differentials[k]).is_zero():
+            left, _ = self.differentials[k + 1].row_scaled()
+            right, _ = self.differentials[k].col_scaled()
+            if not (left @ right).is_zero():
                 raise InvalidComplex(f"d o d != 0 between degrees {k} and {k + 2}")
 
     @property
@@ -121,14 +133,22 @@ class CohomologySpace:
     def __init__(self, complex: CochainComplex, threads=None):
         self.complex = complex
         top = complex.top_degree
-        ranks = parallel_map(
-            lambda k: complex.differential(k).rank(), range(top + 1), threads
+        diffs = [complex.differential(k) for k in range(top + 1)]
+        # One elimination per differential: nullspace() also records the rank
+        # that rank() returns, and each kernel lives only while the
+        # representatives of its degree are picked.
+        self._representatives = parallel_map(
+            lambda k: self._pick_representatives(k, diffs[k].nullspace()), range(top + 1), threads
         )
-        self.ranks = tuple(ranks)
+        self.ranks = tuple(d.rank() for d in diffs)
         self.betti_numbers = tuple(
             complex.dim(k) - self.rank(k) - self.rank(k - 1) for k in range(top + 1)
         )
-        self._representatives = parallel_map(self._pick_representatives, range(top + 1), threads)
+        for k, reps in enumerate(self._representatives):
+            if reps.ncols != self.betti(k):
+                raise InternalInvariantError(
+                    f"representative count {reps.ncols} != betti {self.betti(k)} in degree {k}"
+                )
         self._reducers = {}
 
     # -- structure ------------------------------------------------------
@@ -153,21 +173,34 @@ class CohomologySpace:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_numbers))
 
-    def _pick_representatives(self, k: int) -> Matrix:
-        """Kernel vectors extending the coboundary span, greedy pivot order."""
-        n = self.complex.dim(k)
-        kernel = self.complex.differential(k).nullspace()
-        image_rows = self.complex.differential(k - 1).cols_dense()
-        rows = [clear_denominators(r) for r in image_rows]
-        rows += [clear_denominators(list(v)) for v in kernel]
-        pivots = row_reduce(rows, n, False)
-        offset = len(image_rows)
-        chosen = [kernel[ri - offset] for ri, _ in pivots if ri >= offset]
-        if len(chosen) != self.betti(k):
-            raise InternalInvariantError(
-                f"representative count {len(chosen)} != betti {self.betti(k)} in degree {k}"
-            )
-        return Matrix.from_cols(chosen, n)
+    def _pick_representatives(self, k: int, kernel) -> Matrix:
+        """The vectors of ``kernel``, the canonical kernel basis of d_k, that
+        extend the coboundary span.
+
+        Kernel vector kappa_i is 1 at its free column f_i, which is its last
+        nonzero, and 0 at the other free columns, so the coboundaries (the
+        columns of d_(k-1)) have kernel coordinates y[f_1], ..., y[f_r].
+        kappa_i is kept iff no coboundary has its last nonzero kernel
+        coordinate at i, that is, iff position r-1-i is not a pivot of the
+        coboundaries' kernel coordinates in reversed order.  This is the
+        choice of a greedy scan of [coboundaries ; kappa_1 ; ... ; kappa_r],
+        made by one elimination r columns wide.
+        """
+        r = len(kernel)
+        position = {}
+        for i, vec in enumerate(kernel):
+            free = next(j for j in range(len(vec) - 1, -1, -1) if vec[j])
+            position[free] = r - 1 - i
+        image = self.complex.differential(k - 1)
+        rows = [[0] * r for _ in range(image.ncols)]
+        for (i, j), v in image.entries.items():
+            p = position.get(i)
+            if p is not None:
+                rows[j][p] = v
+        rows = [clear_denominators(row) for row in rows]
+        taken = {p for _, p in row_reduce(rows, r, False)}
+        chosen = [vec for i, vec in enumerate(kernel) if r - 1 - i not in taken]
+        return Matrix.from_cols(chosen, self.complex.dim(k))
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:

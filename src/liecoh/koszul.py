@@ -467,8 +467,8 @@ def functoriality_check(morphism: PairMorphism, threads=None) -> FunctorialityRe
             continue
         solver = src_ana.quotient_model.embeddings[k].solver()
         cols = []
-        for j in range(pulled.ncols):
-            coords = solver.solve(pulled.col_dense(j))
+        for col in pulled.cols_dense():
+            coords = solver.solve(col)
             if coords is None:
                 raise DiagramMismatch(
                     f"pullback of an invariant form is not invariant in degree {k}"

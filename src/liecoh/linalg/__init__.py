@@ -122,13 +122,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), 0)
 
-    def col_dense(self, j: int):
-        col = [0] * self.nrows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return col
-
     def rows_dense(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
@@ -189,16 +182,24 @@ class Matrix:
         by_col = {}
         for (k, i), v in self.entries.items():
             by_col.setdefault(i, []).append((k, v))
-        acc = {}
+        other_cols = {}
         for (k, j), w in other.entries.items():
-            for i, v in by_col.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, 0) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return Matrix(self.nrows, other.ncols, acc)
+            other_cols.setdefault(j, []).append((k, w))
+        # One output column at a time, so only its partial sums are alive;
+        # each entry still adds its terms in the order of other.entries.
+        out = {}
+        for j, col in other_cols.items():
+            acc = {}
+            for k, w in col:
+                for i, v in by_col.get(k, ()):
+                    s = acc.get(i, 0) + v * w
+                    if s:
+                        acc[i] = s
+                    else:
+                        del acc[i]
+            for i, s in acc.items():
+                out[(i, j)] = s
+        return Matrix(self.nrows, other.ncols, out)
 
     def apply(self, vec):
         """Matrix-vector product on a coordinate sequence."""
@@ -245,21 +246,37 @@ class Matrix:
 
     # -- elimination-backed operations --------------------------------
 
-    def _scaled_int_rows(self, width: int):
-        """Dense integer rows of length ``width`` and their scales.
+    def row_scaled(self):
+        """``(S, scales)`` with ``S = diag(scales) @ self`` and every entry an int.
 
-        Row i is row i of the matrix times ``scales[i]``, the lcm of its
-        denominators, zero-padded past ``ncols``: exactly what
-        ``clear_denominators`` makes of the dense row, built from the entries.
+        ``scales[i]`` is the lcm of the denominators of row i, so row i of S
+        is what ``clear_denominators`` makes of the dense row, built from the
+        entries.
         """
-        scales = [1] * self.nrows
-        for (i, _), v in self.entries.items():
+        return self._scaled(0)
+
+    def col_scaled(self):
+        """``(S, scales)`` with ``S = self @ diag(scales)``: the row scaling of the transpose."""
+        return self._scaled(1)
+
+    def _scaled(self, axis):
+        """Each row (axis 0) or column (axis 1) times the lcm of its denominators."""
+        scales = [1] * self.shape[axis]
+        for key, v in self.entries.items():
             if type(v) is not int and v.denominator != 1:
-                scales[i] = lcm(scales[i], v.denominator)
+                scales[key[axis]] = lcm(scales[key[axis]], v.denominator)
+        entries = {}
+        for key, v in self.entries.items():
+            s = scales[key[axis]]
+            entries[key] = v * s if type(v) is int else v.numerator * (s // v.denominator)
+        return Matrix(self.nrows, self.ncols, entries), scales
+
+    def _scaled_int_rows(self, width: int):
+        """Dense rows of ``row_scaled``, zero-padded to ``width``, and the scales."""
+        scaled, scales = self.row_scaled()
         rows = [[0] * width for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            s = scales[i]
-            rows[i][j] = v * s if type(v) is int else v.numerator * (s // v.denominator)
+        for (i, j), v in scaled.entries.items():
+            rows[i][j] = v
         return rows, scales
 
     def _int_rows(self):
@@ -274,10 +291,12 @@ class Matrix:
     def nullspace(self):
         """Canonical kernel basis (one vector per free column, ascending).
 
-        Read off the reduced integer rows; zero entries stay ``int`` 0.
+        Read off the reduced integer rows; zero entries stay ``int`` 0.  The
+        elimination also fixes the rank, which is kept for ``rank()``.
         """
         rows = self._int_rows()
         pivots = row_reduce(rows, self.ncols, True)
+        self._rank = len(pivots)
         pivot_cols = {ci for _, ci in pivots}
         basis = []
         for f in range(self.ncols):
@@ -290,6 +309,33 @@ class Matrix:
                 if x:
                     vec[ci] = Fraction(-x, rows[ri][ci])
             basis.append(vec)
+        return basis
+
+    @staticmethod
+    def stacked_nullspace(blocks, ncols: int):
+        """``Matrix.stack_rows(blocks, ncols).nullspace()``, without the stack.
+
+        The kernel is narrowed one block at a time, K <- K nullspace(B K), so
+        each elimination is only as wide as the kernel left so far.  The
+        columns of K span the common kernel; the canonical basis is the
+        reduced echelon form of that span on reversed coordinates (its free
+        columns are the last nonzeros of the kernel vectors), each row divided
+        by its pivot, in ascending order of free column.  Entries and their
+        types equal those of ``nullspace``.
+        """
+        kernel = Matrix.identity(ncols)
+        for block in blocks:
+            image = block @ kernel
+            if not image.is_zero():
+                kernel = kernel @ Matrix.from_cols(image.nullspace(), kernel.ncols)
+        last = ncols - 1
+        flipped = Matrix(kernel.ncols, ncols, {(j, last - i): v for (i, j), v in kernel.entries.items()})
+        rows = flipped._int_rows()
+        pivots = row_reduce(rows, ncols, True)
+        basis = []
+        for ri, ci in sorted(pivots, key=lambda p: -p[1]):
+            piv = rows[ri][ci]
+            basis.append([Fraction(x, piv) if x else 0 for x in reversed(rows[ri])])
         return basis
 
     def solver(self) -> "ColumnSolver":

@@ -65,8 +65,8 @@ def _restrict_differentials(ambient_diffs, embeddings, failure):
         image = ambient_diffs[k] @ embeddings[k]
         solver = embeddings[k + 1].solver()
         cols = []
-        for j in range(image.ncols):
-            coords = solver.solve(image.col_dense(j))
+        for j, col in enumerate(image.cols_dense()):
+            coords = solver.solve(col)
             if coords is None:
                 raise failure(f"differential leaves the subspace at degree {k}, vector {j}")
             cols.append(coords)
@@ -91,8 +91,8 @@ def basic_subcomplex(pair, ambient=None, threads=None) -> BasicSubcomplex:
         for x in pair.sub_basis:
             blocks.append(interior_matrix(x, n, k))
             blocks.append(lie_derivative_matrix(g, x, k))
-        constraints = Matrix.stack_rows(blocks, basis_size(n, k))
-        return Matrix.from_cols(constraints.nullspace(), basis_size(n, k))
+        size = basis_size(n, k)
+        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 
     embeddings = tuple(parallel_map(basis_at, range(n + 1), threads))
     diffs = _restrict_differentials(ambient.differentials, embeddings, NotDStable)
@@ -145,8 +145,8 @@ def invariant_quotient_complex(pair, threads=None) -> InvariantQuotientComplex:
 
     def invariants_at(k):
         blocks = [endo_action_matrix(a, q, k) for a in pair.action]
-        constraints = Matrix.stack_rows(blocks, basis_size(q, k))
-        return Matrix.from_cols(constraints.nullspace(), basis_size(q, k))
+        size = basis_size(q, k)
+        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 
     embeddings = tuple(parallel_map(invariants_at, range(q + 1), threads))
     diffs = _restrict_differentials(full, embeddings, InternalInvariantError)
@@ -194,8 +194,8 @@ def compare_models(pair, basic=None, invq=None, threads=None) -> ModelComparison
         pulled = pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
         solver = basic.embeddings[k].solver()
         cols = []
-        for j in range(pulled.ncols):
-            coords = solver.solve(pulled.col_dense(j))
+        for j, col in enumerate(pulled.cols_dense()):
+            coords = solver.solve(col)
             if coords is None:
                 raise ModelMismatch(
                     f"pullback leaves the basic subspace at degree {k}, vector {j}"
@@ -255,9 +255,7 @@ def subcomplex_to_json(model) -> dict:
 
     payload = complex_to_json(model.complex)
     payload["embedding"] = {
-        str(k): [
-            [format_rational(x) for x in e.col_dense(j)] for j in range(e.ncols)
-        ]
+        str(k): [[format_rational(x) for x in col] for col in e.cols_dense()]
         for k, e in enumerate(model.embeddings)
         if e.ncols
     }

@@ -40,8 +40,8 @@ def test_delta_chain_degree_one_is_minus_trace_form(ana_gl2_so2):
     # the single invariant 1-form on gl(2)/so(2) pulls back to -c * (trace)
     ana = ana_gl2_so2
     maps = delta_chain(ana)
-    invariant = ana.quotient_model.embeddings[1].col_dense(0)
-    image = Form.from_vector(4, 1, maps[1].col_dense(0))
+    invariant = ana.quotient_model.embeddings[1].cols_dense()[0]
+    image = Form.from_vector(4, 1, maps[1].cols_dense()[0])
     # quotient basis: E11, E12+E21, E22; the trace covector is theta^0+theta^2
     assert invariant[0] == invariant[2] and invariant[1] == 0
     c = invariant[0]

@@ -1,4 +1,4 @@
-"""The integer-native pullback, kernel and solve paths against slow references.
+"""The integer-native pullback, kernel, solve and cohomology paths against slow references.
 
 ``pullback_matrix`` builds every minor by the wedge recursion and
 ``Matrix.nullspace`` reads the kernel straight off fraction-free integer
@@ -14,6 +14,15 @@ columns and solves over the support of the right-hand side.  The reference
 solver keeps the dense tableau and scans every transform row on every solve;
 solutions and certificates must be equal, entry for entry, on random
 systems and on the embedding and reducer solvers of the same pairs.
+
+``CohomologySpace`` eliminates each differential once, reads the rank off
+the kernel elimination and picks representatives in kernel coordinates;
+``CochainComplex`` decides d o d = 0 on integer-scaled matrices; and the
+relative models narrow their kernels one constraint block at a time.  The
+references keep the earlier forms: a separate ``full=False`` rank, the
+greedy scan of [coboundaries ; kernel basis] over the full cochain space,
+the ``Fraction`` product d_(k+1) d_k, and the nullspace of the stacked
+constraints.
 """
 
 import random
@@ -21,11 +30,29 @@ from fractions import Fraction
 
 import sympy
 
+import pytest
+
 from liecoh import builtin, subalgebra
 from liecoh.classes import canonical_gl_so_pair
-from liecoh.exterior import Form, multi_indices, pullback_matrix
+from liecoh.cohomology import CochainComplex, ce_complex, compute_cohomology
+from liecoh.errors import InvalidComplex
+from liecoh.exterior import (
+    Form,
+    basis_size,
+    endo_action_matrix,
+    interior_matrix,
+    lie_derivative_matrix,
+    multi_indices,
+    pullback_matrix,
+)
 from liecoh.koszul import PairAnalysis
-from liecoh.liealg import full_subalgebra, so_in_gl_vectors, so_in_so_vectors, zero_subalgebra
+from liecoh.liealg import (
+    full_subalgebra,
+    so_in_gl_vectors,
+    so_in_so_vectors,
+    validate_structure,
+    zero_subalgebra,
+)
 from liecoh.linalg import ColumnSolver, Matrix, clear_denominators, row_reduce
 
 
@@ -316,3 +343,197 @@ def test_solver_matches_reference_on_sweep_pairs():
                 a = space.representative_matrix(k).hstack(space.complex.differential(k - 1))
                 inconsistent += assert_solver_matches_reference(a, random_rhs(rng, a))
     assert inconsistent > 0
+
+
+# ---------------------------------------------------------------------------
+# cohomology: one elimination per differential, integer d o d
+# ---------------------------------------------------------------------------
+
+def reference_rank(d: Matrix) -> int:
+    """The rank by its own ``full=False`` elimination."""
+    return len(row_reduce(d._int_rows(), d.ncols, False))
+
+
+def reference_representatives(space, k) -> Matrix:
+    """Greedy scan of [columns of d_(k-1) ; kernel basis of d_k] over C^k."""
+    complex = space.complex
+    n = complex.dim(k)
+    kernel = complex.differential(k).nullspace()
+    image_rows = complex.differential(k - 1).cols_dense()
+    rows = [clear_denominators(r) for r in image_rows]
+    rows += [clear_denominators(list(v)) for v in kernel]
+    pivots = row_reduce(rows, n, False)
+    offset = len(image_rows)
+    chosen = [kernel[ri - offset] for ri, _ in pivots if ri >= offset]
+    return Matrix.from_cols(chosen, n)
+
+
+def reference_dd_failure(differentials):
+    """First k with d_(k+1) d_k != 0 by the Fraction product, or None."""
+    for k in range(len(differentials) - 1):
+        if not (differentials[k + 1] @ differentials[k]).is_zero():
+            return k
+    return None
+
+
+def conjugate(g, rng, positions):
+    """g in the basis P e_i, P = U Pi: U unipotent with rational entries at
+    ``positions`` random places above the diagonal, Pi a random permutation."""
+    n = g.dim
+    u = {(i, i): 1 for i in range(n)}
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for key in rng.sample(above, positions):
+        u[key] = rng.choice((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(-1, 2)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Matrix(n, n, u) @ Matrix(n, n, {(perm[i], i): 1 for i in range(n)})
+    cols = p.cols_dense()
+    structure = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = p.solve(g.bracket(cols[i], cols[j]))
+            terms = {m: c for m, c in enumerate(coords) if c}
+            if terms:
+                structure[(i, j)] = terms
+    return validate_structure(structure, n)
+
+
+def builtin_sweep():
+    """Every builtin algebra of dimension at most 10."""
+    specs = [("gl", n) for n in (1, 2, 3)] + [("sl", n) for n in (2, 3)]
+    specs += [("so", n) for n in (2, 3, 4, 5)] + [("abelian", n) for n in (1, 2, 3, 4)]
+    specs += [("heisenberg", n) for n in (3, 5, 7, 9)]
+    return [builtin(name, n) for name, n in specs]
+
+
+def assert_cohomology_matches_reference(complex):
+    space = compute_cohomology(complex)
+    for k in range(space.top_degree + 1):
+        assert space.ranks[k] == reference_rank(complex.differential(k)), k
+        assert space.representative_matrix(k) == reference_representatives(space, k), k
+    assert reference_dd_failure(complex.differentials) is None
+
+
+def test_cohomology_matches_reference_on_builtin_sweep():
+    for g in builtin_sweep():
+        assert_cohomology_matches_reference(ce_complex(g))
+
+
+def test_cohomology_matches_reference_on_relative_models():
+    for pair in sweep_pairs():
+        ana = PairAnalysis(pair)
+        assert_cohomology_matches_reference(ana.quotient_model.complex)
+        assert_cohomology_matches_reference(ana.basic_model.complex)
+
+
+def test_cohomology_matches_reference_on_rational_conjugates():
+    rng = random.Random(18)
+    gl3 = builtin("gl", 3)
+    for positions in (3, 5):
+        g = conjugate(gl3, rng, positions)
+        assert any(type(v) is Fraction and v.denominator != 1
+                   for terms in g.structure.values() for v in terms.values())
+        complex = ce_complex(g)
+        assert_cohomology_matches_reference(complex)
+        assert compute_cohomology(complex).betti_dict() == compute_cohomology(ce_complex(gl3)).betti_dict()
+
+
+def test_perturbed_rational_complex_fails_at_the_reference_degree():
+    rng = random.Random(19)
+    diffs = ce_complex(conjugate(builtin("gl", 3), rng, 4)).differentials
+    for k in (1, 4, 7):
+        d = diffs[k]
+        key = sorted(d.entries)[rng.randrange(len(d.entries))]
+        entries = dict(d.entries)
+        entries[key] += Fraction(1, 3)
+        bad = list(diffs)
+        bad[k] = Matrix(d.nrows, d.ncols, entries)
+        expected = reference_dd_failure(bad)
+        assert expected in (k - 1, k)
+        with pytest.raises(InvalidComplex, match=f"between degrees {expected} and {expected + 2}$"):
+            CochainComplex(dims=tuple(m.ncols for m in bad) + (bad[-1].nrows,), differentials=tuple(bad))
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """One accumulator over all output entries, zeros deleted as they appear."""
+    by_col = {}
+    for (k, i), v in a.entries.items():
+        by_col.setdefault(i, []).append((k, v))
+    acc = {}
+    for (k, j), w in b.entries.items():
+        for i, v in by_col.get(k, ()):
+            s = acc.get((i, j), 0) + v * w
+            if s:
+                acc[(i, j)] = s
+            else:
+                del acc[(i, j)]
+    return Matrix(a.nrows, b.ncols, acc)
+
+
+def numerators(m: Matrix) -> Matrix:
+    return Matrix(m.nrows, m.ncols, {key: v.numerator for key, v in m.entries.items()})
+
+
+def test_matmul_matches_reference_with_entry_types():
+    rng = random.Random(21)
+    for _ in range(150):
+        m, n, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = random_matrix(rng, m, n), random_matrix(rng, n, p)
+        if rng.random() < 0.5:
+            # [a, -a, a'] [b; b; b'] with int a', b': every partial sum falls to
+            # zero halfway, and the int terms that follow decide the entry type
+            a = a.hstack(a.scale(-1)).hstack(numerators(a))
+            b = b.vstack(b).vstack(numerators(b))
+        got, want = a @ b, reference_matmul(a, b)
+        assert got == want
+        assert {key: type(v) for key, v in got.entries.items()} == {key: type(v) for key, v in want.entries.items()}
+    diffs = ce_complex(conjugate(builtin("gl", 3), rng, 4)).differentials
+    for k in range(len(diffs) - 1):
+        assert (diffs[k + 1] @ diffs[k]).is_zero() and reference_matmul(diffs[k + 1], diffs[k]).is_zero()
+        assert diffs[k].transpose() @ diffs[k] == reference_matmul(diffs[k].transpose(), diffs[k])
+
+
+# ---------------------------------------------------------------------------
+# relative models: kernels narrowed one block at a time
+# ---------------------------------------------------------------------------
+
+def assert_stacked_nullspace_matches(blocks, ncols):
+    got = Matrix.stacked_nullspace(blocks, ncols)
+    want = Matrix.stack_rows(blocks, ncols).nullspace()
+    assert got == want, ([b.entries for b in blocks], ncols)
+    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+    return len(got)
+
+
+def test_stacked_nullspace_matches_stacked_on_random_blocks():
+    rng = random.Random(20)
+    for _ in range(120):
+        n = rng.randint(0, 7)
+        blocks = [random_matrix(rng, rng.randint(0, 3), n) for _ in range(rng.randint(0, 4))]
+        assert_stacked_nullspace_matches(blocks, n)
+
+
+def test_stacked_nullspace_degenerate_blocks():
+    for n in (0, 1, 5):
+        # no blocks and only zero or 0-row blocks: the full kernel
+        assert assert_stacked_nullspace_matches([], n) == n
+        assert assert_stacked_nullspace_matches([Matrix.zeros(0, n), Matrix.zeros(3, n)], n) == n
+    # an invertible block: the empty kernel, also when more blocks follow
+    full_rank = Matrix.from_rows([[1, 2, 0], [0, Fraction(1, 3), 1], [1, 0, 1]])
+    assert assert_stacked_nullspace_matches([Matrix.zeros(0, 3), full_rank], 3) == 0
+    assert assert_stacked_nullspace_matches([full_rank, Matrix.zeros(2, 3), full_rank], 3) == 0
+
+
+def test_stacked_nullspace_matches_stacked_on_sweep_pairs():
+    for pair in sweep_pairs():
+        g, n = pair.ambient, pair.ambient.dim
+        q = pair.dim_quotient
+        for k in range(n + 1):
+            blocks = []
+            for x in pair.sub_basis:
+                blocks.append(interior_matrix(x, n, k))
+                blocks.append(lie_derivative_matrix(g, x, k))
+            assert_stacked_nullspace_matches(blocks, basis_size(n, k))
+        for k in range(q + 1):
+            blocks = [endo_action_matrix(a, q, k) for a in pair.action]
+            assert_stacked_nullspace_matches(blocks, basis_size(q, k))

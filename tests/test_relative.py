@@ -40,7 +40,7 @@ def test_basic_of_zero_pair_is_everything():
 def test_basic_degree_one_of_gl2_so2_is_trace_form(gl2_so2):
     basic = basic_subcomplex(gl2_so2)
     assert basic.complex.dim(1) == 1
-    vec = basic.embeddings[1].col_dense(0)
+    vec = basic.embeddings[1].cols_dense()[0]
     form = Form.from_vector(4, 1, vec)
     # gl(2) basis E11,E12,E21,E22: the only basic 1-form is a multiple of tr
     assert form.coeffs[(0,)] == form.coeffs[(3,)]
