@@ -210,7 +210,7 @@ def _label_for(degree: int) -> str:
     return f"y{degree}"
 
 
-def identify_generators(pair_or_analysis, threads=None) -> GeneratorReport:
+def identify_generators(pair_or_analysis) -> GeneratorReport:
     """Minimal ring generators of the relative cohomology, with labels.
 
     Generators are found degree by degree: whenever the subring generated
@@ -220,7 +220,7 @@ def identify_generators(pair_or_analysis, threads=None) -> GeneratorReport:
     presentation verdict says whether products of distinct generators form
     a basis, i.e. whether the ring is the free exterior algebra on them.
     """
-    ana = _analysis(pair_or_analysis, threads)
+    ana = _analysis(pair_or_analysis)
     space = ana.relative_cohomology
     gens = []
     for d in range(1, space.top_degree + 1):

@@ -207,15 +207,15 @@ def cmd_betti(args, started, command="betti"):
         inputs["sub"] = sub_digest
         from .relative import invariant_quotient_complex
 
-        model = invariant_quotient_complex(pair, threads=args.threads)
-        space = compute_cohomology(model.complex, threads=args.threads)
+        model = invariant_quotient_complex(pair)
+        space = compute_cohomology(model.complex)
 
         def form_of_vector(k, vec):
             return Form.from_vector(
                 pair.dim_quotient, k, model.embeddings[k].apply(vec)
             )
     else:
-        space = compute_cohomology(ce_complex(g, threads=args.threads), threads=args.threads)
+        space = compute_cohomology(ce_complex(g))
 
         def form_of_vector(k, vec):
             return Form.from_vector(g.dim, k, vec)
@@ -233,7 +233,7 @@ def cmd_koszul(args, started):
     g, digest, echo = resolve_algebra(args.builtin, args.file)
     pair, sub_digest = resolve_pair(g, echo, args.sub, args.sub_file)
     inputs = {"algebra": digest, "sub": sub_digest}
-    ana = PairAnalysis(pair, threads=args.threads)
+    ana = PairAnalysis(pair)
     res = delta_cohom(ana)
     result = {
         "injective": res.injective,
@@ -258,7 +258,7 @@ def cmd_koszul(args, started):
 def cmd_ncz(args, started):
     g, digest, echo = resolve_algebra(args.builtin, args.file)
     pair, sub_digest = resolve_pair(g, echo, args.sub, args.sub_file)
-    report = ncz_report(pair, threads=args.threads)
+    report = ncz_report(pair)
     inputs = {"algebra": digest, "sub": sub_digest}
     return _report("ncz", inputs, report.to_payload(), started), 0
 
@@ -266,7 +266,7 @@ def cmd_ncz(args, started):
 def cmd_reductive(args, started):
     g, digest, echo = resolve_algebra(args.builtin, args.file)
     pair, sub_digest = resolve_pair(g, echo, args.sub, args.sub_file)
-    witness = invariant_complement(pair, threads=args.threads)
+    witness = invariant_complement(pair)
     inputs = {"algebra": digest, "sub": sub_digest}
     if witness.reductive:
         result = {
@@ -287,7 +287,7 @@ def cmd_reductive(args, started):
 def cmd_classes(args, started):
     g, digest, echo = resolve_algebra(args.builtin, args.file)
     pair, sub_digest = resolve_pair(g, echo, args.sub, args.sub_file)
-    ana = PairAnalysis(pair, threads=args.threads)
+    ana = PairAnalysis(pair)
     report = identify_generators(ana)
     generators = []
     for degree, coords, label in report.generators:
@@ -319,7 +319,7 @@ def cmd_functoriality(args, started):
     if "matrix" not in data:
         raise InputError("morphism file needs a 'matrix' field")
     morphism = pair_morphism(source, target, data["matrix"])
-    report = functoriality_check(morphism, threads=args.threads)
+    report = functoriality_check(morphism)
     inputs = {"morphism": f"sha256:{digest}", "source": src_inputs, "target": dst_inputs}
     result = {"commutes": report.commutes, "degrees": list(report.degrees)}
     return _report("functoriality", inputs, result, started), 0
@@ -328,7 +328,7 @@ def cmd_functoriality(args, started):
 def cmd_direct_product(args, started):
     left, left_digest, _ = resolve_algebra(args.left_builtin, args.left_file)
     right, right_digest, _ = resolve_algebra(args.right_builtin, args.right_file)
-    report = direct_product_check(left, right, threads=args.threads)
+    report = direct_product_check(left, right)
     inputs = {"left": left_digest, "right": right_digest}
     result = {
         "injective": report.injective,
@@ -348,8 +348,13 @@ def cmd_direct_product(args, started):
 def _add_algebra_args(p):
     p.add_argument("--builtin", help="builtin algebra, e.g. gl:3, so:5, heisenberg:3")
     p.add_argument("--file", help="algebra JSON file")
+    _add_threads_arg(p)
+
+
+def _add_threads_arg(p):
+    # Kept so existing scripts still parse.
     p.add_argument("--threads", type=int, default=None,
-                   help="per-degree worker threads (default: KOSZUL_THREADS or 1)")
+                   help="accepted and ignored, as is KOSZUL_THREADS: computation is sequential")
 
 
 def _add_sub_args(p):
@@ -399,14 +404,14 @@ def build_parser():
 
     p = sub.add_parser("functoriality", help="naturality square for a morphism file")
     p.add_argument("--morphism", required=True, help="morphism JSON file")
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_arg(p)
 
     p = sub.add_parser("direct-product-check", help="characteristic map of (g+h, h)")
     p.add_argument("--left-builtin", dest="left_builtin", help="first factor, e.g. so:3")
     p.add_argument("--left-file", dest="left_file")
     p.add_argument("--right-builtin", dest="right_builtin", help="second factor, e.g. abelian:2")
     p.add_argument("--right-file", dest="right_file")
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_arg(p)
 
     return parser
 

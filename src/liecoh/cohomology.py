@@ -35,7 +35,6 @@ from .errors import (
 )
 from .exterior import ce_differential, wedge_vector
 from .linalg import Matrix, SpanBuilder, clear_denominators, row_reduce
-from .parallel import parallel_map
 
 
 class BasisProduct:
@@ -118,11 +117,11 @@ class CochainComplex:
         return Matrix.zeros(self.dim(k + 1), self.dim(k))
 
 
-def ce_complex(g, threads=None) -> CochainComplex:
+def ce_complex(g) -> CochainComplex:
     """The full Chevalley-Eilenberg complex of an algebra, with its wedge."""
     from .exterior import basis_size
 
-    diffs = parallel_map(lambda k: ce_differential(g, k), range(g.dim), threads)
+    diffs = [ce_differential(g, k) for k in range(g.dim)]
     dims = tuple(basis_size(g.dim, k) for k in range(g.dim + 1))
     return CochainComplex(dims=dims, differentials=tuple(diffs), product=BasisProduct(g.dim))
 
@@ -130,16 +129,16 @@ def ce_complex(g, threads=None) -> CochainComplex:
 class CohomologySpace:
     """Betti numbers, chosen representatives and reduction data per degree."""
 
-    def __init__(self, complex: CochainComplex, threads=None):
+    def __init__(self, complex: CochainComplex):
         self.complex = complex
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
         # One elimination per differential: nullspace() also records the rank
         # that rank() returns, and each kernel lives only while the
         # representatives of its degree are picked.
-        self._representatives = parallel_map(
-            lambda k: self._pick_representatives(k, diffs[k].nullspace()), range(top + 1), threads
-        )
+        self._representatives = [
+            self._pick_representatives(k, diffs[k].nullspace()) for k in range(top + 1)
+        ]
         self.ranks = tuple(d.rank() for d in diffs)
         self.betti_numbers = tuple(
             complex.dim(k) - self.rank(k) - self.rank(k - 1) for k in range(top + 1)
@@ -247,9 +246,9 @@ class CohomologySpace:
         return coords
 
 
-def compute_cohomology(complex: CochainComplex, threads=None) -> CohomologySpace:
+def compute_cohomology(complex: CochainComplex) -> CohomologySpace:
     """Exact Betti numbers and representative cocycles of a complex."""
-    return CohomologySpace(complex, threads=threads)
+    return CohomologySpace(complex)
 
 
 # ---------------------------------------------------------------------------

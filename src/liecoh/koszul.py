@@ -53,47 +53,44 @@ from .relative import (
 class PairAnalysis:
     """All complexes and cohomologies of one pair, computed once and shared."""
 
-    def __init__(self, pair: SubalgebraPair, threads=None):
+    def __init__(self, pair: SubalgebraPair):
         self.pair = pair
-        self.threads = threads
 
     @cached_property
     def ambient_complex(self):
-        return ce_complex(self.pair.ambient, threads=self.threads)
+        return ce_complex(self.pair.ambient)
 
     @cached_property
     def ambient_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.ambient_complex, threads=self.threads)
+        return compute_cohomology(self.ambient_complex)
 
     @cached_property
     def quotient_model(self):
-        return invariant_quotient_complex(self.pair, threads=self.threads)
+        return invariant_quotient_complex(self.pair)
 
     @cached_property
     def relative_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.quotient_model.complex, threads=self.threads)
+        return compute_cohomology(self.quotient_model.complex)
 
     @cached_property
     def basic_model(self):
-        return basic_subcomplex(self.pair, ambient=self.ambient_complex, threads=self.threads)
+        return basic_subcomplex(self.pair, ambient=self.ambient_complex)
 
     @cached_property
     def basic_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.basic_model.complex, threads=self.threads)
+        return compute_cohomology(self.basic_model.complex)
 
     @cached_property
     def comparison(self):
-        return compare_models(
-            self.pair, basic=self.basic_model, invq=self.quotient_model, threads=self.threads
-        )
+        return compare_models(self.pair, basic=self.basic_model, invq=self.quotient_model)
 
     @cached_property
     def restriction(self):
-        return restriction_map(self.pair, ambient=self.ambient_complex, threads=self.threads)
+        return restriction_map(self.pair, ambient=self.ambient_complex)
 
     @cached_property
     def sub_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.restriction.target, threads=self.threads)
+        return compute_cohomology(self.restriction.target)
 
     @cached_property
     def koszul(self) -> KoszulResult:
@@ -117,17 +114,17 @@ class PairAnalysis:
         )
 
 
-def _analysis(pair_or_analysis, threads=None) -> PairAnalysis:
+def _analysis(pair_or_analysis) -> PairAnalysis:
     if isinstance(pair_or_analysis, PairAnalysis):
         return pair_or_analysis
-    return PairAnalysis(pair_or_analysis, threads=threads)
+    return PairAnalysis(pair_or_analysis)
 
 
 # ---------------------------------------------------------------------------
 # the chain map and its cohomology map
 # ---------------------------------------------------------------------------
 
-def delta_chain(pair, threads=None):
+def delta_chain(pair):
     """Per-degree matrices of the characteristic map at chain level.
 
     Degree k sends the invariant-basis coordinates on g/h to Lambda^k g*
@@ -135,7 +132,7 @@ def delta_chain(pair, threads=None):
     commutation with both differentials is verified; a failure is a hard
     internal error (the sign-convention arbiter).
     """
-    ana = _analysis(pair, threads)
+    ana = _analysis(pair)
     proj = ana.pair.projection_matrix
     invq = ana.quotient_model
     q = ana.pair.dim_quotient
@@ -167,9 +164,9 @@ class KoszulResult:
         return self.cohomology_map.target
 
 
-def delta_cohom(pair, threads=None) -> KoszulResult:
+def delta_cohom(pair) -> KoszulResult:
     """Induced map H(g, h) -> H(g), computed once per ``PairAnalysis``."""
-    return _analysis(pair, threads).koszul
+    return _analysis(pair).koszul
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +176,7 @@ class FactorizationReport:
     holds: bool  # always True on return; a mismatch raises instead
 
 
-def factorization_check(pair, threads=None) -> FactorizationReport:
+def factorization_check(pair) -> FactorizationReport:
     """Verify the two-step factorization of the cohomology map exactly.
 
     Leg 1: the comparison isomorphism onto the basic model (pullback along
@@ -187,7 +184,7 @@ def factorization_check(pair, threads=None) -> FactorizationReport:
     into Lambda g*.  Their induced composition must equal the directly
     computed map in every degree.
     """
-    ana = _analysis(pair, threads)
+    ana = _analysis(pair)
     direct = delta_cohom(ana)
     leg1 = induced_map(
         ana.comparison.matrices, ana.relative_cohomology, ana.basic_cohomology
@@ -232,14 +229,14 @@ class NczReport:
         }
 
 
-def ncz_report(pair, threads=None) -> NczReport:
+def ncz_report(pair) -> NczReport:
     """Is H(g) -> H(h) surjective in every degree (restriction-induced)?
 
     When surjective, a right inverse is exhibited degreewise: for each basis
     class of H(h) a preimage class in H(g) is solved for, stored, and
     re-verified by mapping it back through the chain-level restriction.
     """
-    ana = _analysis(pair, threads)
+    ana = _analysis(pair)
     mapping = induced_map(ana.restriction.maps, ana.ambient_cohomology, ana.sub_cohomology)
     sub = ana.sub_cohomology
     degrees = {}
@@ -278,8 +275,8 @@ def ncz_report(pair, threads=None) -> NczReport:
     return NczReport(pair=ana.pair, ncz=surjective, degrees=degrees, witnesses=witnesses)
 
 
-def ncz(pair, threads=None) -> bool:
-    return ncz_report(pair, threads).ncz
+def ncz(pair) -> bool:
+    return ncz_report(pair).ncz
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,7 @@ class ReductiveWitness:
     certificate: tuple | None   # rational row: certificate of infeasibility
 
 
-def invariant_complement(pair, threads=None) -> ReductiveWitness:
+def invariant_complement(pair) -> ReductiveWitness:
     """Solve for an h-equivariant projection g -> h restricting to id on h.
 
     Feasibility is an exact linear problem in the entries of the projection.
@@ -378,7 +375,7 @@ class DirectProductReport:
     betti_sum: tuple
 
 
-def direct_product_check(g: LieAlgebra, h: LieAlgebra, threads=None) -> DirectProductReport:
+def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
     """Characteristic map of (g (+) h, h): injectivity and the sign formula.
 
     Chain level: every form on the quotient (= g) is invariant, and the map
@@ -389,7 +386,7 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra, threads=None) -> DirectPr
     total, _, _ = direct_sum(g, h)
     second = [total.basis_vector(g.dim + i) for i in range(h.dim)]
     pair = subalgebra(total, second)
-    ana = PairAnalysis(pair, threads=threads)
+    ana = PairAnalysis(pair)
 
     invq = ana.quotient_model
     for k in range(g.dim + 1):
@@ -405,8 +402,8 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra, threads=None) -> DirectPr
         if result.chain_map[k] != expected:
             raise FormulaMismatch(f"chain-level sign formula fails in degree {k}")
 
-    left = compute_cohomology(ce_complex(g, threads=threads), threads=threads)
-    right = compute_cohomology(ce_complex(h, threads=threads), threads=threads)
+    left = compute_cohomology(ce_complex(g))
+    right = compute_cohomology(ce_complex(h))
     betti_sum = ana.ambient_cohomology.betti_numbers
     kunneth = tuple(
         sum(
@@ -437,7 +434,7 @@ class FunctorialityReport:
     degrees: tuple
 
 
-def functoriality_check(morphism: PairMorphism, threads=None) -> FunctorialityReport:
+def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
     """Verify the naturality square of the characteristic map for a morphism.
 
     For H: (g', h') -> (g, h), the pullback between the invariant quotient
@@ -446,8 +443,8 @@ def functoriality_check(morphism: PairMorphism, threads=None) -> FunctorialityRe
     cohomology.  A failure is a hard error: the square commutes for every
     valid morphism.
     """
-    src_ana = PairAnalysis(morphism.source, threads=threads)
-    dst_ana = PairAnalysis(morphism.target, threads=threads)
+    src_ana = PairAnalysis(morphism.source)
+    dst_ana = PairAnalysis(morphism.target)
     h_matrix = morphism.matrix
 
     hbar = (

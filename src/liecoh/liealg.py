@@ -7,8 +7,7 @@ Jacobi identity exactly and reports every violation.
 
 Subalgebra pairs h < g carry a chosen coordinate complement representing
 g/h and the matrices of the induced h-action on it.  All values are
-immutable after construction and all operations are pure functions, so
-everything here is safe to use from multiple threads.
+immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations

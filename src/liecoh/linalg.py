@@ -7,33 +7,109 @@ reduced with cross-multiplication updates followed by gcd stripping; no
 floating point appears anywhere.  Kernels are read straight off the reduced
 integer rows; minors are built in ``exterior`` by the wedge recursion.
 
-The elimination inner loop is the hot kernel of the whole library.  It is
-implemented twice with identical semantics: a compiled Cython extension
-(``_kernel``) and a pure-Python fallback (``_kernel_py``).  The compiled one
-is picked at import time when available; set ``LIECOH_PURE_PYTHON=1`` to
-force the fallback.  ``bench/bench_kernel.py`` compares the two.
+The elimination inner loop, ``row_reduce``, is the hot kernel of the whole
+library; it is plain Python over lists of ints.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from math import lcm
-
-if os.environ.get("LIECOH_PURE_PYTHON"):
-    from . import _kernel_py as _kernel
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _kernel  # type: ignore[no-redef]
-
-row_reduce = _kernel.row_reduce
+from math import gcd, lcm
 
 
 def kernel_backend() -> str:
-    """Name of the elimination kernel in use: "cython" or "pure-python"."""
-    return _kernel.BACKEND
+    """Name of the elimination kernel: always "pure-python"."""
+    return "pure-python"
+
+
+def _combine(row, prow, a, b, width):
+    """row <- a*row - b*prow entrywise, then divide row by its gcd.
+
+    Rows stay sparse through most eliminations, so entries where both
+    operands vanish are skipped (the result is zero and gcd(g, 0) = g).
+    """
+    nb = -b
+    rg = 0
+    for j in range(width):
+        x1 = row[j]
+        x2 = prow[j]
+        if x2 == 0:
+            if x1 == 0:
+                continue
+            v = a * x1
+        elif x1 == 0:
+            v = nb * x2
+        else:
+            v = a * x1 - b * x2
+        row[j] = v
+        if rg != 1 and v:
+            rg = gcd(rg, v)
+    if rg > 1:
+        for j in range(width):
+            if row[j]:
+                row[j] //= rg
+
+
+def row_reduce(rows, lead, full):
+    """Reduce integer rows in place; return pivots as (row, col) pairs.
+
+    ``rows`` is a list of equal-length lists of ints.  Pivots are searched in
+    columns [0, lead) only; trailing columns (augmented right-hand sides or a
+    transform block) are carried along.  Rows are processed top to bottom:
+    each row is reduced against the pivots found so far, and if a nonzero
+    entry survives in the lead block, its leftmost one becomes a new pivot
+    ("first nonzero by row-major scan").  Rows are never swapped.
+
+    All updates are integer cross-multiplications
+    ``r_i <- (a * r_i - b * r_p)`` with a > 0, followed by division of the
+    row by the gcd of its entries, so every row stays a positive rational
+    multiple of a row in the span of the originals.  Pivot entries end up
+    positive.  With ``full=True`` earlier pivot rows are cleared at each new
+    pivot column, giving a (row-permuted, integer-scaled) reduced echelon
+    form: every pivot column has a single nonzero entry.
+    """
+    pivots = []
+    nrows = len(rows)
+    if nrows == 0 or lead < 0:
+        return pivots
+    width = len(rows[0]) if nrows else 0
+    for i in range(nrows):
+        row = rows[i]
+        for pr, pc in pivots:
+            x = row[pc]
+            if x:
+                prow = rows[pr]
+                piv = prow[pc]
+                g = gcd(piv, x)
+                _combine(row, prow, piv // g, x // g, width)
+        lc = -1
+        for j in range(lead):
+            if row[j]:
+                lc = j
+                break
+        if lc < 0:
+            continue
+        rg = 0
+        for j in range(width):
+            v = row[j]
+            if v and rg != 1:
+                rg = gcd(rg, v)
+        if row[lc] < 0:
+            rg = -rg
+        if rg != 1:
+            for j in range(width):
+                if row[j]:
+                    row[j] //= rg
+        if full:
+            piv = row[lc]
+            for pr, pc in pivots:
+                prow = rows[pr]
+                x = prow[lc]
+                if x:
+                    g = gcd(piv, x)
+                    _combine(prow, row, piv // g, x // g, width)
+        pivots.append((i, lc))
+    return pivots
 
 
 def clear_denominators(row):

@@ -40,7 +40,6 @@ from .exterior import (
     pullback_matrix,
 )
 from .linalg import Matrix
-from .parallel import parallel_map
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +73,7 @@ def _restrict_differentials(ambient_diffs, embeddings, failure):
     return tuple(restricted)
 
 
-def basic_subcomplex(pair, ambient=None, threads=None) -> BasicSubcomplex:
+def basic_subcomplex(pair, ambient=None) -> BasicSubcomplex:
     """Horizontal invariant subcomplex of Lambda g* for x ranging over h.
 
     Per degree, the basis is the kernel of the stacked i_x and theta_x
@@ -84,7 +83,7 @@ def basic_subcomplex(pair, ambient=None, threads=None) -> BasicSubcomplex:
     g = pair.ambient
     n = g.dim
     if ambient is None:
-        ambient = ce_complex(g, threads=threads)
+        ambient = ce_complex(g)
 
     def basis_at(k):
         blocks = []
@@ -94,7 +93,7 @@ def basic_subcomplex(pair, ambient=None, threads=None) -> BasicSubcomplex:
         size = basis_size(n, k)
         return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 
-    embeddings = tuple(parallel_map(basis_at, range(n + 1), threads))
+    embeddings = tuple(basis_at(k) for k in range(n + 1))
     diffs = _restrict_differentials(ambient.differentials, embeddings, NotDStable)
     complex = CochainComplex(
         dims=tuple(e.ncols for e in embeddings),
@@ -120,7 +119,7 @@ def quotient_bracket_table(pair):
     return table
 
 
-def invariant_quotient_complex(pair, threads=None) -> InvariantQuotientComplex:
+def invariant_quotient_complex(pair) -> InvariantQuotientComplex:
     """h-invariant forms on g/h with the opposite-sign differential.
 
     Invariance per degree is the kernel of the Lie-derivative action of
@@ -136,11 +135,7 @@ def invariant_quotient_complex(pair, threads=None) -> InvariantQuotientComplex:
         return {m: -c for m, c in table.get((j, i), {}).items()}
 
     full = tuple(
-        parallel_map(
-            lambda k: alternating_differential_matrix(q, bracket_fn, k, flip_sign=True),
-            range(q),
-            threads,
-        )
+        alternating_differential_matrix(q, bracket_fn, k, flip_sign=True) for k in range(q)
     )
 
     def invariants_at(k):
@@ -148,7 +143,7 @@ def invariant_quotient_complex(pair, threads=None) -> InvariantQuotientComplex:
         size = basis_size(q, k)
         return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 
-    embeddings = tuple(parallel_map(invariants_at, range(q + 1), threads))
+    embeddings = tuple(invariants_at(k) for k in range(q + 1))
     diffs = _restrict_differentials(full, embeddings, InternalInvariantError)
     complex = CochainComplex(
         dims=tuple(e.ncols for e in embeddings),
@@ -170,7 +165,7 @@ class ModelComparison:
     dimensions: tuple  # per degree, the common dimension of both models
 
 
-def compare_models(pair, basic=None, invq=None, threads=None) -> ModelComparison:
+def compare_models(pair, basic=None, invq=None) -> ModelComparison:
     """Verify the two relative models agree through (-s)^* exactly.
 
     Checks per degree: equal dimensions, the pullback of invariant forms
@@ -178,9 +173,9 @@ def compare_models(pair, basic=None, invq=None, threads=None) -> ModelComparison
     intertwining of the two differentials.  Any failure is a hard error.
     """
     if basic is None:
-        basic = basic_subcomplex(pair, threads=threads)
+        basic = basic_subcomplex(pair)
     if invq is None:
-        invq = invariant_quotient_complex(pair, threads=threads)
+        invq = invariant_quotient_complex(pair)
     q = pair.dim_quotient
     proj = pair.projection_matrix
     matrices = []
@@ -231,15 +226,13 @@ class RestrictionMap:
     target: CochainComplex  # full complex of h
 
 
-def restriction_map(pair, ambient=None, threads=None) -> RestrictionMap:
+def restriction_map(pair, ambient=None) -> RestrictionMap:
     g = pair.ambient
     if ambient is None:
-        ambient = ce_complex(g, threads=threads)
-    sub_complex = ce_complex(pair.sub, threads=threads)
+        ambient = ce_complex(g)
+    sub_complex = ce_complex(pair.sub)
     incl = pair.sub_matrix
-    maps = tuple(
-        parallel_map(lambda k: pullback_matrix(incl, k), range(g.dim + 1), threads)
-    )
+    maps = tuple(pullback_matrix(incl, k) for k in range(g.dim + 1))
     check_chain_map(maps, ambient, sub_complex)
     return RestrictionMap(pair=pair, maps=maps, source=ambient, target=sub_complex)
 

@@ -58,11 +58,11 @@ def _line(number, ok, description):
 
 
 def _ana_gl3_so3():
-    return _cached("gl3_so3", lambda: PairAnalysis(canonical_gl_so_pair(3), threads=1))
+    return _cached("gl3_so3", lambda: PairAnalysis(canonical_gl_so_pair(3)))
 
 
 def _ana_gl2_so2():
-    return _cached("gl2_so2", lambda: PairAnalysis(canonical_gl_so_pair(2), threads=1))
+    return _cached("gl2_so2", lambda: PairAnalysis(canonical_gl_so_pair(2)))
 
 
 def test_criterion_1_relative_betti_gl3_so3():
@@ -140,7 +140,7 @@ def test_criterion_4_ncz_verdicts():
     ok_gl3 = ncz(_ana_gl3_so3())
     started = time.perf_counter()
     pair = subalgebra(builtin("so", 5), so_in_so_vectors(3, 5))
-    ok_so5 = ncz(PairAnalysis(pair, threads=1))
+    ok_so5 = ncz(PairAnalysis(pair))
     elapsed = time.perf_counter() - started
     ok = ok_gl3 and ok_so5 and elapsed < 120
     _line(

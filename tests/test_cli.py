@@ -207,17 +207,23 @@ def test_reports_are_deterministic_except_timing(capsys):
 
 
 def test_threads_flag_accepted(capsys, monkeypatch):
-    code, single = run_cli(capsys, "betti", "--builtin", "gl:3", "--relative", "so:3")
+    # --threads and KOSZUL_THREADS are accepted and ignored
+    args = ("betti", "--builtin", "gl:3", "--relative", "so:3")
+    code, single = run_cli(capsys, *args)
     assert code == 0
-    code, a = run_cli(
-        capsys, "betti", "--builtin", "gl:3", "--relative", "so:3", "--threads", "4"
-    )
-    assert code == 0
-    monkeypatch.setenv("KOSZUL_THREADS", "4")
-    code, b = run_cli(capsys, "betti", "--builtin", "gl:3", "--relative", "so:3")
-    assert code == 0
-    # thread count never changes the payload
-    assert a["result"] == b["result"] == single["result"]
+    for threads in ("4", "0", "-5"):
+        code, report = run_cli(capsys, *args, "--threads", threads)
+        assert (code, report["result"]) == (0, single["result"])
+    for env in ("4", "abc"):
+        monkeypatch.setenv("KOSZUL_THREADS", env)
+        code, report = run_cli(capsys, *args)
+        assert (code, report["result"]) == (0, single["result"])
+    product = ("direct-product-check", "--left-builtin", "so:3", "--right-builtin", "abelian:2")
+    code, plain = run_cli(capsys, *product)
+    code, threaded = run_cli(capsys, *product, "--threads", "2")
+    assert (code, threaded["result"]) == (0, plain["result"])
+    code, report = run_cli(capsys, *args, "--threads", "abc")
+    assert (code, report["error"]["type"]) == (1, "InputError")
 
 
 def test_sub_file_input(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import sympy
 
@@ -9,8 +11,8 @@ from liecoh.linalg import (
     Matrix,
     SpanBuilder,
     kernel_backend,
+    row_reduce,
 )
-from liecoh.linalg import _kernel_py
 
 
 def random_matrix(rng, m, n, density=0.5, denom=4):
@@ -26,20 +28,59 @@ def to_sympy(a):
     return sympy.Matrix(a.nrows, a.ncols, lambda i, j: sympy.Rational(a.entry(i, j)))
 
 
-def test_kernel_backends_agree():
+def _row_reduce_cases():
     rng = random.Random(7)
-    for _ in range(25):
-        m, n = rng.randint(0, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-5, 5) for _ in range(n + 2)] for _ in range(m)]
-        for full in (False, True):
-            a = [list(r) for r in rows]
-            b = [list(r) for r in rows]
-            pa = _kernel_py.row_reduce(a, n, full)
-            from liecoh.linalg import row_reduce
+    for _ in range(60):
+        m, lead = rng.randint(0, 7), rng.randint(0, 6)
+        width = lead + rng.randint(0, 3)
+        rows = []
+        for _ in range(m):
+            if rows and rng.random() < 0.25:
+                # a dependent row: a combination of earlier ones
+                r1, r2 = rng.choice(rows), rng.choice(rows)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([a * x + b * y for x, y in zip(r1, r2)])
+            else:
+                # a common factor, so the gcd strip has work to do
+                scale = rng.choice((1, 1, 2, -3, 6))
+                rows.append([scale * rng.randint(-4, 4) * (rng.random() < 0.6)
+                             for _ in range(width)])
+        yield rows, lead
+    yield [], 3
+    yield [[0, 0, 5], [2, 4, 6]], 0
+    yield [[-4, 6, 2], [2, -3, 7], [0, 0, -9]], 2
 
-            pb = row_reduce(b, n, full)
-            assert pa == pb
-            assert a == b
+
+def _rational_rank(rows):
+    return sympy.Matrix(rows).rank() if rows and rows[0] else 0
+
+
+def test_row_reduce_contract():
+    """Pivots, primitive rows, row space and reducedness against sympy."""
+    for rows, lead in _row_reduce_cases():
+        expected = set()
+        if rows and lead:
+            expected = set(sympy.Matrix([r[:lead] for r in rows]).rref()[1])
+        for full in (False, True):
+            out = [list(r) for r in rows]
+            pivots = row_reduce(out, lead, full)
+            assert [i for i, _ in pivots] == sorted({i for i, _ in pivots})
+            assert {c for _, c in pivots} == expected
+            assert len(pivots) == len(expected)
+            pivot_of = dict(pivots)
+            for i, row in enumerate(out):
+                if i in pivot_of:
+                    c = pivot_of[i]
+                    # leftmost in the lead block, positive, and the row is primitive
+                    assert not any(row[:c]) and row[c] > 0
+                    assert reduce(gcd, row) == 1
+                else:
+                    assert not any(row[:lead])
+            # the rows span the same rational row space as the inputs
+            assert _rational_rank(out) == _rational_rank(rows) == _rational_rank(rows + out)
+            if full:
+                for _, c in pivots:
+                    assert sum(1 for row in out if row[c]) == 1
 
 
 def test_rank_against_sympy():
@@ -128,4 +169,4 @@ def test_det_against_sympy():
 
 
 def test_backend_name_is_reported():
-    assert kernel_backend() in ("cython", "pure-python")
+    assert kernel_backend() == "pure-python"
