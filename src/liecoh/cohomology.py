@@ -7,15 +7,14 @@ R d_(k+1) and d_k C, with R and C the invertible diagonal matrices that
 clear the row denominators of d_(k+1) and the column denominators of d_k.
 
 Cohomology is computed by exact rank: betti_k = dim ker d_k - rank d_(k-1).
-Each d_k is eliminated once, by ``nullspace``, which also fixes its rank.
-Its canonical kernel basis has one vector kappa_i per free column f_i, equal
-to 1 at f_i and 0 at the other free columns, so a coboundary y has kernel
-coordinates (y[f_1], ..., y[f_r]).  The representatives are the kappa_i
-that no coboundary has as its last nonzero kernel coordinate: one
-elimination of the coboundaries in those coordinates, dim ker d_k wide.
-These are exactly the kernel vectors a greedy scan of [coboundaries ;
-kernel basis] would keep, and they depend only on the row spaces, so the
-whole output is deterministic.
+Each d_k is eliminated once, by ``nullspace``, which also fixes its rank
+and pivot columns.  Its canonical kernel basis has one vector kappa_i per
+free column f_i, equal to 1 at f_i and 0 at the other free columns, so a
+cocycle z has kernel coordinates (z[f_1], ..., z[f_r]).  One reduced
+elimination of a coboundary basis in those coordinates picks the
+representatives, the kappa_i that a greedy scan of [coboundaries ; kernel
+basis] would keep, and gives the map from cocycles to their classes.  The
+choice depends only on the row spaces, so the whole output is deterministic.
 
 Complexes that carry a graded product (all complexes in this library do)
 also support cup products and the odd-generation test on their cohomology.
@@ -34,7 +33,7 @@ from .errors import (
     NotACocycle,
 )
 from .exterior import ce_differential, wedge_vector
-from .linalg import Matrix, SpanBuilder, clear_denominators, row_reduce
+from .linalg import Matrix, SpanBuilder
 
 
 class BasisProduct:
@@ -51,14 +50,14 @@ class EmbeddedProduct:
     """Product on a subcomplex given by per-degree embedding matrices.
 
     Vectors are lifted to the ambient graded algebra, multiplied there, and
-    expressed back in the subspace basis.  The subspaces this library builds
-    are closed under the ambient product; failure to solve is a bug.
+    expressed back in the subspace basis, whose columns are a canonical
+    kernel basis.  The subspaces this library builds are closed under the
+    ambient product; a product outside the subspace is a bug.
     """
 
     def __init__(self, ambient, embeddings):
         self.ambient = ambient
         self.embeddings = tuple(embeddings)
-        self._solvers = {}
 
     def mul(self, k, v, l, w):
         target = k + l
@@ -67,11 +66,7 @@ class EmbeddedProduct:
         big = self.ambient.mul(
             k, self.embeddings[k].apply(v), l, self.embeddings[l].apply(w)
         )
-        solver = self._solvers.get(target)
-        if solver is None:
-            solver = self.embeddings[target].solver()
-            self._solvers[target] = solver
-        coords = solver.solve(big)
+        coords = self.embeddings[target].coordinates(big)
         if coords is None:
             raise InternalInvariantError(
                 f"product left the subcomplex in degree {target}"
@@ -134,11 +129,13 @@ class CohomologySpace:
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
         # One elimination per differential: nullspace() also records the rank
-        # that rank() returns, and each kernel lives only while the
+        # and pivot columns, and each kernel lives only while the
         # representatives of its degree are picked.
-        self._representatives = [
+        picks = [
             self._pick_representatives(k, diffs[k].nullspace()) for k in range(top + 1)
         ]
+        self._representatives = [reps for reps, _ in picks]
+        self._reducers = [reducer for _, reducer in picks]
         self.ranks = tuple(d.rank() for d in diffs)
         self.betti_numbers = tuple(
             complex.dim(k) - self.rank(k) - self.rank(k - 1) for k in range(top + 1)
@@ -148,7 +145,6 @@ class CohomologySpace:
                 raise InternalInvariantError(
                     f"representative count {reps.ncols} != betti {self.betti(k)} in degree {k}"
                 )
-        self._reducers = {}
 
     # -- structure ------------------------------------------------------
 
@@ -172,34 +168,40 @@ class CohomologySpace:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_numbers))
 
-    def _pick_representatives(self, k: int, kernel) -> Matrix:
+    def _pick_representatives(self, k: int, kernel):
         """The vectors of ``kernel``, the canonical kernel basis of d_k, that
-        extend the coboundary span.
+        extend the coboundary span, and the matrix that ``reduce`` applies.
 
         Kernel vector kappa_i is 1 at its free column f_i, which is its last
-        nonzero, and 0 at the other free columns, so the coboundaries (the
-        columns of d_(k-1)) have kernel coordinates y[f_1], ..., y[f_r].
-        kappa_i is kept iff no coboundary has its last nonzero kernel
-        coordinate at i, that is, iff position r-1-i is not a pivot of the
-        coboundaries' kernel coordinates in reversed order.  This is the
-        choice of a greedy scan of [coboundaries ; kappa_1 ; ... ; kappa_r],
-        made by one elimination r columns wide.
+        nonzero, and 0 at the other free columns, so a cocycle z has kernel
+        coordinates z[f_1], ..., z[f_r].  The columns of d_(k-1) at its
+        pivot columns are a basis of the coboundaries; their kernel
+        coordinates, in reversed order, are brought to reduced echelon form,
+        and kappa_i is kept iff position r-1-i is not a pivot.  This is the
+        choice of a greedy scan of [coboundaries ; kappa_1 ; ... ; kappa_r].
+        Subtracting echelon rows clears a cocycle's pivot positions; what is
+        left at the kept positions are its coordinates.
         """
         r = len(kernel)
-        position = {}
-        for i, vec in enumerate(kernel):
-            free = next(j for j in range(len(vec) - 1, -1, -1) if vec[j])
-            position[free] = r - 1 - i
+        free = [next(j for j in range(len(vec) - 1, -1, -1) if vec[j]) for vec in kernel]
+        position = {f: r - 1 - i for i, f in enumerate(free)}
         image = self.complex.differential(k - 1)
-        rows = [[0] * r for _ in range(image.ncols)]
+        basis_cols = {c: row for row, c in enumerate(image.pivot_columns())}
+        entries = {}
         for (i, j), v in image.entries.items():
-            p = position.get(i)
-            if p is not None:
-                rows[j][p] = v
-        rows = [clear_denominators(row) for row in rows]
-        taken = {p for _, p in row_reduce(rows, r, False)}
-        chosen = [vec for i, vec in enumerate(kernel) if r - 1 - i not in taken]
-        return Matrix.from_cols(chosen, self.complex.dim(k))
+            if j in basis_cols and i in position:
+                entries[(basis_cols[j], position[i])] = v
+        rows, pivots = Matrix(len(basis_cols), r, entries)._eliminate()
+        taken = {p for _, p in pivots}
+        kept = [i for i in range(r) if r - 1 - i not in taken]
+        column = {r - 1 - i: j for j, i in enumerate(kept)}
+        reducer = {(j, free[i]): 1 for j, i in enumerate(kept)}
+        for ri, p in pivots:
+            for q, j in column.items():
+                if rows[ri][q]:
+                    reducer[(j, free[r - 1 - p])] = Fraction(-rows[ri][q], rows[ri][p])
+        dim = self.complex.dim(k)
+        return Matrix.from_cols([kernel[i] for i in kept], dim), Matrix(len(kept), dim, reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:
@@ -211,39 +213,25 @@ class CohomologySpace:
 
     # -- reduction ------------------------------------------------------
 
-    def _reducer(self, k: int):
-        solver = self._reducers.get(k)
-        if solver is None:
-            a = self.representative_matrix(k).hstack(self.complex.differential(k - 1))
-            solver = a.solver()
-            self._reducers[k] = solver
-        return solver
-
     def reduce(self, k: int, vec):
-        """Write a cocycle as (coordinates in representatives, primitive).
+        """Coordinates of a cocycle's class in the representatives.
 
-        Returns (coords, witness) with
-        vec = representatives @ coords + d(witness); the coordinates are
-        unique, the witness is the deterministic particular solution.
-        Raises NotACocycle with the exact residual when d(vec) != 0.
+        Returns the unique coords, as ``Fraction``s, with
+        vec - representatives @ coords a coboundary.  Raises NotACocycle
+        with the exact residual when d(vec) != 0.
         """
         residual = self.complex.differential(k).apply(vec)
         if any(residual):
             raise NotACocycle(k, residual)
-        solution = self._reducer(k).solve(vec)
-        if solution is None:
-            raise InternalInvariantError(
-                f"cocycle escapes representatives + coboundaries in degree {k}"
-            )
-        b = self.betti(k)
-        return solution[:b], solution[b:]
+        if not self.betti(k):
+            return []
+        return [Fraction(x) for x in self._reducers[k].apply(vec)]
 
     def unit_class(self):
         """Coordinates of the constant-function class in degree 0."""
         if self.complex.dim(0) != 1:
             raise InternalInvariantError("degree 0 is not one-dimensional")
-        coords, _ = self.reduce(0, [Fraction(1)])
-        return coords
+        return self.reduce(0, [Fraction(1)])
 
 
 def compute_cohomology(complex: CochainComplex) -> CohomologySpace:
@@ -265,12 +253,6 @@ class CohomologyMap:
         if 0 <= k < len(self.matrices):
             return self.matrices[k]
         return Matrix.zeros(self.target.betti(k), self.source.betti(k))
-
-    def is_injective(self) -> bool:
-        return all(
-            self.degree(k).rank() == self.source.betti(k)
-            for k in range(self.source.top_degree + 1)
-        )
 
     def kernel_basis(self, k: int):
         """Kernel classes in degree k, as coordinates in source representatives."""
@@ -319,8 +301,7 @@ def induced_map(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyM
         f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.complex.dim(k), src.complex.dim(k))
         cols = []
         for rep in src.representative_vectors(k):
-            coords, _ = dst.reduce(k, f_k.apply(rep))
-            cols.append(coords)
+            cols.append(dst.reduce(k, f_k.apply(rep)))
         matrices.append(Matrix.from_cols(cols, dst.betti(k)))
     return CohomologyMap(source=src, target=dst, matrices=tuple(matrices))
 
@@ -344,8 +325,7 @@ def cup_product(space: CohomologySpace, a, b):
     za = space.representative_matrix(ka).apply(ca)
     zb = space.representative_matrix(kb).apply(cb)
     chain = space.complex.product.mul(ka, za, kb, zb)
-    coords, _ = space.reduce(k, chain)
-    return (k, coords)
+    return (k, space.reduce(k, chain))
 
 
 def generated_spans(space: CohomologySpace, generators):

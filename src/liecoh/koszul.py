@@ -265,8 +265,7 @@ def ncz_report(pair) -> NczReport:
             # re-verify through the chain level
             chain = ana.ambient_cohomology.representative_matrix(k).apply(pre)
             restricted = ana.restriction.maps[k].apply(chain)
-            coords, _ = sub.reduce(k, restricted)
-            if coords != unit:
+            if sub.reduce(k, restricted) != unit:
                 raise InternalInvariantError(
                     f"preimage witness fails re-verification in degree {k}"
                 )
@@ -462,10 +461,10 @@ def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
                 )
             plus_maps.append(Matrix.zeros(0, pulled.ncols))
             continue
-        solver = src_ana.quotient_model.embeddings[k].solver()
+        embedding = src_ana.quotient_model.embeddings[k]
         cols = []
         for col in pulled.cols_dense():
-            coords = solver.solve(col)
+            coords = embedding.coordinates(col)
             if coords is None:
                 raise DiagramMismatch(
                     f"pullback of an invariant form is not invariant in degree {k}"

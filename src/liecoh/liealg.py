@@ -29,7 +29,7 @@ from .errors import (
     SubalgebraNotPreserved,
     UnknownBuiltin,
 )
-from .linalg import Matrix, clear_denominators, row_reduce
+from .linalg import Matrix
 from .rationals import format_rational, parse_rational
 
 
@@ -308,6 +308,8 @@ class SubalgebraPair:
     quotient_basis: tuple  # complement vectors representing g/h
     action: tuple          # per h generator, the induced matrix on g/h
     sub: LieAlgebra        # h with its own structure constants
+    sub_matrix: Matrix     # the h generators as columns; solver() is cached on it
+    projection_matrix: Matrix  # g -> g/h in coordinates (rows = quotient coordinate functionals)
 
     @property
     def dim_sub(self) -> int:
@@ -318,31 +320,8 @@ class SubalgebraPair:
         return len(self.quotient_basis)
 
     @cached_property
-    def sub_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.sub_basis, self.ambient.dim)
-
-    @cached_property
     def quotient_matrix(self) -> Matrix:
         return Matrix.from_cols(self.quotient_basis, self.ambient.dim)
-
-    @cached_property
-    def _basis_solver(self):
-        return self.sub_matrix.hstack(self.quotient_matrix).solver()
-
-    def decompose(self, vec):
-        """Coordinates (h part, quotient part) of an ambient vector."""
-        coords = self._basis_solver.solve(vec)
-        return coords[: self.dim_sub], coords[self.dim_sub:]
-
-    def project_quotient(self, vec):
-        return self.decompose(vec)[1]
-
-    @cached_property
-    def projection_matrix(self) -> Matrix:
-        """g -> g/h in coordinates (rows = quotient coordinate functionals)."""
-        n = self.ambient.dim
-        cols = [self.project_quotient(_unit(n, j)) for j in range(n)]
-        return Matrix.from_cols(cols, self.dim_quotient)
 
 
 def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
@@ -357,11 +336,12 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
         if len(v) != g.dim:
             raise InputError(f"subalgebra vector length {len(v)} != dim {g.dim}")
     r = len(vectors)
-    sub_mat = Matrix.from_cols(vectors, g.dim)
-    if sub_mat.rank() != r:
+    rows = Matrix.from_rows(vectors, g.dim)
+    if rows.rank() != r:
         raise DependentVectors("subalgebra generators are linearly dependent")
 
-    solver = sub_mat.solver()
+    sub_matrix = Matrix.from_cols(vectors, g.dim)
+    solver = sub_matrix.solver()
     h_structure = {}
     for a in range(r):
         for b in range(a + 1, r):
@@ -373,21 +353,20 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
                 h_structure[(a, b)] = terms
 
     if quotient is None:
-        pivots = row_reduce([clear_denominators(list(v)) for v in vectors], g.dim, False)
-        pivot_cols = {c for _, c in pivots}
+        pivot_cols = set(rows.pivot_columns())
         quotient = [_unit(g.dim, j) for j in range(g.dim) if j not in pivot_cols]
     quotient = [tuple(Fraction(parse_rational(x)) for x in v) for v in quotient]
     if len(quotient) != g.dim - r:
         raise DependentVectors("complement size must equal dim g - dim h")
-    full = Matrix.from_cols(list(vectors) + list(quotient), g.dim)
-    if full.rank() != g.dim:
+    full_solver = Matrix.from_cols(list(vectors) + list(quotient), g.dim).solver()
+    if full_solver.rank != g.dim:
         raise DependentVectors("complement does not complete the subalgebra basis")
 
-    full_solver = full.solver()
     action = []
     for a in range(r):
         cols = [full_solver.solve(g.bracket(vectors[a], q))[r:] for q in quotient]
         action.append(Matrix.from_cols(cols, len(quotient)))
+    projection = [full_solver.solve(_unit(g.dim, j))[r:] for j in range(g.dim)]
 
     return SubalgebraPair(
         ambient=g,
@@ -395,6 +374,8 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
         quotient_basis=tuple(quotient),
         action=tuple(action),
         sub=LieAlgebra(r, _sub_names(g, vectors), h_structure),
+        sub_matrix=sub_matrix,
+        projection_matrix=Matrix.from_cols(projection, len(quotient)),
     )
 
 
@@ -563,6 +544,8 @@ def algebra_from_json(data) -> LieAlgebra:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"bracket entry {idx} must be [i, j, k, value]")
         i, j, k, v = entry
+        if not all(type(x) is int for x in (i, j, k)):
+            raise InputError(f"bracket entry {idx} must have integer indices i, j, k")
         table.append((i, j, k, parse_rational(v)))
     return validate_structure(table, dim, names)
 

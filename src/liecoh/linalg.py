@@ -74,60 +74,52 @@ def row_reduce(rows, lead, full):
         return pivots
     width = len(rows[0]) if nrows else 0
     for i in range(nrows):
-        row = rows[i]
-        for pr, pc in pivots:
-            x = row[pc]
-            if x:
-                prow = rows[pr]
-                piv = prow[pc]
-                g = gcd(piv, x)
-                _combine(row, prow, piv // g, x // g, width)
-        lc = -1
-        for j in range(lead):
-            if row[j]:
-                lc = j
-                break
-        if lc < 0:
-            continue
-        rg = 0
-        for j in range(width):
-            v = row[j]
-            if v and rg != 1:
-                rg = gcd(rg, v)
-        if row[lc] < 0:
-            rg = -rg
-        if rg != 1:
-            for j in range(width):
-                if row[j]:
-                    row[j] //= rg
-        if full:
-            piv = row[lc]
-            for pr, pc in pivots:
-                prow = rows[pr]
-                x = prow[lc]
-                if x:
-                    g = gcd(piv, x)
-                    _combine(prow, row, piv // g, x // g, width)
-        pivots.append((i, lc))
+        lc = _reduce_row(rows, pivots, rows[i], lead, width, full)
+        if lc >= 0:
+            pivots.append((i, lc))
     return pivots
 
 
-def clear_denominators(row):
-    """Scale a row of rationals to integers by the lcm of its denominators.
+def _reduce_row(rows, pivots, row, lead, width, full):
+    """One row of ``row_reduce``: its new pivot column, or -1 if it has none.
 
-    No common factor is divided out: ``[2, 4]`` stays ``[2, 4]``.
+    With ``full=True`` a row that has one clears the pivot rows at that
+    column, so the caller must make it a pivot.
     """
-    # Rows are mostly int zeros; isinstance(x, Fraction) would run the ABC check on each.
-    mult = 1
-    for x in row:
-        if type(x) is not int and x.denominator != 1:
-            mult = lcm(mult, x.denominator)
-    if mult == 1:
-        return [x if type(x) is int else x.numerator for x in row]
-    return [
-        x * mult if type(x) is int else x.numerator * (mult // x.denominator)
-        for x in row
-    ]
+    for pr, pc in pivots:
+        x = row[pc]
+        if x:
+            prow = rows[pr]
+            piv = prow[pc]
+            g = gcd(piv, x)
+            _combine(row, prow, piv // g, x // g, width)
+    lc = -1
+    for j in range(lead):
+        if row[j]:
+            lc = j
+            break
+    if lc < 0:
+        return lc
+    rg = 0
+    for j in range(width):
+        v = row[j]
+        if v and rg != 1:
+            rg = gcd(rg, v)
+    if row[lc] < 0:
+        rg = -rg
+    if rg != 1:
+        for j in range(width):
+            if row[j]:
+                row[j] //= rg
+    if full:
+        piv = row[lc]
+        for pr, pc in pivots:
+            prow = rows[pr]
+            x = prow[lc]
+            if x:
+                g = gcd(piv, x)
+                _combine(prow, row, piv // g, x // g, width)
+    return lc
 
 
 class Matrix:
@@ -139,7 +131,7 @@ class Matrix:
     (dim W, dim V) and acts on coordinate columns.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_rank", "_solver")
+    __slots__ = ("nrows", "ncols", "entries", "_rank", "_pivot_cols", "_free_cols", "_solver")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
@@ -153,7 +145,17 @@ class Matrix:
                     clean[(i, j)] = v
         self.entries = clean
         self._rank = None
+        self._pivot_cols = None
+        self._free_cols = None
         self._solver = None
+
+    @staticmethod
+    def _trusted(nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix over ``entries`` itself, neither copied nor checked: for
+        the unshared dicts of nonzero, in-range entries built in this class."""
+        m = Matrix(nrows, ncols)
+        m.entries = entries
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -163,7 +165,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {(i, i): 1 for i in range(n)})
+        return Matrix._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def from_rows(rows, ncols=None) -> "Matrix":
@@ -239,18 +241,18 @@ class Matrix:
                 entries[key] = s
             else:
                 entries.pop(key, None)
-        return Matrix(self.nrows, self.ncols, entries)
+        return Matrix._trusted(self.nrows, self.ncols, entries)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
+        return Matrix._trusted(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c) -> "Matrix":
         if not c:
             return Matrix.zeros(self.nrows, self.ncols)
-        return Matrix(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
+        return Matrix._trusted(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -275,7 +277,7 @@ class Matrix:
                         del acc[i]
             for i, s in acc.items():
                 out[(i, j)] = s
-        return Matrix(self.nrows, other.ncols, out)
+        return Matrix._trusted(self.nrows, other.ncols, out)
 
     def apply(self, vec):
         """Matrix-vector product on a coordinate sequence."""
@@ -289,7 +291,7 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
+        return Matrix._trusted(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
@@ -297,7 +299,7 @@ class Matrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i, j + self.ncols)] = v
-        return Matrix(self.nrows, self.ncols + other.ncols, entries)
+        return Matrix._trusted(self.nrows, self.ncols + other.ncols, entries)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
@@ -305,7 +307,7 @@ class Matrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i + self.nrows, j)] = v
-        return Matrix(self.nrows + other.nrows, self.ncols, entries)
+        return Matrix._trusted(self.nrows + other.nrows, self.ncols, entries)
 
     @staticmethod
     def stack_rows(matrices, ncols: int) -> "Matrix":
@@ -318,16 +320,15 @@ class Matrix:
             for (i, j), v in m.entries.items():
                 entries[(i + offset, j)] = v
             offset += m.nrows
-        return Matrix(offset, ncols, entries)
+        return Matrix._trusted(offset, ncols, entries)
 
     # -- elimination-backed operations --------------------------------
 
     def row_scaled(self):
         """``(S, scales)`` with ``S = diag(scales) @ self`` and every entry an int.
 
-        ``scales[i]`` is the lcm of the denominators of row i, so row i of S
-        is what ``clear_denominators`` makes of the dense row, built from the
-        entries.
+        ``scales[i]`` is the lcm of the denominators of row i; no common
+        factor is divided out, so ``[2, 4]`` stays ``[2, 4]``.
         """
         return self._scaled(0)
 
@@ -345,7 +346,7 @@ class Matrix:
         for key, v in self.entries.items():
             s = scales[key[axis]]
             entries[key] = v * s if type(v) is int else v.numerator * (s // v.denominator)
-        return Matrix(self.nrows, self.ncols, entries), scales
+        return Matrix._trusted(self.nrows, self.ncols, entries), scales
 
     def _scaled_int_rows(self, width: int):
         """Dense rows of ``row_scaled``, zero-padded to ``width``, and the scales."""
@@ -358,22 +359,33 @@ class Matrix:
     def _int_rows(self):
         return self._scaled_int_rows(self.ncols)[0]
 
+    def _eliminate(self):
+        """Reduced integer rows and pivots; only the rank and pivot columns are kept."""
+        rows = self._int_rows()
+        pivots = row_reduce(rows, self.ncols, True)
+        self._rank = len(pivots)
+        self._pivot_cols = [ci for _, ci in pivots]
+        return rows, pivots
+
     def rank(self) -> int:
         if self._rank is None:
-            rows = self._int_rows()
-            self._rank = len(row_reduce(rows, self.ncols, False))
+            self._eliminate()
         return self._rank
+
+    def pivot_columns(self):
+        """Pivot columns, in the order found: the first basis among the columns."""
+        if self._pivot_cols is None:
+            self._eliminate()
+        return self._pivot_cols
 
     def nullspace(self):
         """Canonical kernel basis (one vector per free column, ascending).
 
         Read off the reduced integer rows; zero entries stay ``int`` 0.  The
-        elimination also fixes the rank, which is kept for ``rank()``.
+        elimination also fixes the rank and the pivot columns.
         """
-        rows = self._int_rows()
-        pivots = row_reduce(rows, self.ncols, True)
-        self._rank = len(pivots)
-        pivot_cols = {ci for _, ci in pivots}
+        rows, pivots = self._eliminate()
+        pivot_cols = set(self._pivot_cols)
         basis = []
         for f in range(self.ncols):
             if f in pivot_cols:
@@ -405,14 +417,34 @@ class Matrix:
             if not image.is_zero():
                 kernel = kernel @ Matrix.from_cols(image.nullspace(), kernel.ncols)
         last = ncols - 1
-        flipped = Matrix(kernel.ncols, ncols, {(j, last - i): v for (i, j), v in kernel.entries.items()})
-        rows = flipped._int_rows()
-        pivots = row_reduce(rows, ncols, True)
+        flipped = Matrix._trusted(kernel.ncols, ncols, {(j, last - i): v for (i, j), v in kernel.entries.items()})
+        rows, pivots = flipped._eliminate()
         basis = []
         for ri, ci in sorted(pivots, key=lambda p: -p[1]):
             piv = rows[ri][ci]
             basis.append([Fraction(x, piv) if x else 0 for x in reversed(rows[ri])])
         return basis
+
+    def coordinates(self, vec):
+        """``solve`` for a matrix whose columns are a canonical kernel basis.
+
+        Column j is 1 at its free column f_j, its last nonzero, and 0 at the
+        other free columns (as from ``nullspace``), so c_j = vec[f_j] is the
+        only candidate; it is returned when ``self @ c == vec`` exactly.
+        """
+        if len(vec) != self.nrows:
+            raise ValueError(f"vector length {len(vec)} != nrows {self.nrows}")
+        if self._free_cols is None:
+            free = [-1] * self.ncols
+            for i, j in self.entries:
+                free[j] = max(free[j], i)
+            rows = set(free)
+            unit = {(f, j): 1 for j, f in enumerate(free)}
+            if len(rows) < self.ncols or {k: v for k, v in self.entries.items() if k[0] in rows} != unit:
+                raise ValueError("columns are not a canonical kernel basis")
+            self._free_cols = free
+        c = [Fraction(vec[f]) for f in self._free_cols]
+        return c if self.apply(c) == list(vec) else None
 
     def solver(self) -> "ColumnSolver":
         if self._solver is None:
@@ -491,46 +523,41 @@ class ColumnSolver:
 class SpanBuilder:
     """Incremental membership test for a growing subspace of Q^dim.
 
-    Maintains a reduced row basis; intended for the small coordinate spaces
-    of cohomology classes, so it works directly with Fractions.
+    Keeps the span as reduced integer rows, each new vector reduced by the
+    step of ``row_reduce`` (``full=True``), so the rows stay a reduced
+    echelon form; ``basis`` divides each row by its pivot.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows = []  # (lead column, row with lead entry 1), sorted by lead
+        self.rows = []
+        self.pivots = []  # (index into rows, pivot column)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def residual(self, vec):
-        vec = [Fraction(x) for x in vec]
-        for lead, row in self.rows:
-            c = vec[lead]
-            if c:
-                for j in range(self.dim):
-                    vec[j] -= c * row[j]
-        return vec
+    def _int_row(self, vec):
+        return Matrix.from_rows([vec], self.dim)._int_rows()[0]
 
     def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+        row = self._int_row(vec)
+        return _reduce_row(self.rows, self.pivots, row, self.dim, self.dim, False) < 0
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True if the span grew."""
-        res = self.residual(vec)
-        lead = next((j for j, x in enumerate(res) if x), None)
-        if lead is None:
+        row = self._int_row(vec)
+        lead = _reduce_row(self.rows, self.pivots, row, self.dim, self.dim, True)
+        if lead < 0:
             return False
-        piv = res[lead]
-        row = [x / piv for x in res]
-        for other_lead, other in self.rows:
-            c = other[lead]
-            if c:
-                for j in range(self.dim):
-                    other[j] -= c * row[j]
-        self.rows.append((lead, row))
-        self.rows.sort(key=lambda t: t[0])
+        self.pivots.append((len(self.rows), lead))
+        self.rows.append(row)
         return True
 
     def basis(self):
-        return [list(row) for _, row in self.rows]
+        """The reduced echelon basis, pivot entries 1, by ascending pivot column."""
+        out = []
+        for ri, lead in sorted(self.pivots, key=lambda p: p[1]):
+            piv = self.rows[ri][lead]
+            out.append([Fraction(x, piv) for x in self.rows[ri]])
+        return out

@@ -15,7 +15,9 @@ Scalar = Fraction
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" (also accepts ints for convenience)."""
+    """Parse "p" or "p/q" (also accepts ints for convenience, but not bools)."""
+    if isinstance(text, bool):
+        raise ParseError(f"expected rational string, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):

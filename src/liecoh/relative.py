@@ -62,10 +62,9 @@ def _restrict_differentials(ambient_diffs, embeddings, failure):
     restricted = []
     for k in range(len(embeddings) - 1):
         image = ambient_diffs[k] @ embeddings[k]
-        solver = embeddings[k + 1].solver()
         cols = []
         for j, col in enumerate(image.cols_dense()):
-            coords = solver.solve(col)
+            coords = embeddings[k + 1].coordinates(col)
             if coords is None:
                 raise failure(f"differential leaves the subspace at degree {k}, vector {j}")
             cols.append(coords)
@@ -187,10 +186,9 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
                 f"model dimensions differ in degree {k}: basic {b_dim}, invariant {i_dim}"
             )
         pulled = pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
-        solver = basic.embeddings[k].solver()
         cols = []
         for j, col in enumerate(pulled.cols_dense()):
-            coords = solver.solve(col)
+            coords = basic.embeddings[k].coordinates(col)
             if coords is None:
                 raise ModelMismatch(
                     f"pullback leaves the basic subspace at degree {k}, vector {j}"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liecoh.cli import main
 
 
@@ -282,3 +284,55 @@ def test_bool_dim_rejected_exit_1(capsys, tmp_path):
 def test_negative_so_sub_rejected_exit_1(capsys):
     code, report = run_cli(capsys, "betti", "--builtin", "so:3", "--relative", "so:-1")
     assert (code, report["error"]["type"]) == (1, "InputError")
+
+
+def run_cli_error(capsys, *argv):
+    """A rejected input: exit 1, one JSON error document on stdout, no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert "Traceback" not in captured.err
+    return code, report
+
+
+BAD_BRACKET_ENTRIES = [
+    ["a", 1, 1, "1"],
+    [None, 1, 1, "1"],
+    [[0], 1, 1, "1"],
+    [0.5, 1, 1, "1"],
+    [1.9, 0, 1, "1"],
+    [True, 1, 1, "1"],
+    ["0", "1", "1", "1"],
+    [0, 1, 1, True],
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "betti"])
+@pytest.mark.parametrize("entry", BAD_BRACKET_ENTRIES, ids=json.dumps)
+def test_bad_bracket_entry_rejected_exit_1(capsys, tmp_path, command, entry):
+    path = tmp_path / "bad_bracket.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [entry]}))
+    code, report = run_cli_error(capsys, command, "--file", str(path))
+    assert code == 1
+    assert report["error"]["type"] in ("InputError", "ParseError")
+
+
+def test_bool_in_sub_vector_rejected_exit_1(capsys, tmp_path):
+    path = tmp_path / "bool_vector.json"
+    path.write_text(json.dumps({"vectors": [[0, 0, True]]}))
+    code, report = run_cli_error(
+        capsys, "betti", "--builtin", "heisenberg:3", "--relative-file", str(path)
+    )
+    assert (code, report["error"]["type"]) == (1, "ParseError")
+
+
+def test_bool_in_morphism_matrix_rejected_exit_1(capsys, tmp_path):
+    morphism = {
+        "source": {"builtin": "gl:2", "sub": "so:2"},
+        "target": {"builtin": "gl:2", "sub": "so:2"},
+        "matrix": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    }
+    path = tmp_path / "bool_matrix.json"
+    path.write_text(json.dumps(morphism))
+    code, report = run_cli_error(capsys, "functoriality", "--morphism", str(path))
+    assert (code, report["error"]["type"]) == (1, "ParseError")

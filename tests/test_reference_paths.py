@@ -16,17 +16,22 @@ solutions and certificates must be equal, entry for entry, on random
 systems and on the embedding and reducer solvers of the same pairs.
 
 ``CohomologySpace`` eliminates each differential once, reads the rank off
-the kernel elimination and picks representatives in kernel coordinates;
-``CochainComplex`` decides d o d = 0 on integer-scaled matrices; and the
-relative models narrow their kernels one constraint block at a time.  The
-references keep the earlier forms: a separate ``full=False`` rank, the
-greedy scan of [coboundaries ; kernel basis] over the full cochain space,
-the ``Fraction`` product d_(k+1) d_k, and the nullspace of the stacked
-constraints.
+the kernel elimination, picks representatives in kernel coordinates and
+reduces cocycles there; ``CochainComplex`` decides d o d = 0 on
+integer-scaled matrices; and the relative models narrow their kernels one
+constraint block at a time and read coordinates off the free columns of
+their embeddings.  The references keep the earlier forms: a separate
+``full=False`` rank, the greedy scan of [coboundaries ; kernel basis] over
+the full cochain space, a ``ColumnSolver`` over [representatives | d_(k-1)]
+for reduction and over each embedding for coordinates, the ``Fraction``
+product d_(k+1) d_k, the nullspace of the stacked constraints, the
+``Fraction`` Gauss-Jordan span builder and the ``full=False`` scan of the
+subalgebra generators for the complement.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import sympy
 
@@ -53,7 +58,24 @@ from liecoh.liealg import (
     validate_structure,
     zero_subalgebra,
 )
-from liecoh.linalg import ColumnSolver, Matrix, clear_denominators, row_reduce
+from liecoh.linalg import ColumnSolver, Matrix, SpanBuilder, row_reduce
+
+
+def clear_denominators(row):
+    """Scale a row of rationals to integers by the lcm of its denominators.
+
+    The dense reference for ``Matrix._int_rows``.
+    """
+    mult = 1
+    for x in row:
+        if type(x) is not int and x.denominator != 1:
+            mult = lcm(mult, x.denominator)
+    if mult == 1:
+        return [x if type(x) is int else x.numerator for x in row]
+    return [
+        x * mult if type(x) is int else x.numerator * (mult // x.denominator)
+        for x in row
+    ]
 
 
 def reference_det(rows) -> Fraction:
@@ -406,24 +428,58 @@ def builtin_sweep():
     return [builtin(name, n) for name, n in specs]
 
 
-def assert_cohomology_matches_reference(complex):
+def random_cocycles(rng, space, k):
+    """Kernel combinations plus coboundaries, int and Fraction, and zero."""
+    complex = space.complex
+    kernel = complex.differential(k).nullspace()
+    d = complex.differential(k - 1)
+    out = [[0] * complex.dim(k)]
+    for _ in range(4):
+        z = [0] * complex.dim(k)
+        for vec in kernel:
+            c = rng.choice((0, 1, -2, Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+            if c:
+                z = [x + c * y for x, y in zip(z, vec)]
+        primitive = [rng.choice((0, 1, -1, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                     for _ in range(d.ncols)]
+        out.append([x + y for x, y in zip(z, d.apply(primitive))])
+    if d.ncols:
+        out.append(d.apply([1] * d.ncols))
+    return out
+
+
+def assert_reduce_matches_reference(space, rng):
+    """``reduce`` against the [representatives | d_(k-1)] ColumnSolver."""
+    for k in range(space.top_degree + 1):
+        reducer = ColumnSolver(space.representative_matrix(k).hstack(space.complex.differential(k - 1)))
+        for z in random_cocycles(rng, space, k):
+            want = reducer.solve(z)[:space.betti(k)]
+            got = space.reduce(k, z)
+            assert got == want, (k, z)
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def assert_cohomology_matches_reference(complex, rng):
     space = compute_cohomology(complex)
     for k in range(space.top_degree + 1):
         assert space.ranks[k] == reference_rank(complex.differential(k)), k
         assert space.representative_matrix(k) == reference_representatives(space, k), k
     assert reference_dd_failure(complex.differentials) is None
+    assert_reduce_matches_reference(space, rng)
 
 
 def test_cohomology_matches_reference_on_builtin_sweep():
+    rng = random.Random(23)
     for g in builtin_sweep():
-        assert_cohomology_matches_reference(ce_complex(g))
+        assert_cohomology_matches_reference(ce_complex(g), rng)
 
 
 def test_cohomology_matches_reference_on_relative_models():
+    rng = random.Random(24)
     for pair in sweep_pairs():
         ana = PairAnalysis(pair)
-        assert_cohomology_matches_reference(ana.quotient_model.complex)
-        assert_cohomology_matches_reference(ana.basic_model.complex)
+        assert_cohomology_matches_reference(ana.quotient_model.complex, rng)
+        assert_cohomology_matches_reference(ana.basic_model.complex, rng)
 
 
 def test_cohomology_matches_reference_on_rational_conjugates():
@@ -434,7 +490,7 @@ def test_cohomology_matches_reference_on_rational_conjugates():
         assert any(type(v) is Fraction and v.denominator != 1
                    for terms in g.structure.values() for v in terms.values())
         complex = ce_complex(g)
-        assert_cohomology_matches_reference(complex)
+        assert_cohomology_matches_reference(complex, rng)
         assert compute_cohomology(complex).betti_dict() == compute_cohomology(ce_complex(gl3)).betti_dict()
 
 
@@ -537,3 +593,155 @@ def test_stacked_nullspace_matches_stacked_on_sweep_pairs():
         for k in range(q + 1):
             blocks = [endo_action_matrix(a, q, k) for a in pair.action]
             assert_stacked_nullspace_matches(blocks, basis_size(q, k))
+
+
+# ---------------------------------------------------------------------------
+# embedding coordinates off the free columns
+# ---------------------------------------------------------------------------
+
+def assert_coordinates_match_solver(e: Matrix, rhs):
+    """``coordinates`` equals ``ColumnSolver.solve``, None included."""
+    solver = ColumnSolver(e)
+    outside = 0
+    for b in rhs:
+        got, want = e.coordinates(b), solver.solve(b)
+        assert got == want, (e.entries, b)
+        if got is None:
+            outside += 1
+        else:
+            assert [type(x) for x in got] == [type(x) for x in want]
+    return outside
+
+
+def test_coordinates_match_solver_on_sweep_embeddings():
+    rng = random.Random(25)
+    outside = 0
+    for pair in sweep_pairs():
+        ana = PairAnalysis(pair)
+        for embeddings in (ana.quotient_model.embeddings, ana.basic_model.embeddings):
+            for e in embeddings:
+                outside += assert_coordinates_match_solver(e, random_rhs(rng, e))
+    assert outside > 50
+
+
+def test_coordinates_match_solver_on_random_kernels():
+    rng = random.Random(26)
+    outside = 0
+    for _ in range(120):
+        a = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7))
+        e = Matrix.from_cols(a.nullspace(), a.ncols)
+        outside += assert_coordinates_match_solver(e, random_rhs(rng, e))
+    assert outside > 50
+
+
+def test_coordinates_refuse_a_basis_that_is_not_canonical():
+    for cols in ([[1, 1], [0, 1]], [[0, 2]], [[0, 0]], [[1, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="canonical"):
+            Matrix.from_cols(cols, 2).coordinates([0, 0])
+
+
+# ---------------------------------------------------------------------------
+# one elimination per matrix: rank, pivot columns, span builder, complement
+# ---------------------------------------------------------------------------
+
+class ReferenceSpanBuilder:
+    """The Fraction Gauss-Jordan span: rows with lead entry 1, sorted by lead."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def residual(self, vec):
+        vec = [Fraction(x) for x in vec]
+        for lead, row in self.rows:
+            c = vec[lead]
+            if c:
+                for j in range(self.dim):
+                    vec[j] -= c * row[j]
+        return vec
+
+    def contains(self, vec) -> bool:
+        return not any(self.residual(vec))
+
+    def insert(self, vec) -> bool:
+        res = self.residual(vec)
+        lead = next((j for j, x in enumerate(res) if x), None)
+        if lead is None:
+            return False
+        piv = res[lead]
+        row = [x / piv for x in res]
+        for other_lead, other in self.rows:
+            c = other[lead]
+            if c:
+                for j in range(self.dim):
+                    other[j] -= c * row[j]
+        self.rows.append((lead, row))
+        self.rows.sort(key=lambda t: t[0])
+        return True
+
+    def basis(self):
+        return [list(row) for _, row in self.rows]
+
+
+def test_span_builder_matches_fraction_reference():
+    rng = random.Random(27)
+    for _ in range(150):
+        dim = rng.randint(0, 7)
+        fast, ref = SpanBuilder(dim), ReferenceSpanBuilder(dim)
+        pool = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+                 for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 10)):
+            if pool and rng.random() < 0.4:
+                # combinations of earlier vectors: the span must not grow
+                vec = [0] * dim
+                for v in rng.sample(pool, rng.randint(1, len(pool))):
+                    c = rng.choice((1, -1, 2, Fraction(1, 3)))
+                    vec = [x + c * y for x, y in zip(vec, v)]
+            else:
+                vec = [rng.choice((0, 0, 1, -3, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                       for _ in range(dim)]
+                pool.append(vec)
+            probe = [rng.randint(-2, 2) for _ in range(dim)]
+            assert fast.contains(vec) == ref.contains(vec)
+            assert fast.contains(probe) == ref.contains(probe)
+            assert fast.insert(vec) == ref.insert(vec)
+            assert fast.rank == ref.rank
+            got, want = fast.basis(), ref.basis()
+            assert got == want
+            assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
+def test_rank_and_pivot_columns_match_full_false_scan():
+    rng = random.Random(28)
+    for _ in range(150):
+        a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        want = [c for _, c in row_reduce(a._int_rows(), a.ncols, False)]
+        fresh = Matrix(a.nrows, a.ncols, a.entries)
+        assert fresh.rank() == len(want)
+        assert fresh.pivot_columns() == want
+        assert a.pivot_columns() == want and a.rank() == len(want)
+        a.nullspace()
+        assert a.pivot_columns() == want
+
+
+def test_subalgebra_complement_matches_generator_scan():
+    for pair in sweep_pairs():
+        rows = [clear_denominators(list(v)) for v in pair.sub_basis]
+        pivot_cols = {c for _, c in row_reduce(rows, pair.ambient.dim, False)}
+        n = pair.ambient.dim
+        want = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n) if j not in pivot_cols)
+        got = subalgebra(pair.ambient, pair.sub_basis).quotient_basis
+        assert got == want
+        assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+
+
+def test_internal_constructors_do_not_share_entries():
+    a = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+    for b in (a.transpose(), -a, a.scale(2), a @ Matrix.identity(2), a.row_scaled()[0], a.hstack(a)):
+        assert b.entries is not a.entries
+        b.entries[(0, 0)] = 7
+    assert a == Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
