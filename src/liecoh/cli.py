@@ -15,7 +15,7 @@ import sys
 import time
 
 from .classes import canonical_gl_so_pair, identify_generators
-from .cohomology import ce_complex, compute_cohomology
+from .cohomology import ce_cohomology, compute_cohomology
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -215,7 +215,7 @@ def cmd_betti(args, started, command="betti"):
                 pair.dim_quotient, k, model.embeddings[k].apply(vec)
             )
     else:
-        space = compute_cohomology(ce_complex(g))
+        space = ce_cohomology(g)
 
         def form_of_vector(k, vec):
             return Form.from_vector(g.dim, k, vec)

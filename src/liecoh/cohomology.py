@@ -16,6 +16,14 @@ representatives, the kappa_i that a greedy scan of [coboundaries ; kernel
 basis] would keep, and gives the map from cocycles to their classes.  The
 choice depends only on the row spaces, so the whole output is deterministic.
 
+A complex may be the weight-zero block of a bigger, graded complex (see
+``ce_complex``): its basis is then a subset of the full cochain basis, and
+``CohomologySpace`` eliminates, checks d o d and picks representatives on
+the block only, while its representatives, ``reduce`` and induced maps speak
+full cochain coordinates.  Every other block is acyclic, so nothing
+observable changes: the canonical kernel basis of a full d_k is the union of
+its blocks' bases, and the pick never keeps a vector of another block.
+
 Complexes that carry a graded product (all complexes in this library do)
 also support cup products and the odd-generation test on their cohomology.
 """
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DimensionMismatch,
@@ -32,7 +41,7 @@ from .errors import (
     NotAChainMap,
     NotACocycle,
 )
-from .exterior import ce_differential, wedge_vector
+from .exterior import alternating_differential_matrix, basis_size, ce_differential, wedge_vector
 from .linalg import Matrix, SpanBuilder
 
 
@@ -74,11 +83,27 @@ class EmbeddedProduct:
         return coords
 
 
+class Block:
+    """Where a complex sits as a block of the full cochains of a graded one.
+
+    ``positions[k]`` are the ascending full positions of the block's degree-k
+    basis, ``full_dims`` the full dimensions, and ``build_full()`` builds the
+    full complex, for the chain-level checks.  (A plain class: it is defined
+    at import, where a dataclass costs a millisecond.)
+    """
+
+    def __init__(self, positions, full_dims, build_full):
+        self.positions = positions
+        self.full_dims = full_dims
+        self.build_full = build_full
+
+
 @dataclass(frozen=True, eq=False)
 class CochainComplex:
     dims: tuple
     differentials: tuple  # differentials[k]: dims[k] -> dims[k+1]
     product: object = None
+    block: Block = None  # set when this is one block of a bigger complex
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.dims) - 1, 0):
@@ -112,20 +137,57 @@ class CochainComplex:
         return Matrix.zeros(self.dim(k + 1), self.dim(k))
 
 
-def ce_complex(g) -> CochainComplex:
-    """The full Chevalley-Eilenberg complex of an algebra, with its wedge."""
-    from .exterior import basis_size
+def ce_complex(g, grading=None) -> CochainComplex:
+    """The Chevalley-Eilenberg complex of an algebra, with its wedge.
 
-    diffs = [ce_differential(g, k) for k in range(g.dim)]
-    dims = tuple(basis_size(g.dim, k) for k in range(g.dim + 1))
-    return CochainComplex(dims=dims, differentials=tuple(diffs), product=BasisProduct(g.dim))
+    Without a ``grading``, all of Lambda g*.  With one, its weight-zero block
+    (see ``liealg.Grading``): d is computed on the block's columns only, and
+    a term outside the block raises InternalInvariantError.
+    """
+    n = g.dim
+    dims = tuple(basis_size(n, k) for k in range(n + 1))
+    if grading is None:
+        diffs = tuple(ce_differential(g, k) for k in range(n))
+        return CochainComplex(dims=dims, differentials=diffs, product=BasisProduct(n))
+    blocks = [grading.block(k) for k in range(n + 1)]
+    indices = [[idx for _, idx in b] for b in blocks]
+    diffs = tuple(
+        alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
+        for k in range(n)
+    )
+    block = Block(
+        positions=tuple(tuple(pos for pos, _ in b) for b in blocks),
+        full_dims=dims,
+        build_full=partial(ce_complex, g),
+    )
+    return CochainComplex(
+        dims=tuple(map(len, blocks)), differentials=diffs, product=BasisProduct(n), block=block
+    )
+
+
+def ce_cohomology(g, full=None) -> "CohomologySpace":
+    """H(g), eliminated on the weight-zero block of ``g.grading`` only.
+
+    ``full`` is the full complex of g when the caller has built it already;
+    otherwise a graded space builds it on first use by ``reduce`` or
+    ``induced_map``.
+    """
+    if g.grading.trivial:
+        return CohomologySpace(full if full is not None else ce_complex(g))
+    return CohomologySpace(ce_complex(g, g.grading), full=full)
 
 
 class CohomologySpace:
-    """Betti numbers, chosen representatives and reduction data per degree."""
+    """Betti numbers, chosen representatives and reduction data per degree.
 
-    def __init__(self, complex: CochainComplex):
+    ``complex`` is the complex that is eliminated, possibly one block of a
+    graded complex; ``full``, for a block, is the full complex if already
+    built.
+    """
+
+    def __init__(self, complex: CochainComplex, full: CochainComplex = None):
         self.complex = complex
+        self._full = full
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
         # One elimination per differential: nullspace() also records the rank
@@ -168,6 +230,23 @@ class CohomologySpace:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_numbers))
 
+    @property
+    def full_complex(self) -> CochainComplex:
+        """The complex on all cochains, where the chain-level checks run:
+        ``complex`` itself unless that is a block."""
+        if self.complex.block is None:
+            return self.complex
+        if self._full is None:
+            self._full = self.complex.block.build_full()
+        return self._full
+
+    def full_dim(self, k: int) -> int:
+        """Dimension of the full degree-k cochains."""
+        block = self.complex.block
+        if block is None or not 0 <= k <= self.top_degree:
+            return self.complex.dim(k)
+        return block.full_dims[k]
+
     def _pick_representatives(self, k: int, kernel):
         """The vectors of ``kernel``, the canonical kernel basis of d_k, that
         extend the coboundary span, and the matrix that ``reduce`` applies.
@@ -181,6 +260,12 @@ class CohomologySpace:
         choice of a greedy scan of [coboundaries ; kappa_1 ; ... ; kappa_r].
         Subtracting echelon rows clears a cocycle's pivot positions; what is
         left at the kept positions are its coordinates.
+
+        On a block both matrices are written in full coordinates: the
+        representatives vanish off the block, and the reducer reads only the
+        block's coordinates of a cocycle, its projection onto the block.
+        That projection is a chain map, inverse to the inclusion on
+        cohomology, so the reducer serves every full cocycle.
         """
         r = len(kernel)
         free = [next(j for j in range(len(vec) - 1, -1, -1) if vec[j]) for vec in kernel]
@@ -195,13 +280,16 @@ class CohomologySpace:
         taken = {p for _, p in pivots}
         kept = [i for i in range(r) if r - 1 - i not in taken]
         column = {r - 1 - i: j for j, i in enumerate(kept)}
-        reducer = {(j, free[i]): 1 for j, i in enumerate(kept)}
+        block = self.complex.block
+        place = block.positions[k] if block is not None else range(self.complex.dim(k))
+        reducer = {(j, place[free[i]]): 1 for j, i in enumerate(kept)}
         for ri, p in pivots:
             for q, j in column.items():
                 if rows[ri][q]:
-                    reducer[(j, free[r - 1 - p])] = Fraction(-rows[ri][q], rows[ri][p])
-        dim = self.complex.dim(k)
-        return Matrix.from_cols([kernel[i] for i in kept], dim), Matrix(len(kept), dim, reducer)
+                    reducer[(j, place[free[r - 1 - p]])] = Fraction(-rows[ri][q], rows[ri][p])
+        reps = {(place[i], j): v for j, c in enumerate(kept) for i, v in enumerate(kernel[c]) if v}
+        dim = self.full_dim(k)
+        return Matrix(dim, len(kept), reps), Matrix(len(kept), dim, reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:
@@ -216,11 +304,12 @@ class CohomologySpace:
     def reduce(self, k: int, vec):
         """Coordinates of a cocycle's class in the representatives.
 
-        Returns the unique coords, as ``Fraction``s, with
-        vec - representatives @ coords a coboundary.  Raises NotACocycle
-        with the exact residual when d(vec) != 0.
+        ``vec`` is in full coordinates.  Returns the unique coords, as
+        ``Fraction``s, with vec - representatives @ coords a coboundary.
+        Raises NotACocycle with the exact residual when d(vec) != 0 in the
+        full complex.
         """
-        residual = self.complex.differential(k).apply(vec)
+        residual = self.full_complex.differential(k).apply(vec)
         if any(residual):
             raise NotACocycle(k, residual)
         if not self.betti(k):
@@ -290,15 +379,16 @@ def check_chain_map(maps, src: CochainComplex, dst: CochainComplex):
 def induced_map(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyMap:
     """Cohomology map of a chain map, via representative reduction.
 
-    ``maps[k]`` is the degree-k chain matrix from the source complex to the
-    target complex; missing degrees are treated as zero.  Commutation with
-    the differentials is checked exactly first.
+    ``maps[k]`` is the degree-k chain matrix between the full source and
+    target complexes; missing degrees are treated as zero.  Commutation with
+    the full differentials is checked exactly first.  The images need not
+    lie in the target's block: ``reduce`` projects them onto it.
     """
     maps = list(maps)
-    check_chain_map(maps, src.complex, dst.complex)
+    check_chain_map(maps, src.full_complex, dst.full_complex)
     matrices = []
     for k in range(src.top_degree + 1):
-        f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.complex.dim(k), src.complex.dim(k))
+        f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.full_dim(k), src.full_dim(k))
         cols = []
         for rep in src.representative_vectors(k):
             cols.append(dst.reduce(k, f_k.apply(rep)))

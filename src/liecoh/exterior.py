@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, InternalInvariantError
 from .linalg import Matrix
 from .rationals import format_rational, parse_rational
 
@@ -234,35 +234,69 @@ def alternation(n: int, degree: int, table) -> Form:
 # operators as matrices over the multi-index bases
 # ---------------------------------------------------------------------------
 
-def alternating_differential_matrix(n: int, bracket_fn, k: int, flip_sign=False) -> Matrix:
+def alternating_differential_matrix(
+    n: int, bracket_fn, k: int, flip_sign=False, columns=None, rows=None
+) -> Matrix:
     """Degree k -> k+1 matrix of the alternating-sum differential.
 
     ``bracket_fn(i, j)`` returns [e_i, e_j] as a sparse dict for i < j.  The
     entry on output index J and input index I accumulates
-    (-1)^(a+b) c * (insertion sign), a < b ranging over positions of J;
+    (-1)^(a+b) c * (insertion sign), a < b ranging over positions of J and
+    c the coefficient of the letter of I outside J on [e_J[a], e_J[b]];
     ``flip_sign`` selects the opposite overall sign convention.
+
+    The matrix is built column by column: theta^I, for each letter m = I[p],
+    meets every bracket [e_u, e_v] with a term on e_m, and reaches the row
+    J = I - {m} + {u, v} when u and v are not in I - {m}; multi-indices are
+    handled as bitmasks.  ``columns`` and ``rows`` restrict the matrix to a
+    block: the degree-k and degree-(k+1) multi-indices, each ascending, that
+    index its columns and rows (default: all).  A term outside ``rows``
+    raises InternalInvariantError.  A grading compatible with the bracket
+    never produces one, so for the weight-zero block of a grading this check
+    proves that d preserves the block.
     """
-    rows = multi_indices(n, k + 1)
-    cols = multi_index_positions(n, k)
-    flip = -1 if flip_sign else 1
+    # m -> (mask of {u, v}, masks of the letters below u and below v, c) for
+    # each term c e_m of [e_u, e_v], u < v
+    terms = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            for m, c in bracket_fn(u, v).items():
+                if c:
+                    terms[m].append(((1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
+    if columns is None:
+        columns = multi_indices(n, k)
+    if rows is None:
+        rows = multi_indices(n, k + 1)
+    row_of = {_mask(J): r for r, J in enumerate(rows)}
+    flip = 1 if flip_sign else 0
     entries = {}
-    for row_pos, J in enumerate(rows):
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                bracket = bracket_fn(J[a], J[b])
-                if not bracket:
+    for col, I in enumerate(columns):
+        mask = _mask(I)
+        for p, m in enumerate(I):
+            rest = mask ^ (1 << m)
+            for uv, below_u, below_v, c in terms[m]:
+                if uv & rest:
                     continue
-                pair_sign = flip if (a + b) % 2 == 0 else -flip
-                rest = tuple(x for t, x in enumerate(J) if t != a and t != b)
-                for m, c in bracket.items():
-                    ins = _insert(rest, m)
-                    if ins is None:
-                        continue
-                    pos, I = ins
-                    sign = pair_sign if pos % 2 == 0 else -pair_sign
-                    key = (row_pos, cols[I])
-                    entries[key] = entries.get(key, Fraction(0)) + sign * c
-    return Matrix(len(rows), len(cols), entries)
+                row = row_of.get(rest | uv)
+                if row is None:
+                    J = tuple(i for i in range(n) if (rest | uv) >> i & 1)
+                    raise InternalInvariantError(
+                        f"d of the degree-{k} basis form {I} has a term on {J}, outside the block"
+                    )
+                # sign (-1)^(a+b+p), flipped on request: u sits at position
+                # a = |rest below u| of J, v at b = |rest below v| + 1
+                odd = (flip + p + 1 + (rest & below_u).bit_count() + (rest & below_v).bit_count()) & 1
+                key = (row, col)
+                entries[key] = entries.get(key, Fraction(0)) + (-c if odd else c)
+    return Matrix(len(rows), len(columns), entries)
+
+
+def _mask(idx) -> int:
+    """The multi-index as a bitmask over the letters."""
+    out = 0
+    for i in idx:
+        out |= 1 << i
+    return out
 
 
 def ce_differential(g, k: int) -> Matrix:

@@ -26,6 +26,7 @@ from functools import cached_property
 from .cohomology import (
     CohomologyMap,
     CohomologySpace,
+    ce_cohomology,
     ce_complex,
     check_chain_map,
     compute_cohomology,
@@ -58,11 +59,13 @@ class PairAnalysis:
 
     @cached_property
     def ambient_complex(self):
+        """All of Lambda g*: the basic model, ``delta_chain``, the chain-map
+        checks and the restriction map need the full differential."""
         return ce_complex(self.pair.ambient)
 
     @cached_property
     def ambient_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.ambient_complex)
+        return ce_cohomology(self.pair.ambient, full=self.ambient_complex)
 
     @cached_property
     def quotient_model(self):
@@ -401,8 +404,8 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
         if result.chain_map[k] != expected:
             raise FormulaMismatch(f"chain-level sign formula fails in degree {k}")
 
-    left = compute_cohomology(ce_complex(g))
-    right = compute_cohomology(ce_complex(h))
+    left = ce_cohomology(g)
+    right = ce_cohomology(h)
     betti_sum = ana.ambient_cohomology.betti_numbers
     kunneth = tuple(
         sum(

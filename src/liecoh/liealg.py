@@ -12,10 +12,11 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import (
     AntisymmetryViolation,
@@ -38,6 +39,18 @@ class LieAlgebra:
     dim: int
     basis_names: tuple
     structure: dict  # (i, j) with i < j -> {k: coefficient}, zero rows absent
+    # Builtin so(n) only: per basis element A_ab, the bitmask 2^a + 2^b of the
+    # sign changes diag(eps) that negate it.  Not part of the algebra's identity.
+    sign_parities: tuple = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def grading(self) -> "Grading":
+        """The torus weights of the basis and, for builtin so(n), its parities.
+
+        Found on first use, when the weight-zero block of the CE complex is
+        first built.
+        """
+        return Grading(torus_weights(self), self.sign_parities or (0,) * self.dim)
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse coordinate dict (any index order)."""
@@ -79,6 +92,80 @@ class LieAlgebra:
         vec = [0] * self.dim
         vec[i] = 1
         return vec
+
+
+class Grading:
+    """A splitting of Lambda g* into subcomplexes, all acyclic but one.
+
+    ``weights[j]`` is the torus weight of e_j, packed into one int by
+    ``torus_weights``; ``parities[j]`` is its sign-change parity, a bitmask in
+    (Z/2)^n, and ``full_parity``, their union, the all-ones parity (0 when
+    there are no parities).
+    theta^I lies in the weight-zero block when the weights of I sum to 0 and
+    the parities of I add up to 0 or to all-ones.  Cartan's formula
+    theta_x = d i_x + i_x d makes theta_x zero on cohomology, so every block
+    of nonzero torus weight is acyclic; so is every other parity, because the
+    sign changes with product 1 lie in the connected group SO(n).  (A plain
+    class: it is defined at import, where a dataclass costs a millisecond.)
+    """
+
+    def __init__(self, weights, parities):
+        self.weights = tuple(weights)
+        self.parities = tuple(parities)
+        self.full_parity = reduce(or_, self.parities, 0)
+
+    @property
+    def trivial(self) -> bool:
+        """True when the weight-zero block is all of Lambda g*."""
+        return not any(self.weights) and all(p in (0, self.full_parity) for p in self.parities)
+
+    def block(self, k: int):
+        """The degree-k weight-zero block as ascending (position, multi-index)
+        pairs, positions in the lexicographic basis of Lambda^k g*."""
+        weights, parities = self.weights, self.parities
+        out = []
+        for pos, idx in enumerate(combinations(range(len(weights)), k)):
+            weight = parity = 0
+            for i in idx:
+                weight += weights[i]
+                parity ^= parities[i]
+            if not weight and (parity == 0 or parity == self.full_parity):
+                out.append((pos, idx))
+        return out
+
+
+def torus_weights(g: LieAlgebra) -> tuple:
+    """Per basis element e_j, its weight under the torus of g, packed into one int.
+
+    The torus T is every x in g whose ad_x is diagonal in the basis: the
+    kernel of the off-diagonal entries of ad_x = sum_i x_i ad(e_i), found by
+    one exact nullspace.  On its canonical basis t_1, ..., t_r, e_j has
+    weight (lambda_j[s])_s with lambda_j[s] the (j, j) entry of ad(t_s), each
+    coordinate s scaled to integers.  Packed as sum_s lambda_j[s] B^s with
+    B = 2 n max|lambda| + 1, a sum of at most n weights is zero exactly when
+    it is zero in every coordinate: each coordinate of the sum is below B/2
+    in size, and balanced base-B digits are unique.
+    """
+    n = g.dim
+    off = {}  # (k, j) with k != j -> {i: coefficient of x_i in (ad_x)_kj}
+    diagonal = [{} for _ in range(n)]  # j -> {i: coefficient of x_i in (ad_x)_jj}
+    for (i, j), terms in g.structure.items():
+        for k, c in terms.items():
+            # c e_k is a term of [e_i, e_j] = -[e_j, e_i]
+            for x, col, v in ((i, j, c), (j, i, -c)):
+                target = diagonal[col] if k == col else off.setdefault((k, col), {})
+                target[x] = target.get(x, 0) + v
+    system = Matrix(
+        len(off), n, {(r, x): v for r, coeffs in enumerate(off.values()) for x, v in coeffs.items()}
+    )
+    lam = Matrix.from_cols(
+        [[sum(t[x] * v for x, v in diagonal[j].items()) for j in range(n)] for t in system.nullspace()], n
+    ).col_scaled()[0]
+    base = 2 * n * max((abs(v) for v in lam.entries.values()), default=0) + 1
+    packed = [0] * n
+    for (j, s), v in lam.entries.items():
+        packed[j] += v * base ** s
+    return tuple(packed)
 
 
 def validate_structure(structure, dim: int, basis_names=None) -> LieAlgebra:
@@ -259,7 +346,8 @@ def builtin(name: str, n: int) -> LieAlgebra:
             _mat_sub(_matrix_unit(n, a, b), _matrix_unit(n, b, a)) for a, b in so_pairs(n)
         ]
         names = [f"A{a + 1}{b + 1}" for a, b in so_pairs(n)]
-        return _from_matrix_basis(mats, names)
+        parities = tuple((1 << a) | (1 << b) for a, b in so_pairs(n))
+        return replace(_from_matrix_basis(mats, names), sign_parities=parities)
     if name == "abelian":
         if n < 1:
             raise InvalidParams("abelian(n) needs n >= 1")
@@ -539,8 +627,15 @@ def algebra_from_json(data) -> LieAlgebra:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError(f"invalid dimension {dim!r}")
     names = data.get("basis")
+    if names is not None and not (
+        isinstance(names, list) and len(names) == dim and all(isinstance(x, str) for x in names)
+    ):
+        raise InputError(f"'basis' must be a list of {dim} strings")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise InputError("'brackets' must be a list of [i, j, k, value] entries")
     table = []
-    for idx, entry in enumerate(data.get("brackets", [])):
+    for idx, entry in enumerate(brackets):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"bracket entry {idx} must be [i, j, k, value]")
         i, j, k, v = entry

@@ -404,18 +404,21 @@ class Matrix:
         """``Matrix.stack_rows(blocks, ncols).nullspace()``, without the stack.
 
         The kernel is narrowed one block at a time, K <- K nullspace(B K), so
-        each elimination is only as wide as the kernel left so far.  The
-        columns of K span the common kernel; the canonical basis is the
-        reduced echelon form of that span on reversed coordinates (its free
-        columns are the last nonzeros of the kernel vectors), each row divided
-        by its pivot, in ascending order of free column.  Entries and their
-        types equal those of ``nullspace``.
+        each elimination is only as wide as the kernel left so far.  Scaling
+        the rows of B and the columns of each nullspace N to integers changes
+        no span, and keeps K, B K and K N in int arithmetic.  The columns of
+        K span the common kernel; the canonical basis is the reduced echelon
+        form of that span on reversed coordinates (its free columns are the
+        last nonzeros of the kernel vectors), each row divided by its pivot,
+        in ascending order of free column.  Entries and their types equal
+        those of ``nullspace``.
         """
         kernel = Matrix.identity(ncols)
         for block in blocks:
-            image = block @ kernel
+            image = block.row_scaled()[0] @ kernel
             if not image.is_zero():
-                kernel = kernel @ Matrix.from_cols(image.nullspace(), kernel.ncols)
+                narrow = Matrix.from_cols(image.nullspace(), kernel.ncols).col_scaled()[0]
+                kernel = kernel @ narrow
         last = ncols - 1
         flipped = Matrix._trusted(kernel.ncols, ncols, {(j, last - i): v for (i, j), v in kernel.entries.items()})
         rows, pivots = flipped._eliminate()

@@ -12,9 +12,11 @@ from fractions import Fraction
 from liecoh import builtin, subalgebra
 from liecoh.classes import canonical_gl_so_pair, pfaffian
 from liecoh.cohomology import (
+    ce_cohomology,
     ce_complex,
     compute_cohomology,
     cup_product,
+    induced_map,
     odd_generated,
 )
 from liecoh.exterior import (
@@ -36,6 +38,7 @@ from liecoh.liealg import (
     gl_block_inclusion,
     identity_morphism,
     pair_morphism,
+    so_in_gl_vectors,
     so_in_so_vectors,
     zero_subalgebra,
 )
@@ -297,3 +300,61 @@ def test_criterion_9_odd_generation_cross_check():
         f"odd-generated: (gl(3), so(3)) {odd3} == injective {inj3}; "
         f"(gl(2), so(2)) {odd2} == injective {inj2}",
     )
+
+
+def _exterior_betti(*degrees):
+    """Betti numbers of an exterior algebra on generators of the given degrees."""
+    betti = {0: 1}
+    for d in degrees:
+        grown = dict(betti)
+        for k, b in betti.items():
+            grown[k + d] = grown.get(k + d, 0) + b
+        betti = grown
+    return betti
+
+
+def test_betti_numbers_of_so6_and_gl4():
+    """The weight-zero block reaches so(6) (dim 15) and gl(4) (dim 16)."""
+    assert ce_cohomology(builtin("so", 6)).betti_dict() == _exterior_betti(3, 5, 7)
+    assert ce_cohomology(builtin("gl", 4)).betti_dict() == _exterior_betti(1, 3, 5, 7)
+
+
+def _mat_mul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_rigidity_conjugating_h_by_a_unipotent_element():
+    """The Lie-algebra shadow of the Rigidity Theorem.
+
+    For P = I + 1/2 E12 - 2/3 E23, Ad_P is a pair morphism (gl(3), so(3)) ->
+    (gl(3), Ad_P so(3)): the naturality square commutes, and Ad_P^* is the
+    identity on H(gl(3)).  Ad_P mixes torus weights, so the pulled-back
+    representatives leave the weight-zero block and ``reduce`` projects them.
+    """
+    n = 3
+    p = [[1, Fraction(1, 2), 0], [0, 1, Fraction(-2, 3)], [0, 0, 1]]
+    p_inv = [[1, Fraction(-1, 2), Fraction(-1, 3)], [0, 1, Fraction(2, 3)], [0, 0, 1]]
+    assert _mat_mul(p, p_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def ad_p(x):
+        y = _mat_mul(_mat_mul(p, [x[a * n:(a + 1) * n] for a in range(n)]), p_inv)
+        return [y[a][b] for a in range(n) for b in range(n)]
+
+    g = builtin("gl", n)
+    adp = Matrix.from_cols([ad_p(g.basis_vector(i)) for i in range(g.dim)], g.dim)
+    so3 = so_in_gl_vectors(n, n)
+    morphism = pair_morphism(subalgebra(g, so3), subalgebra(g, [ad_p(v) for v in so3]), adp)
+    report = functoriality_check(morphism)
+    assert report.commutes and report.degrees == tuple(range(7))
+
+    space = ce_cohomology(g)
+    pullbacks = [pullback_matrix(adp, k) for k in range(g.dim + 1)]
+    positions = space.complex.block.positions
+    off_block = [
+        k for k in range(g.dim + 1) for rep in space.representative_vectors(k)
+        if any(x for j, x in enumerate(pullbacks[k].apply(rep)) if j not in positions[k])
+    ]
+    assert off_block
+    pulled = induced_map(pullbacks, space, space)
+    for k in range(g.dim + 1):
+        assert pulled.degree(k) == Matrix.identity(space.betti(k)), k

@@ -336,3 +336,31 @@ def test_bool_in_morphism_matrix_rejected_exit_1(capsys, tmp_path):
     path.write_text(json.dumps(morphism))
     code, report = run_cli_error(capsys, "functoriality", "--morphism", str(path))
     assert (code, report["error"]["type"]) == (1, "ParseError")
+
+
+BAD_ALGEBRA_DOCUMENTS = [
+    {"dim": 2, "brackets": 5},
+    {"dim": 2, "brackets": None},
+    {"dim": 2, "basis": 5},
+    {"dim": 2, "basis": "ab"},
+    {"dim": 2, "basis": [None, {"x": 1}]},
+    {"dim": 2, "basis": ["a"]},
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "betti"])
+@pytest.mark.parametrize("doc", BAD_ALGEBRA_DOCUMENTS, ids=json.dumps)
+def test_bad_brackets_or_basis_rejected_exit_1(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad_algebra.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli_error(capsys, command, "--file", str(path))
+    assert (code, report["error"]["type"]) == (1, "InputError")
+
+
+@pytest.mark.parametrize("doc", [{"dim": 2}, {"dim": 2, "basis": None, "brackets": []}])
+def test_absent_brackets_and_null_basis_accepted(capsys, tmp_path, doc):
+    path = tmp_path / "abelian2.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "validate", "--file", str(path))
+    assert code == 0
+    assert report["result"] == {"valid": True, "dim": 2, "basis": ["e1", "e2"]}

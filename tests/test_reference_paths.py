@@ -15,6 +15,12 @@ solver keeps the dense tableau and scans every transform row on every solve;
 solutions and certificates must be equal, entry for entry, on random
 systems and on the embedding and reducer solvers of the same pairs.
 
+``ce_cohomology`` eliminates only the weight-zero block of an algebra's
+grading and reports in full cochain coordinates.  Its reference is the
+trivial-grading path over all of Lambda g*: ranks in the block, Betti
+numbers, representatives, JSON reports and reductions of non-homogeneous
+cocycles must agree exactly over the builtin sweep.
+
 ``CohomologySpace`` eliminates each differential once, reads the rank off
 the kernel elimination, picks representatives in kernel coordinates and
 reduces cocycles there; ``CochainComplex`` decides d o d = 0 on
@@ -29,6 +35,7 @@ product d_(k+1) d_k, the nullspace of the stacked constraints, the
 subalgebra generators for the complement.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -39,8 +46,15 @@ import pytest
 
 from liecoh import builtin, subalgebra
 from liecoh.classes import canonical_gl_so_pair
-from liecoh.cohomology import CochainComplex, ce_complex, compute_cohomology
-from liecoh.errors import InvalidComplex
+from liecoh.cohomology import (
+    CochainComplex,
+    CohomologySpace,
+    ce_cohomology,
+    ce_complex,
+    cohomology_to_json,
+    compute_cohomology,
+)
+from liecoh.errors import InternalInvariantError, InvalidComplex, NotACocycle
 from liecoh.exterior import (
     Form,
     basis_size,
@@ -52,6 +66,7 @@ from liecoh.exterior import (
 )
 from liecoh.koszul import PairAnalysis
 from liecoh.liealg import (
+    Grading,
     full_subalgebra,
     so_in_gl_vectors,
     so_in_so_vectors,
@@ -508,6 +523,123 @@ def test_perturbed_rational_complex_fails_at_the_reference_degree():
         assert expected in (k - 1, k)
         with pytest.raises(InvalidComplex, match=f"between degrees {expected} and {expected + 2}$"):
             CochainComplex(dims=tuple(m.ncols for m in bad) + (bad[-1].nrows,), differentials=tuple(bad))
+
+
+# ---------------------------------------------------------------------------
+# the weight-zero block against the full complex
+# ---------------------------------------------------------------------------
+
+def entry_types(m: Matrix):
+    return {key: type(v) for key, v in m.entries.items()}
+
+
+def submatrix(m: Matrix, rows, cols) -> Matrix:
+    row_of = {r: i for i, r in enumerate(rows)}
+    col_of = {c: j for j, c in enumerate(cols)}
+    return Matrix(len(rows), len(cols), {
+        (row_of[i], col_of[j]): v for (i, j), v in m.entries.items() if i in row_of and j in col_of
+    })
+
+
+def assert_graded_matches_full(g, rng):
+    """The block path of ``g`` against its trivial-grading path; True if graded."""
+    full = compute_cohomology(ce_complex(g))
+    block_complex = ce_complex(g, g.grading)
+    graded = CohomologySpace(block_complex)
+    positions = block_complex.block.positions
+    for k in range(g.dim + 1):
+        if k < g.dim:
+            d_full = full.complex.differential(k)
+            want = submatrix(d_full, positions[k + 1], positions[k])
+            got = block_complex.differential(k)
+            assert got == want and entry_types(got) == entry_types(want), (g.basis_names, k)
+            # no entry of d joins the block to another: the rest of d_k is the other blocks
+            cols, rows = set(positions[k]), set(positions[k + 1])
+            assert all((j in cols) == (i in rows) for i, j in d_full.entries)
+            assert graded.ranks[k] == reference_rank(want)
+        reps, want = graded.representative_matrix(k), full.representative_matrix(k)
+        assert reps == want and entry_types(reps) == entry_types(want), (g.basis_names, k)
+        assert graded.representative_vectors(k) == full.representative_vectors(k)
+        assert [[type(x) for x in v] for v in graded.representative_vectors(k)] == [
+            [type(x) for x in v] for v in full.representative_vectors(k)
+        ]
+    assert graded.betti_numbers == full.betti_numbers
+
+    def form_of_vector(k, vec):
+        return Form.from_vector(g.dim, k, vec)
+
+    for converter in (None, form_of_vector):
+        assert json.dumps(cohomology_to_json(graded, converter)) == json.dumps(cohomology_to_json(full, converter))
+    # random cocycles of the full complex are not homogeneous
+    for k in range(g.dim + 1):
+        for z in random_cocycles(rng, full, k):
+            got, want = graded.reduce(k, z), full.reduce(k, z)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want], (k, z)
+    assert graded.full_complex.differentials == full.complex.differentials
+    return block_complex.dims != full.complex.dims
+
+
+def test_graded_cohomology_matches_full_on_builtin_sweep():
+    rng = random.Random(29)
+    graded = [g.basis_names[0] for g in builtin_sweep() if assert_graded_matches_full(g, rng)]
+    # gl(2), gl(3), sl(2), sl(3) by their tori; so(3), so(4), so(5) by parity
+    assert graded == ["E11", "E11", "H1", "H1", "A12", "A12", "A12"]
+
+
+def test_graded_cohomology_matches_full_on_a_partly_mixed_conjugate():
+    """Three rational entries in the change of basis leave part of the torus
+    of gl(3) diagonal: a graded algebra with non-integer constants."""
+    rng = random.Random(30)
+    g = conjugate(builtin("gl", 3), rng, 3)
+    assert not g.grading.trivial
+    assert assert_graded_matches_full(g, rng)
+
+
+def test_trivial_gradings_and_the_cli_space():
+    """Heisenberg, abelian, so(2) and rational conjugates are one block; a
+    graded space that is handed the full complex uses it."""
+    for g in [builtin("heisenberg", n) for n in (3, 5)] + [builtin("abelian", 3), builtin("so", 2)]:
+        assert g.grading.trivial and ce_cohomology(g).complex.block is None
+    rng = random.Random(30)
+    for positions in (10, 36):
+        assert conjugate(builtin("gl", 3), rng, positions).grading.trivial
+    g = builtin("so", 4)
+    full = ce_complex(g)
+    space = ce_cohomology(g, full=full)
+    assert space.complex.block is not None and space.full_complex is full
+
+
+def test_not_a_cocycle_is_raised_off_the_block():
+    g = builtin("gl", 3)
+    space, full = ce_cohomology(g), ce_complex(g)
+    positions = space.complex.block.positions
+    for k in (1, 2, 4):
+        d = full.differential(k)
+        off = sorted({j for _, j in d.entries} - set(positions[k]))
+        vec = [0] * d.ncols
+        vec[off[0]] = Fraction(1, 2)
+        with pytest.raises(NotACocycle) as exc:
+            space.reduce(k, vec)
+        assert exc.value.residual == d.apply(vec)
+        if k == 1:
+            continue  # d_0 = 0 for gl(3)
+        # a coboundary supported off the block is the zero class
+        d_prev = full.differential(k - 1)
+        coboundary = d_prev.apply([0 if j in positions[k - 1] else 1 for j in range(d_prev.ncols)])
+        assert any(coboundary) and not any(coboundary[p] for p in positions[k])
+        assert space.reduce(k, coboundary) == [Fraction(0)] * space.betti(k)
+
+
+def test_wrong_grading_fails_the_block_closure():
+    g = builtin("gl", 2)
+    right = g.grading
+    shifted = Grading((right.weights[0] + 1,) + right.weights[1:], right.parities)
+    with pytest.raises(InternalInvariantError, match="outside the block"):
+        ce_complex(g, shifted)
+    so4 = builtin("so", 4)
+    odd = Grading(so4.grading.weights, (0,) + so4.grading.parities[1:])
+    with pytest.raises(InternalInvariantError, match="outside the block"):
+        ce_complex(so4, odd)
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
