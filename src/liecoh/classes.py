@@ -15,7 +15,6 @@ their products present it as a free exterior algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import cup_product, generated_spans, odd_degree_generators
@@ -144,13 +143,14 @@ def pfaffian(a):
     return pf(tuple(range(n)))
 
 
-@dataclass(frozen=True, eq=False)
 class PfaffianClass:
-    pair: SubalgebraPair
-    degree: int
-    coords: tuple   # coordinates in the degree-2m representatives
-    form: Form      # representative as a form on g/h
-    presentation_verified: bool
+    def __init__(self, pair: SubalgebraPair, degree: int, coords: tuple, form: Form,
+                 presentation_verified: bool):
+        self.pair = pair
+        self.degree = degree
+        self.coords = coords  # coordinates in the degree-2m representatives
+        self.form = form      # representative as a form on g/h
+        self.presentation_verified = presentation_verified
 
 
 def pfaffian_class(m: int, analysis: PairAnalysis | None = None) -> PfaffianClass:
@@ -197,11 +197,11 @@ def pfaffian_class(m: int, analysis: PairAnalysis | None = None) -> PfaffianClas
 # generator identification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class GeneratorReport:
-    pair: SubalgebraPair
-    generators: tuple   # (degree, coordinate tuple, label)
-    presentation: str   # "exterior-algebra" or "mismatch"
+    def __init__(self, pair: SubalgebraPair, generators: tuple, presentation: str):
+        self.pair = pair
+        self.generators = generators      # (degree, coordinate tuple, label)
+        self.presentation = presentation  # "exterior-algebra" or "mismatch"
 
 
 def _label_for(degree: int) -> str:

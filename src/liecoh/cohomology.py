@@ -30,7 +30,6 @@ also support cup products and the odd-generation test on their cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -41,7 +40,13 @@ from .errors import (
     NotAChainMap,
     NotACocycle,
 )
-from .exterior import alternating_differential_matrix, basis_size, ce_differential, wedge_vector
+from .exterior import (
+    alternating_differential_matrix,
+    basis_size,
+    ce_differential,
+    multi_indices,
+    wedge_vector,
+)
 from .linalg import Matrix, SpanBuilder
 
 
@@ -88,8 +93,7 @@ class Block:
 
     ``positions[k]`` are the ascending full positions of the block's degree-k
     basis, ``full_dims`` the full dimensions, and ``build_full()`` builds the
-    full complex, for the chain-level checks.  (A plain class: it is defined
-    at import, where a dataclass costs a millisecond.)
+    full complex, for the chain-level checks.
     """
 
     def __init__(self, positions, full_dims, build_full):
@@ -98,14 +102,17 @@ class Block:
         self.build_full = build_full
 
 
-@dataclass(frozen=True, eq=False)
 class CochainComplex:
-    dims: tuple
-    differentials: tuple  # differentials[k]: dims[k] -> dims[k+1]
-    product: object = None
-    block: Block = None  # set when this is one block of a bigger complex
+    def __init__(self, dims: tuple, differentials: tuple, product=None, block: Block = None):
+        self.dims = dims
+        self.differentials = differentials  # differentials[k]: dims[k] -> dims[k+1]
+        self.product = product
+        self.block = block  # set when this is one block of a bigger complex
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the shapes and d o d = 0 (its own method, so that it can be
+        timed on its own)."""
         if len(self.differentials) != max(len(self.dims) - 1, 0):
             raise InvalidComplex(
                 f"{len(self.differentials)} differentials for {len(self.dims)} degrees"
@@ -137,12 +144,14 @@ class CochainComplex:
         return Matrix.zeros(self.dim(k + 1), self.dim(k))
 
 
-def ce_complex(g, grading=None) -> CochainComplex:
+def ce_complex(g, grading=None, full=None) -> CochainComplex:
     """The Chevalley-Eilenberg complex of an algebra, with its wedge.
 
     Without a ``grading``, all of Lambda g*.  With one, its weight-zero block
     (see ``liealg.Grading``): d is computed on the block's columns only, and
-    a term outside the block raises InternalInvariantError.
+    a term outside the block raises InternalInvariantError.  When ``full``,
+    the full complex of g, is given, the block is read off its d_k instead,
+    and a nonzero entry outside the block raises.
     """
     n = g.dim
     dims = tuple(basis_size(n, k) for k in range(n + 1))
@@ -150,11 +159,16 @@ def ce_complex(g, grading=None) -> CochainComplex:
         diffs = tuple(ce_differential(g, k) for k in range(n))
         return CochainComplex(dims=dims, differentials=diffs, product=BasisProduct(n))
     blocks = [grading.block(k) for k in range(n + 1)]
-    indices = [[idx for _, idx in b] for b in blocks]
-    diffs = tuple(
-        alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
-        for k in range(n)
-    )
+    if full is None:
+        indices = [[idx for _, idx in b] for b in blocks]
+        diffs = tuple(
+            alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
+            for k in range(n)
+        )
+    else:
+        diffs = tuple(
+            _block_of(full.differentials[k], blocks[k], blocks[k + 1], n, k) for k in range(n)
+        )
     block = Block(
         positions=tuple(tuple(pos for pos, _ in b) for b in blocks),
         full_dims=dims,
@@ -163,6 +177,31 @@ def ce_complex(g, grading=None) -> CochainComplex:
     return CochainComplex(
         dims=tuple(map(len, blocks)), differentials=diffs, product=BasisProduct(n), block=block
     )
+
+
+def _block_of(d: Matrix, columns, rows, n: int, k: int) -> Matrix:
+    """The block of a full d_k on n letters on ``columns`` and ``rows``,
+    ascending (position, multi-index) pairs; its entries keep their order and
+    type.
+
+    A nonzero entry in a block column but outside the block rows raises
+    InternalInvariantError, as ``alternating_differential_matrix`` does.
+    """
+    col_of = {pos: c for c, (pos, _) in enumerate(columns)}
+    row_of = {pos: r for r, (pos, _) in enumerate(rows)}
+    entries = {}
+    for (i, j), v in d.entries.items():
+        c = col_of.get(j)
+        if c is None:
+            continue
+        r = row_of.get(i)
+        if r is None:
+            raise InternalInvariantError(
+                f"d of the degree-{k} basis form {columns[c][1]} has a term on "
+                f"{multi_indices(n, k + 1)[i]}, outside the block"
+            )
+        entries[(r, c)] = v
+    return Matrix(len(rows), len(columns), entries)
 
 
 def ce_cohomology(g, full=None) -> "CohomologySpace":
@@ -174,7 +213,7 @@ def ce_cohomology(g, full=None) -> "CohomologySpace":
     """
     if g.grading.trivial:
         return CohomologySpace(full if full is not None else ce_complex(g))
-    return CohomologySpace(ce_complex(g, g.grading), full=full)
+    return CohomologySpace(ce_complex(g, g.grading, full), full=full)
 
 
 class CohomologySpace:
@@ -332,11 +371,11 @@ def compute_cohomology(complex: CochainComplex) -> CohomologySpace:
 # induced maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class CohomologyMap:
-    source: CohomologySpace
-    target: CohomologySpace
-    matrices: tuple  # per source degree, shape (betti_target_k, betti_source_k)
+    def __init__(self, source: CohomologySpace, target: CohomologySpace, matrices: tuple):
+        self.source = source
+        self.target = target
+        self.matrices = matrices  # per source degree, shape (betti_target_k, betti_source_k)
 
     def degree(self, k: int) -> Matrix:
         if 0 <= k < len(self.matrices):

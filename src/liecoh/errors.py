@@ -9,7 +9,6 @@ failed, which means a bug, exit 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -41,12 +40,25 @@ class ParseError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class AntisymmetryViolation:
-    i: int
-    j: int
-    k: int
-    residual: Fraction
+    """c[i][j][k] + c[j][i][k] = residual != 0; equal and hashed by its fields."""
+
+    def __init__(self, i: int, j: int, k: int, residual: Fraction):
+        self.i = i
+        self.j = j
+        self.k = k
+        self.residual = residual
+
+    def _key(self):
+        return (self.i, self.j, self.k, self.residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def describe(self) -> str:
         return (
@@ -55,13 +67,27 @@ class AntisymmetryViolation:
         )
 
 
-@dataclass(frozen=True)
 class JacobiViolation:
-    i: int
-    j: int
-    k: int
-    l: int
-    residual: Fraction
+    """The cyclic sum of [[e_i, e_j], e_k] has coefficient residual != 0 on
+    e_l; equal and hashed by its fields."""
+
+    def __init__(self, i: int, j: int, k: int, l: int, residual: Fraction):
+        self.i = i
+        self.j = j
+        self.k = k
+        self.l = l
+        self.residual = residual
+
+    def _key(self):
+        return (self.i, self.j, self.k, self.l, self.residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def describe(self) -> str:
         return (

@@ -26,7 +26,6 @@ Sign conventions (indices 1-based inside the formulas):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -96,17 +95,18 @@ def perm_sign(perm) -> int:
 # forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
 class Form:
-    """A degree-k element of Lambda^k V* with sparse rational coefficients."""
+    """A degree-k element of Lambda^k V* with sparse rational coefficients.
 
-    ambient_dim: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    The coefficients are normalized on construction: index tuples, Fraction
+    values, zeros dropped; forms are equal when all three fields are.
+    """
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, degree: int, coeffs: dict = None):
+        self.ambient_dim = ambient_dim
+        self.degree = degree
         clean = {}
-        for idx, value in self.coeffs.items():
+        for idx, value in (coeffs or {}).items():
             idx = tuple(idx)
             value = Fraction(parse_rational(value))
             if len(idx) != self.degree:
@@ -117,7 +117,16 @@ class Form:
                 raise InputError(f"index {idx} is not strictly increasing")
             if value:
                 clean[idx] = value
-        object.__setattr__(self, "coeffs", clean)
+        self.coeffs = clean
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.degree, self.coeffs) == (
+            other.ambient_dim, other.degree, other.coeffs
+        )
+
+    __hash__ = None  # the coefficients are a dict
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -19,7 +19,6 @@ h-equivariant projection g -> h, the witness that the pair is reductive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -150,13 +149,14 @@ def delta_chain(pair):
     return maps
 
 
-@dataclass(frozen=True, eq=False)
 class KoszulResult:
-    pair: SubalgebraPair
-    chain_map: tuple          # per degree, invariant coords -> Lambda^k g*
-    cohomology_map: CohomologyMap
-    injective: bool
-    kernel_basis: tuple       # (degree, Form on g/h) pairs spanning the kernel
+    def __init__(self, pair: SubalgebraPair, chain_map: tuple, cohomology_map: CohomologyMap,
+                 injective: bool, kernel_basis: tuple):
+        self.pair = pair
+        self.chain_map = chain_map        # per degree, invariant coords -> Lambda^k g*
+        self.cohomology_map = cohomology_map
+        self.injective = injective
+        self.kernel_basis = kernel_basis  # (degree, Form on g/h) pairs spanning the kernel
 
     @property
     def source(self) -> CohomologySpace:
@@ -172,11 +172,11 @@ def delta_cohom(pair) -> KoszulResult:
     return _analysis(pair).koszul
 
 
-@dataclass(frozen=True, eq=False)
 class FactorizationReport:
-    pair: SubalgebraPair
-    degrees: tuple
-    holds: bool  # always True on return; a mismatch raises instead
+    def __init__(self, pair: SubalgebraPair, degrees: tuple, holds: bool):
+        self.pair = pair
+        self.degrees = degrees
+        self.holds = holds  # always True on return; a mismatch raises instead
 
 
 def factorization_check(pair) -> FactorizationReport:
@@ -210,12 +210,12 @@ def factorization_check(pair) -> FactorizationReport:
 # noncohomologous to zero
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class NczReport:
-    pair: SubalgebraPair
-    ncz: bool
-    degrees: dict          # degree -> {"rank": r, "betti_sub": b}
-    witnesses: dict        # degree -> list of preimage coordinate vectors
+    def __init__(self, pair: SubalgebraPair, ncz: bool, degrees: dict, witnesses: dict):
+        self.pair = pair
+        self.ncz = ncz
+        self.degrees = degrees      # degree -> {"rank": r, "betti_sub": b}
+        self.witnesses = witnesses  # degree -> list of preimage coordinate vectors
 
     def to_payload(self):
         from .rationals import format_rational
@@ -285,13 +285,14 @@ def ncz(pair) -> bool:
 # reductive-pair witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ReductiveWitness:
-    pair: SubalgebraPair
-    reductive: bool
-    projection: Matrix | None   # h-equivariant projection g -> h (sub coordinates)
-    complement: tuple | None    # basis of its kernel, the invariant complement
-    certificate: tuple | None   # rational row: certificate of infeasibility
+    def __init__(self, pair: SubalgebraPair, reductive: bool, projection: Matrix | None,
+                 complement: tuple | None, certificate: tuple | None):
+        self.pair = pair
+        self.reductive = reductive
+        self.projection = projection    # h-equivariant projection g -> h (sub coordinates)
+        self.complement = complement    # basis of its kernel, the invariant complement
+        self.certificate = certificate  # rational row: certificate of infeasibility
 
 
 def invariant_complement(pair) -> ReductiveWitness:
@@ -366,15 +367,16 @@ def invariant_complement(pair) -> ReductiveWitness:
 # direct products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class DirectProductReport:
-    pair: SubalgebraPair
-    injective: bool
-    formula_holds: bool
-    kunneth_holds: bool
-    betti_left: tuple
-    betti_right: tuple
-    betti_sum: tuple
+    def __init__(self, pair: SubalgebraPair, injective: bool, formula_holds: bool,
+                 kunneth_holds: bool, betti_left: tuple, betti_right: tuple, betti_sum: tuple):
+        self.pair = pair
+        self.injective = injective
+        self.formula_holds = formula_holds
+        self.kunneth_holds = kunneth_holds
+        self.betti_left = betti_left
+        self.betti_right = betti_right
+        self.betti_sum = betti_sum
 
 
 def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
@@ -429,11 +431,11 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
 # functoriality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FunctorialityReport:
-    morphism: PairMorphism
-    commutes: bool
-    degrees: tuple
+    def __init__(self, morphism: PairMorphism, commutes: bool, degrees: tuple):
+        self.morphism = morphism
+        self.commutes = commutes
+        self.degrees = degrees
 
 
 def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:

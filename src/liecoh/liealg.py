@@ -6,13 +6,13 @@ i > j half follows by antisymmetry.  Validation checks antisymmetry and the
 Jacobi identity exactly and reports every violation.
 
 Subalgebra pairs h < g carry a chosen coordinate complement representing
-g/h and the matrices of the induced h-action on it.  All values are
-immutable after construction and all operations are pure functions.
+g/h and the matrices of the induced h-action on it.  No value is modified
+after construction and all operations are pure functions.  The records are
+plain classes that compare by value (see the README on start-up cost).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -34,14 +34,26 @@ from .linalg import Matrix
 from .rationals import format_rational, parse_rational
 
 
-@dataclass(frozen=True, eq=True)
 class LieAlgebra:
-    dim: int
-    basis_names: tuple
-    structure: dict  # (i, j) with i < j -> {k: coefficient}, zero rows absent
-    # Builtin so(n) only: per basis element A_ab, the bitmask 2^a + 2^b of the
-    # sign changes diag(eps) that negate it.  Not part of the algebra's identity.
-    sign_parities: tuple = field(default=None, compare=False, repr=False)
+    """Structure constants on a named basis; equal when dim, names and
+    brackets are."""
+
+    def __init__(self, dim: int, basis_names: tuple, structure: dict, sign_parities: tuple = None):
+        self.dim = dim
+        self.basis_names = basis_names
+        self.structure = structure  # (i, j) with i < j -> {k: coefficient}, zero rows absent
+        # Builtin so(n) only: per basis element A_ab, the bitmask 2^a + 2^b of the
+        # sign changes diag(eps) that negate it.  Not part of the algebra's identity.
+        self.sign_parities = sign_parities
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.basis_names, self.structure) == (
+            other.dim, other.basis_names, other.structure
+        )
+
+    __hash__ = None  # the structure is a dict
 
     @cached_property
     def grading(self) -> "Grading":
@@ -105,8 +117,7 @@ class Grading:
     the parities of I add up to 0 or to all-ones.  Cartan's formula
     theta_x = d i_x + i_x d makes theta_x zero on cohomology, so every block
     of nonzero torus weight is acyclic; so is every other parity, because the
-    sign changes with product 1 lie in the connected group SO(n).  (A plain
-    class: it is defined at import, where a dataclass costs a millisecond.)
+    sign changes with product 1 lie in the connected group SO(n).
     """
 
     def __init__(self, weights, parities):
@@ -283,7 +294,7 @@ def _commutator(a, b):
     return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
 
 
-def _from_matrix_basis(mats, names) -> LieAlgebra:
+def _from_matrix_basis(mats, names, sign_parities=None) -> LieAlgebra:
     """Structure constants of a bracket-closed list of n x n matrices."""
     dim = len(mats)
     flat = Matrix.from_cols([[x for row in m for x in row] for m in mats])
@@ -298,7 +309,7 @@ def _from_matrix_basis(mats, names) -> LieAlgebra:
             terms = {k: v for k, v in enumerate(coords) if v}
             if terms:
                 structure[(i, j)] = terms
-    return LieAlgebra(dim, tuple(names), structure)
+    return LieAlgebra(dim, tuple(names), structure, sign_parities)
 
 
 def gl_basis_names(n):
@@ -347,7 +358,7 @@ def builtin(name: str, n: int) -> LieAlgebra:
         ]
         names = [f"A{a + 1}{b + 1}" for a, b in so_pairs(n)]
         parities = tuple((1 << a) | (1 << b) for a, b in so_pairs(n))
-        return replace(_from_matrix_basis(mats, names), sign_parities=parities)
+        return _from_matrix_basis(mats, names, sign_parities=parities)
     if name == "abelian":
         if n < 1:
             raise InvalidParams("abelian(n) needs n >= 1")
@@ -387,17 +398,31 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra):
 # subalgebra pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
 class SubalgebraPair:
-    """A subalgebra h < g with a chosen coordinate complement for g/h."""
+    """A subalgebra h < g with a chosen coordinate complement for g/h; equal
+    when all seven fields are."""
 
-    ambient: LieAlgebra
-    sub_basis: tuple       # h generators as coordinate vectors in g
-    quotient_basis: tuple  # complement vectors representing g/h
-    action: tuple          # per h generator, the induced matrix on g/h
-    sub: LieAlgebra        # h with its own structure constants
-    sub_matrix: Matrix     # the h generators as columns; solver() is cached on it
-    projection_matrix: Matrix  # g -> g/h in coordinates (rows = quotient coordinate functionals)
+    def __init__(self, ambient: LieAlgebra, sub_basis: tuple, quotient_basis: tuple,
+                 action: tuple, sub: LieAlgebra, sub_matrix: Matrix, projection_matrix: Matrix):
+        self.ambient = ambient
+        self.sub_basis = sub_basis            # h generators as coordinate vectors in g
+        self.quotient_basis = quotient_basis  # complement vectors representing g/h
+        self.action = action                  # per h generator, the induced matrix on g/h
+        self.sub = sub                        # h with its own structure constants
+        self.sub_matrix = sub_matrix          # the h generators as columns; solver() is cached on it
+        # g -> g/h in coordinates (rows = quotient coordinate functionals)
+        self.projection_matrix = projection_matrix
+
+    def _key(self):
+        return (self.ambient, self.sub_basis, self.quotient_basis, self.action, self.sub,
+                self.sub_matrix, self.projection_matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # the algebras are unhashable
 
     @property
     def dim_sub(self) -> int:
@@ -492,13 +517,21 @@ def full_subalgebra(g: LieAlgebra) -> SubalgebraPair:
 # morphisms of pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
 class PairMorphism:
-    """A Lie algebra homomorphism H: g' -> g with H(h') contained in h."""
+    """A Lie algebra homomorphism H: g' -> g with H(h') contained in h; equal
+    when source, target and matrix are."""
 
-    source: SubalgebraPair
-    target: SubalgebraPair
-    matrix: Matrix  # shape (dim g, dim g')
+    def __init__(self, source: SubalgebraPair, target: SubalgebraPair, matrix: Matrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # shape (dim g, dim g')
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
+
+    __hash__ = None  # the pairs are unhashable
 
 
 def pair_morphism(source: SubalgebraPair, target: SubalgebraPair, matrix) -> PairMorphism:

@@ -24,6 +24,10 @@ def parse_rational(text) -> Fraction:
         return text
     if not isinstance(text, str):
         raise ParseError(f"expected rational string, got {type(text).__name__}")
+    if "e" in text or "E" in text:
+        # Fraction reads exponents too: "1e999999999", eleven characters,
+        # would build a billion-digit integer.
+        raise ParseError(f"not a rational (no exponents): {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -21,8 +21,6 @@ used by the noncohomologous-to-zero test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import (
     BasisProduct,
     CochainComplex,
@@ -42,19 +40,20 @@ from .exterior import (
 from .linalg import Matrix
 
 
-@dataclass(frozen=True, eq=False)
 class BasicSubcomplex:
-    pair: object
-    complex: CochainComplex
-    embeddings: tuple  # per degree, columns are basis vectors inside Lambda^k g*
+    def __init__(self, pair, complex: CochainComplex, embeddings: tuple):
+        self.pair = pair
+        self.complex = complex
+        self.embeddings = embeddings  # per degree, columns are basis vectors inside Lambda^k g*
 
 
-@dataclass(frozen=True, eq=False)
 class InvariantQuotientComplex:
-    pair: object
-    complex: CochainComplex
-    embeddings: tuple      # per degree, columns inside Lambda^k (g/h)*
-    full_differentials: tuple  # the differential on all of Lambda (g/h)*, per lift choice
+    def __init__(self, pair, complex: CochainComplex, embeddings: tuple, full_differentials: tuple):
+        self.pair = pair
+        self.complex = complex
+        self.embeddings = embeddings  # per degree, columns inside Lambda^k (g/h)*
+        # the differential on all of Lambda (g/h)*, per lift choice
+        self.full_differentials = full_differentials
 
 
 def _restrict_differentials(ambient_diffs, embeddings, failure):
@@ -154,14 +153,14 @@ def invariant_quotient_complex(pair) -> InvariantQuotientComplex:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ModelComparison:
     """Chain isomorphism from the invariant quotient model onto the basic one."""
 
-    pair: object
-    matrices: tuple  # per degree, basic coordinates of the mapped invariant basis
-    signs: tuple     # (-1)^k relating the plain pullback of s to the chain map
-    dimensions: tuple  # per degree, the common dimension of both models
+    def __init__(self, pair, matrices: tuple, signs: tuple, dimensions: tuple):
+        self.pair = pair
+        self.matrices = matrices  # per degree, basic coordinates of the mapped invariant basis
+        self.signs = signs        # (-1)^k relating the plain pullback of s to the chain map
+        self.dimensions = dimensions  # per degree, the common dimension of both models
 
 
 def compare_models(pair, basic=None, invq=None) -> ModelComparison:
@@ -214,14 +213,14 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class RestrictionMap:
     """Pullback Lambda g* -> Lambda h* along the inclusion of the subalgebra."""
 
-    pair: object
-    maps: tuple  # per degree k, shape (C(dim h, k), C(dim g, k))
-    source: CochainComplex  # full complex of g
-    target: CochainComplex  # full complex of h
+    def __init__(self, pair, maps: tuple, source: CochainComplex, target: CochainComplex):
+        self.pair = pair
+        self.maps = maps      # per degree k, shape (C(dim h, k), C(dim g, k))
+        self.source = source  # full complex of g
+        self.target = target  # full complex of h
 
 
 def restriction_map(pair, ambient=None) -> RestrictionMap:

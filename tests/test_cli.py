@@ -304,6 +304,7 @@ BAD_BRACKET_ENTRIES = [
     [True, 1, 1, "1"],
     ["0", "1", "1", "1"],
     [0, 1, 1, True],
+    [0, 1, 1, "1e5000"],
 ]
 
 

@@ -545,6 +545,7 @@ def assert_graded_matches_full(g, rng):
     """The block path of ``g`` against its trivial-grading path; True if graded."""
     full = compute_cohomology(ce_complex(g))
     block_complex = ce_complex(g, g.grading)
+    read_off = ce_complex(g, g.grading, full.complex)
     graded = CohomologySpace(block_complex)
     positions = block_complex.block.positions
     for k in range(g.dim + 1):
@@ -553,6 +554,10 @@ def assert_graded_matches_full(g, rng):
             want = submatrix(d_full, positions[k + 1], positions[k])
             got = block_complex.differential(k)
             assert got == want and entry_types(got) == entry_types(want), (g.basis_names, k)
+            # read off the full d_k: the same entries, in the same order, of the same types
+            read = read_off.differential(k)
+            assert list(read.entries.items()) == list(got.entries.items()), (g.basis_names, k)
+            assert entry_types(read) == entry_types(got), (g.basis_names, k)
             # no entry of d joins the block to another: the rest of d_k is the other blocks
             cols, rows = set(positions[k]), set(positions[k + 1])
             assert all((j in cols) == (i in rows) for i, j in d_full.entries)
@@ -640,6 +645,21 @@ def test_wrong_grading_fails_the_block_closure():
     odd = Grading(so4.grading.weights, (0,) + so4.grading.parities[1:])
     with pytest.raises(InternalInvariantError, match="outside the block"):
         ce_complex(so4, odd)
+
+
+def test_wrong_grading_fails_the_closure_of_a_block_read_off_the_full_complex():
+    """Read off a full d_k, the arbiter sees entries, not terms: a nonzero
+    entry in a block column outside the block rows.  (Shifting the weight of
+    E11 leaves a block that is closed, because the off-block terms of its d
+    cancel; only the term-by-term builder above rejects that one.)"""
+    g = builtin("gl", 2)
+    right = g.grading
+    shifted = Grading(right.weights[:1] + (right.weights[1] + 1,) + right.weights[2:], right.parities)
+    so4 = builtin("so", 4)
+    odd = Grading(so4.grading.weights, (0,) + so4.grading.parities[1:])
+    for algebra, wrong in ((g, shifted), (so4, odd)):
+        with pytest.raises(InternalInvariantError, match="outside the block"):
+            ce_complex(algebra, wrong, ce_complex(algebra))
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
