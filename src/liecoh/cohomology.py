@@ -227,6 +227,7 @@ class CohomologySpace:
     def __init__(self, complex: CochainComplex, full: CochainComplex = None):
         self.complex = complex
         self._full = full
+        self._cups = {}  # cup_product memo: (ka, ca, kb, cb) -> class coordinates
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
         # One elimination per differential: nullspace() also records the rank
@@ -444,6 +445,8 @@ def cup_product(space: CohomologySpace, a, b):
 
     Products beyond the top degree are the zero class.  Well-definedness
     (independence of the representative choice) is exercised by the tests.
+    Each product is computed once per space and kept; every call returns a
+    fresh list.
     """
     if space.complex.product is None:
         raise InternalInvariantError("complex has no graded product")
@@ -451,10 +454,14 @@ def cup_product(space: CohomologySpace, a, b):
     k = ka + kb
     if k > space.top_degree:
         return (k, [])
-    za = space.representative_matrix(ka).apply(ca)
-    zb = space.representative_matrix(kb).apply(cb)
-    chain = space.complex.product.mul(ka, za, kb, zb)
-    return (k, space.reduce(k, chain))
+    key = (ka, tuple(ca), kb, tuple(cb))
+    coords = space._cups.get(key)
+    if coords is None:
+        za = space.representative_matrix(ka).apply(ca)
+        zb = space.representative_matrix(kb).apply(cb)
+        chain = space.complex.product.mul(ka, za, kb, zb)
+        coords = space._cups[key] = space.reduce(k, chain)
+    return (k, list(coords))
 
 
 def generated_spans(space: CohomologySpace, generators):

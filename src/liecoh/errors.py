@@ -61,9 +61,11 @@ class AntisymmetryViolation:
         return hash(self._key())
 
     def describe(self) -> str:
+        from .rationals import format_rational
+
         return (
             f"antisymmetry fails at (i={self.i}, j={self.j}, k={self.k}): "
-            f"c[i][j][k] + c[j][i][k] = {self.residual}"
+            f"c[i][j][k] + c[j][i][k] = {format_rational(self.residual)}"
         )
 
 
@@ -90,9 +92,11 @@ class JacobiViolation:
         return hash(self._key())
 
     def describe(self) -> str:
+        from .rationals import format_rational
+
         return (
             f"Jacobi identity fails at (i={self.i}, j={self.j}, k={self.k}): "
-            f"cyclic sum has coefficient {self.residual} on basis element {self.l}"
+            f"cyclic sum has coefficient {format_rational(self.residual)} on basis element {self.l}"
         )
 
 

@@ -315,49 +315,63 @@ def ce_differential(g, k: int) -> Matrix:
     return alternating_differential_matrix(g.dim, g.bracket_basis, k)
 
 
-def endo_action_matrix(a: Matrix, n: int, k: int) -> Matrix:
-    """Matrix on Lambda^k V* of theta_A for an endomorphism A of V."""
+def endo_action_matrix(a: Matrix, n: int, k: int, columns=None) -> Matrix:
+    """Matrix on Lambda^k V* of theta_A for an endomorphism A of V.
+
+    Column I holds theta_A theta^I: for each letter m = I[p] and each entry
+    A[m, j], the term on J = I - {m} + {j}.  ``columns``, ascending positions
+    in the degree-k basis, fills only those columns (default: all); the shape
+    stays full, and each filled column equals the full matrix's.
+    """
     if a.shape != (n, n):
         raise DimensionMismatch(f"endomorphism shape {a.shape} != ({n}, {n})")
-    by_col = {}
+    by_row = {}
     for (m, j), v in a.entries.items():
-        by_col.setdefault(j, []).append((m, v))
+        by_row.setdefault(m, []).append((j, v))
     indices = multi_indices(n, k)
-    cols = multi_index_positions(n, k)
+    rows = multi_index_positions(n, k)
+    if columns is None:
+        columns = range(len(indices))
     entries = {}
-    for row_pos, J in enumerate(indices):
-        for t, jt in enumerate(J):
-            for m, v in by_col.get(jt, ()):
-                rest = J[:t] + J[t + 1:]
-                ins = _insert(rest, m)
+    for col in columns:
+        I = indices[col]
+        for p, m in enumerate(I):
+            rest = I[:p] + I[p + 1:]
+            for j, v in by_row.get(m, ()):
+                ins = _insert(rest, j)
                 if ins is None:
                     continue
-                pos, I = ins
-                sign = -1 if (t - pos) % 2 == 0 else 1
-                key = (row_pos, cols[I])
-                entries[key] = entries.get(key, Fraction(0)) + sign * v
+                t, J = ins
+                key = (rows[J], col)
+                entries[key] = entries.get(key, Fraction(0)) + (-v if (t - p) % 2 == 0 else v)
     return Matrix(len(indices), len(indices), entries)
 
 
-def lie_derivative_matrix(g, x, k: int) -> Matrix:
-    return endo_action_matrix(g.adjoint_matrix(x), g.dim, k)
+def lie_derivative_matrix(g, x, k: int, columns=None) -> Matrix:
+    return endo_action_matrix(g.adjoint_matrix(x), g.dim, k, columns)
 
 
-def interior_matrix(x, n: int, k: int) -> Matrix:
-    """Matrix of i_x: Lambda^k V* -> Lambda^(k-1) V*."""
+def interior_matrix(x, n: int, k: int, columns=None) -> Matrix:
+    """Matrix of i_x: Lambda^k V* -> Lambda^(k-1) V*.
+
+    ``columns`` fills only those columns, as in ``endo_action_matrix``.
+    """
     if len(x) != n:
         raise DimensionMismatch("vector length != ambient dimension")
     rows = multi_index_positions(n, k - 1)
-    cols = multi_indices(n, k)
+    indices = multi_indices(n, k)
+    if columns is None:
+        columns = range(len(indices))
     entries = {}
-    for col_pos, I in enumerate(cols):
+    for col in columns:
+        I = indices[col]
         for p, i in enumerate(I):
             if x[i]:
                 rest = I[:p] + I[p + 1:]
                 sign = -1 if p % 2 else 1
-                key = (rows[rest], col_pos)
+                key = (rows[rest], col)
                 entries[key] = entries.get(key, Fraction(0)) + sign * x[i]
-    return Matrix(len(rows), len(cols), entries)
+    return Matrix(len(rows), len(indices), entries)
 
 
 def pullback_matrix(f: Matrix, k: int) -> Matrix:

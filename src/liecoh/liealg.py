@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
+from math import lcm
 from operator import or_
 
 from .errors import (
@@ -219,16 +220,40 @@ def validate_structure(structure, dim: int, basis_names=None) -> LieAlgebra:
 
     candidate = LieAlgebra(dim, _default_names(dim, basis_names), table)
     if not violations:
-        for i, j, k in combinations(range(dim), 3):
-            cyc = candidate.bracket(candidate.bracket_basis_vec(i, j), candidate.basis_vector(k))
-            _add_into(cyc, candidate.bracket(candidate.bracket_basis_vec(j, k), candidate.basis_vector(i)))
-            _add_into(cyc, candidate.bracket(candidate.bracket_basis_vec(k, i), candidate.basis_vector(j)))
-            for l, v in enumerate(cyc):
-                if v:
-                    violations.append(JacobiViolation(i, j, k, l, Fraction(v)))
+        violations = _jacobi_violations(table, dim)
     if violations:
         raise InvalidStructure(violations)
     return candidate
+
+
+def _jacobi_violations(table, dim):
+    """Jacobi violations of an antisymmetric table (i, j) -> {m: c}, i < j.
+
+    The coefficient of e_l in [[e_i, e_j], e_k] is sum_m c_ij^m c_mk^l.  With
+    every constant scaled by L, the lcm of the denominators, the cyclic sums
+    are ints s = L^2 * residual; a Fraction is formed only for a violation.
+    Violations come by ascending (i, j, k), then l.
+    """
+    scale = 1
+    for terms in table.values():
+        for v in terms.values():
+            scale = lcm(scale, v.denominator)
+    scaled = {}
+    for (i, j), terms in table.items():
+        row = [(m, v.numerator * (scale // v.denominator)) for m, v in terms.items()]
+        scaled[(i, j)] = row
+        scaled[(j, i)] = [(m, -c) for m, c in row]
+    violations = []
+    for i, j, k in combinations(range(dim), 3):
+        cyc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in scaled.get((a, b), ()):
+                for l, y in scaled.get((m, c), ()):
+                    cyc[l] = cyc.get(l, 0) + x * y
+        for l in sorted(cyc):
+            if cyc[l]:
+                violations.append(JacobiViolation(i, j, k, l, Fraction(cyc[l], scale * scale)))
+    return violations
 
 
 def _normalize_table(structure, dim):
@@ -245,12 +270,6 @@ def _normalize_table(structure, dim):
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise InputError(f"structure index ({i}, {j}, {k}) outside dimension {dim}")
     return [(i, j, k, Fraction(parse_rational(v))) for i, j, k, v in items]
-
-
-def _add_into(target, other):
-    for idx, v in enumerate(other):
-        if v:
-            target[idx] = target[idx] + v
 
 
 def _default_names(dim, names):

@@ -412,9 +412,15 @@ class Matrix:
         last nonzeros of the kernel vectors), each row divided by its pivot,
         in ascending order of free column.  Entries and their types equal
         those of ``nullspace``.
+
+        A block may also be a callable: given the ascending row support of
+        the current K, it returns the block with only those columns filled.
+        B K reads no other column of B, so the kernel is the same.
         """
         kernel = Matrix.identity(ncols)
         for block in blocks:
+            if callable(block):
+                block = block(sorted({i for i, _ in kernel.entries}))
             image = block.row_scaled()[0] @ kernel
             if not image.is_zero():
                 narrow = Matrix.from_cols(image.nullspace(), kernel.ncols).col_scaled()[0]

@@ -37,5 +37,24 @@ def parse_rational(text) -> Fraction:
 def format_rational(value) -> str:
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` past Python's int-to-str digit limit (4300 digits by
+    default), without changing the limit: 1000 digits at a time by ``divmod``."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))

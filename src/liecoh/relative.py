@@ -21,6 +21,8 @@ used by the noncohomologous-to-zero test.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .cohomology import (
     BasisProduct,
     CochainComplex,
@@ -75,7 +77,8 @@ def basic_subcomplex(pair, ambient=None) -> BasicSubcomplex:
     """Horizontal invariant subcomplex of Lambda g* for x ranging over h.
 
     Per degree, the basis is the kernel of the stacked i_x and theta_x
-    matrices; the differential is the restriction of the ambient one
+    matrices, each built only on the columns where the kernel narrowed so
+    far is nonzero; the differential is the restriction of the ambient one
     (d-stability is verified exactly and its failure is a hard error).
     """
     g = pair.ambient
@@ -86,8 +89,8 @@ def basic_subcomplex(pair, ambient=None) -> BasicSubcomplex:
     def basis_at(k):
         blocks = []
         for x in pair.sub_basis:
-            blocks.append(interior_matrix(x, n, k))
-            blocks.append(lie_derivative_matrix(g, x, k))
+            blocks.append(partial(interior_matrix, x, n, k))
+            blocks.append(partial(lie_derivative_matrix, g, x, k))
         size = basis_size(n, k)
         return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 
@@ -121,7 +124,8 @@ def invariant_quotient_complex(pair) -> InvariantQuotientComplex:
     """h-invariant forms on g/h with the opposite-sign differential.
 
     Invariance per degree is the kernel of the Lie-derivative action of
-    every h generator; the differential is the alternating sum over the
+    every h generator, each built on the kernel's support as in
+    ``basic_subcomplex``; the differential is the alternating sum over the
     projected brackets of the chosen lifts, restricted to invariants.
     """
     q = pair.dim_quotient
@@ -137,7 +141,7 @@ def invariant_quotient_complex(pair) -> InvariantQuotientComplex:
     )
 
     def invariants_at(k):
-        blocks = [endo_action_matrix(a, q, k) for a in pair.action]
+        blocks = [partial(endo_action_matrix, a, q, k) for a in pair.action]
         size = basis_size(q, k)
         return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
 

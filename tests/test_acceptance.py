@@ -5,12 +5,14 @@ numeric gates are the stated wall-clock budgets.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 
 from liecoh import builtin, subalgebra
 from liecoh.classes import canonical_gl_so_pair, pfaffian
+from liecoh.cli import main
 from liecoh.cohomology import (
     ce_cohomology,
     ce_complex,
@@ -317,6 +319,19 @@ def test_betti_numbers_of_so6_and_gl4():
     """The weight-zero block reaches so(6) (dim 15) and gl(4) (dim 16)."""
     assert ce_cohomology(builtin("so", 6)).betti_dict() == _exterior_betti(3, 5, 7)
     assert ce_cohomology(builtin("gl", 4)).betti_dict() == _exterior_betti(1, 3, 5, 7)
+
+
+def test_generators_of_gl4_so4_from_the_cli(capsys):
+    """H(gl(4), so(4)) is the exterior algebra on y1, y4 (the Pfaffian class)
+    and y3, in degrees 1, 4 and 5, as ROADMAP predicts."""
+    assert main(["classes", "--builtin", "gl:4", "--sub", "so:4"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert [(g["degree"], g["label"]) for g in result["generators"]] == [(1, "y1"), (4, "y4"), (5, "y3")]
+    assert result["presentation"] == "exterior-algebra"
+    assert main(["betti", "--builtin", "gl:4", "--relative", "so:4"]) == 0
+    betti = json.loads(capsys.readouterr().out)["result"]["betti"]
+    assert betti == {str(k): b for k, b in _exterior_betti(1, 4, 5).items()}
+    assert betti == {"0": 1, "1": 1, "4": 1, "5": 2, "6": 1, "9": 1, "10": 1}
 
 
 def _mat_mul(a, b):

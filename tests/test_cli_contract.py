@@ -19,6 +19,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from liecoh import builtin
 from liecoh.cli import main
 from liecoh.liealg import algebra_to_json
+from liecoh.rationals import format_rational
 
 FILE = "<file>"  # stands for the path of the example's input file
 
@@ -181,3 +183,32 @@ def test_one_json_document_and_exit_0_1_or_2(raw, argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     json.loads(out.getvalue())  # exactly one document: trailing data would raise
     assert "Traceback" not in err.getvalue()
+
+
+def test_residual_past_the_int_to_str_limit_is_printed_exactly():
+    """c = 10^-4001 on [e0, e1] and [e0, e2]: the Jacobi residual c^2 has a
+    denominator of 8003 digits, past Python's int-to-str limit of 4300."""
+    c = "0." + "0" * 4000 + "1"
+    doc = {"dim": 3, "brackets": [[0, 1, 0, c], [0, 2, 1, c]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["validate", "--file", path])
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    report = json.loads(out.getvalue())
+    assert report["result"]["violations"] == [
+        {"type": "jacobi", "indices": [0, 1, 2, 1], "residual": "1/1" + "0" * 8002}
+    ]
+
+
+def test_format_rational_past_the_digit_limit():
+    for digits in (999, 1000, 1001, 4300, 4301, 9000):
+        assert format_rational(10 ** digits) == "1" + "0" * digits
+        assert format_rational(-(10 ** digits - 1)) == "-" + "9" * digits
+        assert format_rational(Fraction(-7, 10 ** digits)) == "-7/1" + "0" * digits
+    # a chunk boundary inside the number keeps its zeros
+    assert format_rational(3 * 10 ** 2500 + 42) == "3" + "0" * 2498 + "42"

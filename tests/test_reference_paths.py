@@ -33,11 +33,20 @@ for reduction and over each embedding for coordinates, the ``Fraction``
 product d_(k+1) d_k, the nullspace of the stacked constraints, the
 ``Fraction`` Gauss-Jordan span builder and the ``full=False`` scan of the
 subalgebra generators for the complement.
+
+The relative models build each theta_x and i_x block only on the columns
+where the kernel narrowed so far is nonzero, and ``cup_product`` computes
+each product once per space; their references are the full operator
+matrices and the stacked nullspace of the full blocks.  ``validate_structure``
+sums the Jacobi identity in integers straight from the table; its reference
+is three dense ``bracket`` calls per triple in ``Fraction`` arithmetic.
 """
 
 import json
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 from math import lcm
 
 import sympy
@@ -45,7 +54,7 @@ import sympy
 import pytest
 
 from liecoh import builtin, subalgebra
-from liecoh.classes import canonical_gl_so_pair
+from liecoh.classes import canonical_gl_so_pair, identify_generators
 from liecoh.cohomology import (
     CochainComplex,
     CohomologySpace,
@@ -53,8 +62,15 @@ from liecoh.cohomology import (
     ce_complex,
     cohomology_to_json,
     compute_cohomology,
+    cup_product,
 )
-from liecoh.errors import InternalInvariantError, InvalidComplex, NotACocycle
+from liecoh.errors import (
+    InternalInvariantError,
+    InvalidComplex,
+    InvalidStructure,
+    JacobiViolation,
+    NotACocycle,
+)
 from liecoh.exterior import (
     Form,
     basis_size,
@@ -67,6 +83,9 @@ from liecoh.exterior import (
 from liecoh.koszul import PairAnalysis
 from liecoh.liealg import (
     Grading,
+    LieAlgebra,
+    algebra_from_json,
+    algebra_to_json,
     full_subalgebra,
     so_in_gl_vectors,
     so_in_so_vectors,
@@ -705,12 +724,21 @@ def test_matmul_matches_reference_with_entry_types():
 # relative models: kernels narrowed one block at a time
 # ---------------------------------------------------------------------------
 
-def assert_stacked_nullspace_matches(blocks, ncols):
-    got = Matrix.stacked_nullspace(blocks, ncols)
+def assert_stacked_nullspace_matches(blocks, ncols, builders=None):
+    """``stacked_nullspace`` against the stacked nullspace, also when the
+    blocks are given as ``builders``, callables of the columns to fill."""
     want = Matrix.stack_rows(blocks, ncols).nullspace()
-    assert got == want, ([b.entries for b in blocks], ncols)
-    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
-    return len(got)
+    for given in (blocks, builders) if builders is not None else (blocks,):
+        got = Matrix.stacked_nullspace(given, ncols)
+        assert got == want, ([b.entries for b in blocks], ncols)
+        assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+    return len(want)
+
+
+def restricted(m: Matrix, columns) -> Matrix:
+    """``m`` with only ``columns`` filled, the shape kept."""
+    keep = set(columns)
+    return Matrix(m.nrows, m.ncols, {key: v for key, v in m.entries.items() if key[1] in keep})
 
 
 def test_stacked_nullspace_matches_stacked_on_random_blocks():
@@ -718,7 +746,9 @@ def test_stacked_nullspace_matches_stacked_on_random_blocks():
     for _ in range(120):
         n = rng.randint(0, 7)
         blocks = [random_matrix(rng, rng.randint(0, 3), n) for _ in range(rng.randint(0, 4))]
-        assert_stacked_nullspace_matches(blocks, n)
+        # plain blocks and builders mixed: a builder sees only the kernel's support
+        builders = [partial(restricted, b) if rng.random() < 0.7 else b for b in blocks]
+        assert_stacked_nullspace_matches(blocks, n, builders)
 
 
 def test_stacked_nullspace_degenerate_blocks():
@@ -733,18 +763,56 @@ def test_stacked_nullspace_degenerate_blocks():
 
 
 def test_stacked_nullspace_matches_stacked_on_sweep_pairs():
+    """The constraint blocks of both relative models, full and as the
+    builders the models pass."""
     for pair in sweep_pairs():
         g, n = pair.ambient, pair.ambient.dim
         q = pair.dim_quotient
         for k in range(n + 1):
-            blocks = []
+            blocks, builders = [], []
             for x in pair.sub_basis:
-                blocks.append(interior_matrix(x, n, k))
-                blocks.append(lie_derivative_matrix(g, x, k))
-            assert_stacked_nullspace_matches(blocks, basis_size(n, k))
+                blocks += [interior_matrix(x, n, k), lie_derivative_matrix(g, x, k)]
+                builders += [partial(interior_matrix, x, n, k), partial(lie_derivative_matrix, g, x, k)]
+            assert_stacked_nullspace_matches(blocks, basis_size(n, k), builders)
         for k in range(q + 1):
             blocks = [endo_action_matrix(a, q, k) for a in pair.action]
-            assert_stacked_nullspace_matches(blocks, basis_size(q, k))
+            builders = [partial(endo_action_matrix, a, q, k) for a in pair.action]
+            assert_stacked_nullspace_matches(blocks, basis_size(q, k), builders)
+
+
+def assert_columns_match_full(build, ncols, rng):
+    """``build(columns)`` equals the full ``build(None)`` on those columns, in
+    value and type, and is zero elsewhere; the shape stays full."""
+    full = build(None)
+    samples = [[], list(range(ncols))] + [
+        sorted(rng.sample(range(ncols), rng.randint(0, ncols))) for _ in range(2)
+    ]
+    for columns in samples:
+        got, want = build(columns), restricted(full, columns)
+        assert got.shape == full.shape
+        assert got == want and entry_types(got) == entry_types(want), columns
+
+
+def random_endomorphism(rng, n, rational):
+    pick = (lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4))) if rational else (lambda: rng.randint(-3, 3))
+    return Matrix(n, n, {(i, j): pick() for i in range(n) for j in range(n) if rng.random() < 0.4})
+
+
+def test_operator_columns_match_full_matrices():
+    rng = random.Random(31)
+    for g in builtin_sweep():
+        n = g.dim
+        xs = [g.basis_vector(rng.randrange(n)), [rng.randint(-2, 2) for _ in range(n)],
+              [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]]
+        for k in range(n + 1):
+            for x in xs:
+                assert_columns_match_full(partial(lie_derivative_matrix, g, x, k), basis_size(n, k), rng)
+                assert_columns_match_full(partial(interior_matrix, x, n, k), basis_size(n, k), rng)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        a = random_endomorphism(rng, n, rational=rng.random() < 0.5)
+        for k in range(n + 1):
+            assert_columns_match_full(partial(endo_action_matrix, a, n, k), basis_size(n, k), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -897,3 +965,114 @@ def test_internal_constructors_do_not_share_entries():
         assert b.entries is not a.entries
         b.entries[(0, 0)] = 7
     assert a == Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+
+
+# ---------------------------------------------------------------------------
+# cup products: each computed once per space
+# ---------------------------------------------------------------------------
+
+def test_identify_generators_on_gl4_so4_computes_19_distinct_products():
+    """Saturation and the presentation check ask for 149 cup products, 19
+    of them distinct; each distinct one is multiplied and reduced once."""
+    ana = PairAnalysis(canonical_gl_so_pair(4))
+    space = ana.relative_cohomology
+    mul, reduce = space.complex.product.mul, space.reduce
+    products, reductions = [], []
+
+    def counting_mul(*args):
+        products.append(args)
+        return mul(*args)
+
+    def counting_reduce(k, vec):
+        reductions.append(k)
+        return reduce(k, vec)
+
+    space.complex.product.mul = counting_mul
+    space.reduce = counting_reduce
+    report = identify_generators(ana)
+    assert [(d, label) for d, _, label in report.generators] == [(1, "y1"), (4, "y4"), (5, "y3")]
+    assert report.presentation == "exterior-algebra"
+    assert len(products) == 19
+    assert len([k for k in reductions if k > 0]) == 19
+    # a second run asks again and computes nothing new
+    assert identify_generators(ana).generators == report.generators
+    assert len(products) == 19
+
+
+def test_cup_product_returns_a_fresh_list(ana_gl3_so3):
+    space = ana_gl3_so3.relative_cohomology
+    y1, y3 = (1, [Fraction(1)]), (5, [Fraction(1)])
+    degree, first = cup_product(space, y1, y3)
+    want = list(first)
+    assert degree == 6 and any(want)
+    first[0] += 1
+    first.append(Fraction(5))
+    assert cup_product(space, y1, y3) == (6, want)
+    # equal coordinates of another type name the same product
+    assert cup_product(space, (1, [1]), (5, [1])) == (6, want)
+
+
+# ---------------------------------------------------------------------------
+# Jacobi identity: integer sums over the table against three brackets
+# ---------------------------------------------------------------------------
+
+def reference_jacobi_violations(table, dim):
+    """The cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+    by three dense ``bracket`` calls per triple, in Fraction arithmetic."""
+    g = LieAlgebra(dim, tuple(f"e{i + 1}" for i in range(dim)), table)
+    violations = []
+    for i, j, k in combinations(range(dim), 3):
+        cyc = [0] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, v in enumerate(g.bracket(g.bracket_basis_vec(a, b), g.basis_vector(c))):
+                cyc[l] += v
+        for l, v in enumerate(cyc):
+            if v:
+                violations.append(JacobiViolation(i, j, k, l, Fraction(v)))
+    return violations
+
+
+def assert_jacobi_matches_reference(table, dim):
+    """Same violations, same order, same residuals, each a Fraction; returns
+    how many there are."""
+    want = reference_jacobi_violations(table, dim)
+    try:
+        validate_structure(table, dim)
+        got = []
+    except InvalidStructure as exc:
+        got = list(exc.violations)
+    assert got == want, table
+    assert all(type(v.residual) is Fraction for v in got)
+    return len(got)
+
+
+def test_jacobi_check_matches_three_brackets_on_exports_and_conjugates():
+    rng = random.Random(32)
+    algebras = [algebra_from_json(algebra_to_json(g)) for g in builtin_sweep()]
+    algebras += [conjugate(builtin("gl", 3), rng, positions) for positions in (3, 5, 8)]
+    broken = 0
+    for g in algebras:
+        assert assert_jacobi_matches_reference(g.structure, g.dim) == 0
+        if len(g.structure) >= 2:
+            # rescale one bracket: Jacobi breaks unless no triple sees it
+            key = sorted(g.structure)[rng.randrange(len(g.structure))]
+            table = dict(g.structure)
+            table[key] = {m: v * Fraction(3, 2) for m, v in table[key].items()}
+            broken += assert_jacobi_matches_reference(table, g.dim) > 0
+    assert broken >= 5
+
+
+def test_jacobi_check_matches_three_brackets_on_random_tables():
+    rng = random.Random(33)
+    broken = 0
+    for _ in range(60):
+        dim = rng.randint(3, 6)
+        table = {}
+        for i, j in combinations(range(dim), 2):
+            terms = {m: rng.choice((1, -2, Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+                     for m in range(dim) if rng.random() < 0.3}
+            terms = {m: Fraction(v) for m, v in terms.items() if v}
+            if terms:
+                table[(i, j)] = terms
+        broken += assert_jacobi_matches_reference(table, dim) > 0
+    assert broken > 50
