@@ -29,6 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
 from .errors import DimensionMismatch, InputError, InternalInvariantError
 from .linalg import Matrix
@@ -264,14 +265,19 @@ def alternating_differential_matrix(
     never produces one, so for the weight-zero block of a grading this check
     proves that d preserves the block.
     """
-    # m -> (mask of {u, v}, masks of the letters below u and below v, c) for
-    # each term c e_m of [e_u, e_v], u < v
-    terms = [[] for _ in range(n)]
+    # m -> (mask of {u, v}, masks of the letters below u and below v, c * scale)
+    # for each term c e_m of [e_u, e_v], u < v; scale is the lcm of the
+    # constants' denominators, so entries are summed as int numerators
+    raw = []
     for u in range(n):
         for v in range(u + 1, n):
             for m, c in bracket_fn(u, v).items():
                 if c:
-                    terms[m].append(((1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
+                    raw.append((m, (1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
+    scale = lcm(*(c.denominator for *_, c in raw))
+    terms = [[] for _ in range(n)]
+    for m, uv, below_u, below_v, c in raw:
+        terms[m].append((uv, below_u, below_v, c.numerator * (scale // c.denominator)))
     if columns is None:
         columns = multi_indices(n, k)
     if rows is None:
@@ -296,8 +302,8 @@ def alternating_differential_matrix(
                 # a = |rest below u| of J, v at b = |rest below v| + 1
                 odd = (flip + p + 1 + (rest & below_u).bit_count() + (rest & below_v).bit_count()) & 1
                 key = (row, col)
-                entries[key] = entries.get(key, Fraction(0)) + (-c if odd else c)
-    return Matrix(len(rows), len(columns), entries)
+                entries[key] = entries.get(key, 0) + (-c if odd else c)
+    return Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items() if v})
 
 
 def _mask(idx) -> int:

@@ -80,12 +80,20 @@ class LieAlgebra:
         return out
 
     def bracket(self, x, y):
-        """[x, y] for coordinate vectors x, y."""
+        """[x, y] for coordinate vectors x, y.
+
+        Only the pairs (i, j) that meet the supports of x and y can give a
+        nonzero x_i y_j - x_j y_i, so only they are looked up.
+        """
         out = [0] * self.dim
-        for (i, j), terms in self.structure.items():
+        sx = [i for i, v in enumerate(x) if v]
+        sy = [j for j, v in enumerate(y) if v]
+        structure = self.structure
+        pairs = {(i, j) if i < j else (j, i) for i in sx for j in sy if i != j}
+        for i, j in pairs:
             c = x[i] * y[j] - x[j] * y[i]
             if c:
-                for k, v in terms.items():
+                for k, v in structure.get((i, j), {}).items():
                     out[k] = out[k] + c * v
         return out
 

@@ -14,6 +14,7 @@ library; it is plain Python over lists of ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -22,32 +23,20 @@ def kernel_backend() -> str:
     return "pure-python"
 
 
-def _combine(row, prow, a, b, width):
+def _combine(row, prow, a, b):
     """row <- a*row - b*prow entrywise, then divide row by its gcd.
 
-    Rows stay sparse through most eliminations, so entries where both
-    operands vanish are skipped (the result is zero and gcd(g, 0) = g).
+    The row is updated in place, so callers that hold it (and the rows list
+    it sits in) see the result.  Scaling and the gcd strip are whole-row
+    operations; the subtraction visits only the nonzero entries of prow.
     """
-    nb = -b
-    rg = 0
-    for j in range(width):
-        x1 = row[j]
-        x2 = prow[j]
-        if x2 == 0:
-            if x1 == 0:
-                continue
-            v = a * x1
-        elif x1 == 0:
-            v = nb * x2
-        else:
-            v = a * x1 - b * x2
-        row[j] = v
-        if rg != 1 and v:
-            rg = gcd(rg, v)
-    if rg > 1:
-        for j in range(width):
-            if row[j]:
-                row[j] //= rg
+    if a != 1:
+        row[:] = [a * x for x in row]
+    for j in compress(range(len(prow)), prow):
+        row[j] -= b * prow[j]
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [x // g for x in row]
 
 
 def row_reduce(rows, lead, full):
@@ -69,18 +58,16 @@ def row_reduce(rows, lead, full):
     form: every pivot column has a single nonzero entry.
     """
     pivots = []
-    nrows = len(rows)
-    if nrows == 0 or lead < 0:
+    if lead < 0:
         return pivots
-    width = len(rows[0]) if nrows else 0
-    for i in range(nrows):
-        lc = _reduce_row(rows, pivots, rows[i], lead, width, full)
+    for i, row in enumerate(rows):
+        lc = _reduce_row(rows, pivots, row, lead, full)
         if lc >= 0:
             pivots.append((i, lc))
     return pivots
 
 
-def _reduce_row(rows, pivots, row, lead, width, full):
+def _reduce_row(rows, pivots, row, lead, full):
     """One row of ``row_reduce``: its new pivot column, or -1 if it has none.
 
     With ``full=True`` a row that has one clears the pivot rows at that
@@ -92,25 +79,15 @@ def _reduce_row(rows, pivots, row, lead, width, full):
             prow = rows[pr]
             piv = prow[pc]
             g = gcd(piv, x)
-            _combine(row, prow, piv // g, x // g, width)
-    lc = -1
-    for j in range(lead):
-        if row[j]:
-            lc = j
-            break
+            _combine(row, prow, piv // g, x // g)
+    lc = next(compress(range(lead), row), -1)
     if lc < 0:
         return lc
-    rg = 0
-    for j in range(width):
-        v = row[j]
-        if v and rg != 1:
-            rg = gcd(rg, v)
+    rg = gcd(*row)
     if row[lc] < 0:
         rg = -rg
     if rg != 1:
-        for j in range(width):
-            if row[j]:
-                row[j] //= rg
+        row[:] = [x // rg for x in row]
     if full:
         piv = row[lc]
         for pr, pc in pivots:
@@ -118,7 +95,7 @@ def _reduce_row(rows, pivots, row, lead, width, full):
             x = prow[lc]
             if x:
                 g = gcd(piv, x)
-                _combine(prow, row, piv // g, x // g, width)
+                _combine(prow, row, piv // g, x // g)
     return lc
 
 
@@ -360,11 +337,20 @@ class Matrix:
         return self._scaled_int_rows(self.ncols)[0]
 
     def _eliminate(self):
-        """Reduced integer rows and pivots; only the rank and pivot columns are kept."""
+        """Reduced integer rows and pivots; only the rank and pivot columns are kept.
+
+        The rows are reduced sparsest first (a stable sort by nonzero count),
+        which makes fewer and shorter combines than the given order.  Every
+        caller reads only what the row space fixes: the rank, the set of
+        pivot columns, and each pivot row divided by its pivot (the reduced
+        echelon form, whose primitive integer rows are the same in any
+        order).  ``pivots`` indexes the returned, sorted rows.
+        """
         rows = self._int_rows()
+        rows.sort(key=lambda row: row.count(0), reverse=True)
         pivots = row_reduce(rows, self.ncols, True)
         self._rank = len(pivots)
-        self._pivot_cols = [ci for _, ci in pivots]
+        self._pivot_cols = sorted(ci for _, ci in pivots)
         return rows, pivots
 
     def rank(self) -> int:
@@ -373,7 +359,7 @@ class Matrix:
         return self._rank
 
     def pivot_columns(self):
-        """Pivot columns, in the order found: the first basis among the columns."""
+        """Pivot columns, ascending: the first basis among the columns."""
         if self._pivot_cols is None:
             self._eliminate()
         return self._pivot_cols
@@ -551,12 +537,12 @@ class SpanBuilder:
 
     def contains(self, vec) -> bool:
         row = self._int_row(vec)
-        return _reduce_row(self.rows, self.pivots, row, self.dim, self.dim, False) < 0
+        return _reduce_row(self.rows, self.pivots, row, self.dim, False) < 0
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True if the span grew."""
         row = self._int_row(vec)
-        lead = _reduce_row(self.rows, self.pivots, row, self.dim, self.dim, True)
+        lead = _reduce_row(self.rows, self.pivots, row, self.dim, True)
         if lead < 0:
             return False
         self.pivots.append((len(self.rows), lead))

@@ -1,0 +1,102 @@
+"""Golden digests of whole CLI reports.
+
+Each case runs ``cli.main`` and hashes its JSON report with
+``timing_seconds`` removed.  The digests were recorded with the
+entry-by-entry elimination loop, rows eliminated in the given order and a
+Chevalley-Eilenberg builder that summed ``Fraction``s; a faster path must
+reproduce them, so any change of a Betti number, representative, kernel
+vector or entry formatting shows here.
+
+The two gl(3) conjugates are built here from a seeded change of basis
+P = U Pi, U unipotent on the whole first superdiagonal, as in the
+benchmark's ``rational`` workload.  Run as a script, this module writes
+the document of one conjugate:
+
+    python tests/test_golden_reports.py SEED PATH
+"""
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+ENTRY_VALUES = tuple(Fraction(p, q) for p, q in ((1, 2), (-1, 2), (2, 3), (-2, 3), (3, 2), (-3, 2)))
+
+
+def _inverse(p):
+    """The inverse of an invertible square matrix of Fractions."""
+    n = len(p)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(p)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def gl3_conjugate_document(seed):
+    """The algebra file of gl(3) in the basis f_j = sum_a P[a][j] E_a."""
+    n, dim = 3, 9
+    rng = random.Random(seed)
+    u = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i in range(dim - 1):
+        u[i][i + 1] = rng.choice(ENTRY_VALUES)
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    p = [[u[i][perm[j]] for j in range(dim)] for i in range(dim)]
+    p_inv = _inverse(p)
+
+    def as_matrix(j):
+        return [[p[a * n + b][j] for b in range(n)] for a in range(n)]
+
+    def product(x, y):
+        return [[sum((x[a][c] * y[c][b] for c in range(n)), Fraction(0)) for b in range(n)] for a in range(n)]
+
+    brackets = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            x, y = as_matrix(i), as_matrix(j)
+            xy, yx = product(x, y), product(y, x)
+            v = [xy[a][b] - yx[a][b] for a in range(n) for b in range(n)]
+            for k in range(dim):
+                coeff = sum((p_inv[k][m] * v[m] for m in range(dim)), Fraction(0))
+                if coeff:
+                    brackets.append([i, j, k, str(coeff)])
+    return {"dim": dim, "basis": [f"f{i + 1}" for i in range(dim)], "brackets": brackets}
+
+
+def report_digest(capsys, argv):
+    from liecoh.cli import main
+
+    code = main(list(argv))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report
+    report.pop("timing_seconds")
+    return hashlib.sha256(json.dumps(report, indent=2).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "b2a6844d8df6a345665d3124cdcfc91839b1a87c5b1186869db5426046a1ef1c"),
+    (2, "5f4d853872896af9c31cadf3303783b03d8d4a5fd924339d6ebc1a2ad393b5d7"),
+])
+def test_betti_representatives_of_gl3_conjugates(capsys, tmp_path, seed, digest):
+    path = tmp_path / f"gl3_conjugate_{seed}.json"
+    path.write_text(json.dumps(gl3_conjugate_document(seed), indent=1) + "\n", encoding="utf-8")
+    assert report_digest(capsys, ["betti", "--file", str(path), "--representatives"]) == digest
+
+
+def test_koszul_kernel_and_matrix_of_gl3_so3(capsys):
+    argv = ["koszul", "--builtin", "gl:3", "--sub", "so:3", "--kernel", "--matrix"]
+    assert report_digest(capsys, argv) == "ef340cb24d2b42a17023ce6bb10948ca98997eae50f8628f5029f35ff81f7d46"
+
+
+if __name__ == "__main__":
+    with open(sys.argv[2], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(gl3_conjugate_document(int(sys.argv[1])), indent=1) + "\n")

@@ -40,6 +40,16 @@ each product once per space; their references are the full operator
 matrices and the stacked nullspace of the full blocks.  ``validate_structure``
 sums the Jacobi identity in integers straight from the table; its reference
 is three dense ``bracket`` calls per triple in ``Fraction`` arithmetic.
+
+``row_reduce`` scales and strips whole rows and subtracts over the pivot
+row's nonzeros; its reference is the entry-by-entry loop it replaced, and
+rows and pivots must be equal.  ``Matrix._eliminate`` reduces the rows
+sparsest first; its reference is the given order, and every reader of it
+(kernels, ranks, pivot sets, stacked kernels, representative picks) must
+give the same answer.  The Chevalley-Eilenberg builder sums int numerators;
+its reference sums ``Fraction``s.  ``bracket`` looks up only the pairs that
+meet the supports of its arguments; its reference loops over the whole
+table, and the Jacobi reference above uses it.
 """
 
 import json
@@ -47,7 +57,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import sympy
 
@@ -73,6 +83,7 @@ from liecoh.errors import (
 )
 from liecoh.exterior import (
     Form,
+    alternating_differential_matrix,
     basis_size,
     endo_action_matrix,
     interior_matrix,
@@ -93,6 +104,7 @@ from liecoh.liealg import (
     zero_subalgebra,
 )
 from liecoh.linalg import ColumnSolver, Matrix, SpanBuilder, row_reduce
+from liecoh.relative import quotient_bracket_table
 
 
 def clear_denominators(row):
@@ -939,7 +951,8 @@ def test_rank_and_pivot_columns_match_full_false_scan():
     rng = random.Random(28)
     for _ in range(150):
         a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
-        want = [c for _, c in row_reduce(a._int_rows(), a.ncols, False)]
+        # pivot_columns() is ascending; the scan finds them in row order
+        want = sorted(c for _, c in row_reduce(a._int_rows(), a.ncols, False))
         fresh = Matrix(a.nrows, a.ncols, a.entries)
         assert fresh.rank() == len(want)
         assert fresh.pivot_columns() == want
@@ -1024,7 +1037,7 @@ def reference_jacobi_violations(table, dim):
     for i, j, k in combinations(range(dim), 3):
         cyc = [0] * dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, v in enumerate(g.bracket(g.bracket_basis_vec(a, b), g.basis_vector(c))):
+            for l, v in enumerate(reference_bracket(g, g.bracket_basis_vec(a, b), g.basis_vector(c))):
                 cyc[l] += v
         for l, v in enumerate(cyc):
             if v:
@@ -1076,3 +1089,347 @@ def test_jacobi_check_matches_three_brackets_on_random_tables():
                 table[(i, j)] = terms
         broken += assert_jacobi_matches_reference(table, dim) > 0
     assert broken > 50
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel: whole-row updates, sparsest rows first
+# ---------------------------------------------------------------------------
+
+def reference_combine(row, prow, a, b, width):
+    """row <- a*row - b*prow entrywise, then divide row by its gcd.
+
+    Rows stay sparse through most eliminations, so entries where both
+    operands vanish are skipped (the result is zero and gcd(g, 0) = g).
+    """
+    nb = -b
+    rg = 0
+    for j in range(width):
+        x1 = row[j]
+        x2 = prow[j]
+        if x2 == 0:
+            if x1 == 0:
+                continue
+            v = a * x1
+        elif x1 == 0:
+            v = nb * x2
+        else:
+            v = a * x1 - b * x2
+        row[j] = v
+        if rg != 1 and v:
+            rg = gcd(rg, v)
+    if rg > 1:
+        for j in range(width):
+            if row[j]:
+                row[j] //= rg
+
+
+def reference_row_reduce(rows, lead, full):
+    """The entry-by-entry loop kernel that ``row_reduce`` replaced."""
+    pivots = []
+    nrows = len(rows)
+    if nrows == 0 or lead < 0:
+        return pivots
+    width = len(rows[0]) if nrows else 0
+    for i in range(nrows):
+        lc = reference_reduce_row(rows, pivots, rows[i], lead, width, full)
+        if lc >= 0:
+            pivots.append((i, lc))
+    return pivots
+
+
+def reference_reduce_row(rows, pivots, row, lead, width, full):
+    for pr, pc in pivots:
+        x = row[pc]
+        if x:
+            prow = rows[pr]
+            piv = prow[pc]
+            g = gcd(piv, x)
+            reference_combine(row, prow, piv // g, x // g, width)
+    lc = -1
+    for j in range(lead):
+        if row[j]:
+            lc = j
+            break
+    if lc < 0:
+        return lc
+    rg = 0
+    for j in range(width):
+        v = row[j]
+        if v and rg != 1:
+            rg = gcd(rg, v)
+    if row[lc] < 0:
+        rg = -rg
+    if rg != 1:
+        for j in range(width):
+            if row[j]:
+                row[j] //= rg
+    if full:
+        piv = row[lc]
+        for pr, pc in pivots:
+            prow = rows[pr]
+            x = prow[lc]
+            if x:
+                g = gcd(piv, x)
+                reference_combine(prow, row, piv // g, x // g, width)
+    return lc
+
+
+def assert_kernel_matches_reference(rows, lead):
+    """Equal pivots and equal rows, entry for entry, for both values of ``full``."""
+    for full in (False, True):
+        got, want = [list(r) for r in rows], [list(r) for r in rows]
+        assert row_reduce(got, lead, full) == reference_row_reduce(want, lead, full), (rows, lead, full)
+        assert got == want, (rows, lead, full)
+
+
+def random_int_rows(rng):
+    """Rows with 0-3 carried columns, common factors and dependent rows."""
+    m, lead = rng.randint(0, 8), rng.randint(0, 7)
+    width = lead + rng.randint(0, 3)
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.3:
+            r1, r2 = rng.choice(rows), rng.choice(rows)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([a * x + b * y for x, y in zip(r1, r2)])
+        else:
+            scale = rng.choice((1, 1, 2, -3, 6, 10**20 + 1))
+            rows.append([scale * rng.randint(-5, 5) * (rng.random() < 0.6) for _ in range(width)])
+    return rows, lead
+
+
+def rational_conjugates():
+    rng = random.Random(41)
+    return [conjugate(builtin("gl", 3), rng, positions) for positions in (4, 12)]
+
+
+def test_row_reduce_matches_loop_kernel_on_random_rows():
+    rng = random.Random(40)
+    for _ in range(400):
+        assert_kernel_matches_reference(*random_int_rows(rng))
+    for rows, lead in (([], 0), ([], 3), ([[0, 0, 0], [0, 0, 0]], 2), ([[0, 4, 6]], -1)):
+        assert_kernel_matches_reference(rows, lead)
+
+
+def test_row_reduce_matches_loop_kernel_on_differentials():
+    for g in builtin_sweep() + rational_conjugates():
+        for d in ce_complex(g).differentials:
+            assert_kernel_matches_reference(d._int_rows(), d.ncols)
+
+
+def solver_tableau(a: Matrix):
+    """The [A | I] rows that ``ColumnSolver`` reduces."""
+    rows, scales = a._scaled_int_rows(a.ncols + a.nrows)
+    for i, s in enumerate(scales):
+        rows[i][a.ncols + i] = s
+    return rows
+
+
+def test_row_reduce_matches_loop_kernel_on_solver_tableaux():
+    rng = random.Random(42)
+    for _ in range(150):
+        a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        assert_kernel_matches_reference(solver_tableau(a), a.ncols)
+    for pair in sweep_pairs():
+        ana = PairAnalysis(pair)
+        for e in ana.quotient_model.embeddings + ana.basic_model.embeddings:
+            assert_kernel_matches_reference(solver_tableau(e), e.ncols)
+        assert_kernel_matches_reference(solver_tableau(pair.projection_matrix), pair.projection_matrix.ncols)
+
+
+def eliminate_in_given_order(m: Matrix):
+    """``Matrix._eliminate`` before it sorted the rows: the given order, and
+    the pivot columns in the order found."""
+    rows = m._int_rows()
+    pivots = row_reduce(rows, m.ncols, True)
+    m._rank = len(pivots)
+    m._pivot_cols = [ci for _, ci in pivots]
+    return rows, pivots
+
+
+def reduced_echelon(rows, pivots):
+    """Each pivot row divided by its pivot, by pivot column."""
+    return {ci: [Fraction(x, rows[ri][ci]) for x in rows[ri]] for ri, ci in pivots}
+
+
+def copied(m: Matrix) -> Matrix:
+    """The same matrix with no cached elimination."""
+    return Matrix(m.nrows, m.ncols, m.entries)
+
+
+def kernel_facts(m: Matrix):
+    basis = m.nullspace()
+    return basis, [[type(x) for x in v] for v in basis], m.rank(), set(m.pivot_columns())
+
+
+def test_sorted_elimination_matches_given_order_on_random_matrices(monkeypatch):
+    rng = random.Random(43)
+    mats = []
+    for _ in range(150):
+        a = random_matrix(rng, rng.randint(0, 8), rng.randint(0, 7))
+        if rng.random() < 0.4 and a.nrows and a.ncols:
+            # a sparse row below dense ones, and a repeated row
+            a = a.vstack(Matrix.from_rows([[0] * (a.ncols - 1) + [1], a.rows_dense()[0]]))
+        mats.append(a)
+    mats += [d for g in rational_conjugates() for d in ce_complex(g).differentials]
+    sorted_facts = [kernel_facts(copied(a)) for a in mats]
+    sorted_forms = [reduced_echelon(*copied(a)._eliminate()) for a in mats]
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "_eliminate", eliminate_in_given_order)
+        given_facts = [kernel_facts(copied(a)) for a in mats]
+        given_forms = [reduced_echelon(*copied(a)._eliminate()) for a in mats]
+    assert sorted_facts == given_facts
+    assert sorted_forms == given_forms
+
+
+def test_sorted_elimination_matches_given_order_in_stacked_nullspace(monkeypatch):
+    rng = random.Random(44)
+    cases = []
+    for _ in range(100):
+        n = rng.randint(0, 7)
+        cases.append(([random_matrix(rng, rng.randint(0, 4), n) for _ in range(rng.randint(0, 4))], n))
+    for pair in sweep_pairs()[:6]:
+        g, n = pair.ambient, pair.ambient.dim
+        for k in range(n + 1):
+            blocks = []
+            for x in pair.sub_basis:
+                blocks += [interior_matrix(x, n, k), lie_derivative_matrix(g, x, k)]
+            cases.append((blocks, basis_size(n, k)))
+
+    def kernels():
+        out = []
+        for blocks, n in cases:
+            basis = Matrix.stacked_nullspace([copied(b) for b in blocks], n)
+            out.append((basis, [[type(x) for x in v] for v in basis]))
+        return out
+
+    want = kernels()
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "_eliminate", eliminate_in_given_order)
+        assert kernels() == want
+
+
+def copied_complex(complex: CochainComplex) -> CochainComplex:
+    return CochainComplex(dims=complex.dims, differentials=tuple(copied(d) for d in complex.differentials))
+
+
+def picks(complex: CochainComplex):
+    """Representatives and reducers of every degree, with their entry types."""
+    space = CohomologySpace(copied_complex(complex))
+    out = []
+    for k in range(space.top_degree + 1):
+        reps, reducer = space.representative_matrix(k), space._reducers[k]
+        out.append((reps, entry_types(reps), reducer, entry_types(reducer), space.ranks[k]))
+    return out
+
+
+def test_sorted_elimination_matches_given_order_in_representative_picks(monkeypatch):
+    complexes = [ce_complex(g) for g in builtin_sweep() + rational_conjugates()]
+    for pair in sweep_pairs()[:4]:
+        ana = PairAnalysis(pair)
+        complexes += [ana.quotient_model.complex, ana.basic_model.complex]
+    want = [picks(c) for c in complexes]
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "_eliminate", eliminate_in_given_order)
+        assert [picks(c) for c in complexes] == want
+
+
+# ---------------------------------------------------------------------------
+# the CE builder sums integer numerators; bracket visits only the supports
+# ---------------------------------------------------------------------------
+
+def reference_alternating_differential_matrix(n, bracket_fn, k, flip_sign=False, columns=None, rows=None):
+    """The builder that accumulated each entry as a ``Fraction``."""
+    terms = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            for m, c in bracket_fn(u, v).items():
+                if c:
+                    terms[m].append(((1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
+    if columns is None:
+        columns = multi_indices(n, k)
+    if rows is None:
+        rows = multi_indices(n, k + 1)
+    row_of = {sum(1 << i for i in J): r for r, J in enumerate(rows)}
+    flip = 1 if flip_sign else 0
+    entries = {}
+    for col, I in enumerate(columns):
+        mask = sum(1 << i for i in I)
+        for p, m in enumerate(I):
+            rest = mask ^ (1 << m)
+            for uv, below_u, below_v, c in terms[m]:
+                if uv & rest:
+                    continue
+                row = row_of[rest | uv]
+                odd = (flip + p + 1 + (rest & below_u).bit_count() + (rest & below_v).bit_count()) & 1
+                key = (row, col)
+                entries[key] = entries.get(key, Fraction(0)) + (-c if odd else c)
+    return Matrix(len(rows), len(columns), entries)
+
+
+def assert_builder_matches_reference(n, bracket_fn, block=lambda k: {}):
+    """Equal entries, in order, value and type, for both signs; ``block(k)``
+    gives the ``columns`` and ``rows`` of degree k, if any."""
+    for k in range(n + 1):
+        for flip_sign in (False, True):
+            args = (n, bracket_fn, k, flip_sign)
+            got = alternating_differential_matrix(*args, **block(k))
+            want = reference_alternating_differential_matrix(*args, **block(k))
+            assert got.shape == want.shape
+            assert list(got.entries.items()) == list(want.entries.items()), (n, k, flip_sign)
+            assert entry_types(got) == entry_types(want)
+
+
+def test_integer_builder_matches_fraction_builder():
+    for g in builtin_sweep() + rational_conjugates():
+        assert_builder_matches_reference(g.dim, g.bracket_basis)
+    # weight-zero blocks: columns and rows restricted
+    for g in (builtin("gl", 3), builtin("so", 5)):
+        positions = ce_complex(g, g.grading).block.positions
+
+        def block(k, n=g.dim, positions=positions):
+            return {"columns": [multi_indices(n, k)[i] for i in positions[k]],
+                    "rows": [multi_indices(n, k + 1)[i] for i in positions[k + 1]] if k < n else []}
+
+        assert_builder_matches_reference(g.dim, g.bracket_basis, block)
+    # three quotient tables, whose constants are projected lifts
+    for pair in (canonical_gl_so_pair(3), subalgebra(builtin("so", 5), so_in_so_vectors(3, 5)),
+                 subalgebra(builtin("gl", 3), so_in_gl_vectors(2, 3))):
+        table = quotient_bracket_table(pair)
+
+        def bracket_fn(i, j, table=table):
+            if i < j:
+                return table.get((i, j), {})
+            return {m: -c for m, c in table.get((j, i), {}).items()}
+
+        assert_builder_matches_reference(pair.dim_quotient, bracket_fn)
+
+
+def reference_bracket(g, x, y):
+    """[x, y] by a loop over every entry of the structure table."""
+    out = [0] * g.dim
+    for (i, j), terms in g.structure.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in terms.items():
+                out[k] = out[k] + c * v
+    return out
+
+
+def test_bracket_matches_full_table_loop():
+    rng = random.Random(45)
+    for g in builtin_sweep() + rational_conjugates():
+        for _ in range(40):
+            density = rng.choice((0.1, 0.3, 1.0))
+            x, y = ([rng.choice((1, -2, 3, Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+                     if rng.random() < density else 0 for _ in range(g.dim)] for _ in range(2))
+            if rng.random() < 0.3:
+                x = [v if type(v) is int else 0 for v in x]
+                y = [v if type(v) is int else 0 for v in y]
+            got, want = g.bracket(x, y), reference_bracket(g, x, y)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+        for i in range(g.dim):
+            for j in range(g.dim):
+                x, y = g.basis_vector(i), g.basis_vector(j)
+                assert g.bracket(x, y) == reference_bracket(g, x, y)
