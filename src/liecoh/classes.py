@@ -74,25 +74,15 @@ def trace_form(n: int, k: int) -> Form:
 
 
 def _verify_invariant_and_closed(pair, form):
-    from .relative import quotient_bracket_table
-    from .exterior import alternating_differential_matrix
+    from .relative import quotient_differential
 
     q = pair.dim_quotient
     vec = form.to_vector()
     for a in pair.action:
         if any(endo_action_matrix(a, q, form.degree).apply(vec)):
             raise InternalInvariantError("trace form is not invariant")
-    if form.degree < q:
-        table = quotient_bracket_table(pair)
-
-        def bracket_fn(i, j):
-            if i < j:
-                return table.get((i, j), {})
-            return {m: -c for m, c in table.get((j, i), {}).items()}
-
-        delta = alternating_differential_matrix(q, bracket_fn, form.degree, flip_sign=True)
-        if any(delta.apply(vec)):
-            raise InternalInvariantError("trace form is not closed")
+    if form.degree < q and any(quotient_differential(pair, form.degree).apply(vec)):
+        raise InternalInvariantError("trace form is not closed")
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +171,7 @@ def pfaffian_class(m: int, analysis: PairAnalysis | None = None) -> PfaffianClas
     verified = report.presentation == "exterior-algebra" and any(
         d == degree and label == f"y{degree}" for d, _, label in report.generators
     )
-    rep = space.representative_matrix(degree).apply(chosen)
-    ambient = ana.quotient_model.embeddings[degree].apply(rep)
-    form = Form.from_vector(ana.pair.dim_quotient, degree, ambient)
+    form = ana.quotient_model.form(degree, space.representative_matrix(degree).apply(chosen))
     return PfaffianClass(
         pair=ana.pair,
         degree=degree,
@@ -227,23 +215,14 @@ def identify_generators(pair_or_analysis) -> GeneratorReport:
         betti = space.betti(d)
         if betti == 0:
             continue
-        while True:
-            spans = generated_spans(space, [(g_d, list(g_v)) for g_d, g_v, _ in gens])
-            span = spans.get(d)
-            if span is not None and span.rank >= betti:
-                break
-            chosen = None
-            for i in range(betti):
-                unit = [Fraction(0)] * betti
-                unit[i] = Fraction(1)
-                if span is None or not span.contains(unit):
-                    chosen = unit
-                    break
-            if chosen is None:
-                raise InternalInvariantError(
-                    f"degree {d} not saturated but all representatives are in the span"
-                )
-            gens.append((d, tuple(chosen), _label_for(d)))
+        # adjoining a degree-d generator grows the degree-d span by exactly
+        # that vector and no lower degree, so one span per degree suffices
+        span = generated_spans(space, [(g_d, list(g_v)) for g_d, g_v, _ in gens])[d]
+        for i in range(betti):
+            unit = [Fraction(0)] * betti
+            unit[i] = Fraction(1)
+            if span.insert(unit):
+                gens.append((d, tuple(unit), _label_for(d)))
     presentation = _check_exterior_presentation(space, gens)
     return GeneratorReport(pair=ana.pair, generators=tuple(gens), presentation=presentation)
 

@@ -213,11 +213,7 @@ def cmd_betti(args, started, command="betti"):
 
         model = invariant_quotient_complex(pair)
         space = compute_cohomology(model.complex)
-
-        def form_of_vector(k, vec):
-            return Form.from_vector(
-                pair.dim_quotient, k, model.embeddings[k].apply(vec)
-            )
+        form_of_vector = model.form
     else:
         space = ce_cohomology(g)
 
@@ -296,8 +292,7 @@ def cmd_classes(args, started):
     generators = []
     for degree, coords, label in report.generators:
         rep = ana.relative_cohomology.representative_matrix(degree).apply(list(coords))
-        ambient = ana.quotient_model.embeddings[degree].apply(rep)
-        form = Form.from_vector(pair.dim_quotient, degree, ambient)
+        form = ana.quotient_model.form(degree, rep)
         generators.append(
             {"degree": degree, "label": label, "form": form_to_json(form)}
         )

@@ -80,12 +80,13 @@ class EmbeddedProduct:
         big = self.ambient.mul(
             k, self.embeddings[k].apply(v), l, self.embeddings[l].apply(w)
         )
-        coords = self.embeddings[target].coordinates(big)
+        embedding = self.embeddings[target]
+        coords, _ = embedding.coordinates(Matrix.from_cols([big], embedding.nrows))
         if coords is None:
             raise InternalInvariantError(
                 f"product left the subcomplex in degree {target}"
             )
-        return coords
+        return coords.cols_dense()[0]
 
 
 class Block:
@@ -467,30 +468,30 @@ def cup_product(space: CohomologySpace, a, b):
 def generated_spans(space: CohomologySpace, generators):
     """Per-degree spans of the subalgebra generated by 1 and ``generators``.
 
-    ``generators`` is a list of (degree, coordinates) classes.  Saturation
-    multiplies generators against the current spans until nothing grows.
+    ``generators`` is a list of (degree, coordinates) classes.  The spans
+    are built in ascending degree: the degree-d span is spanned by the
+    generators of degree d and by each generator of degree g > 0 times the
+    basis of the finished span in degree d - g.  Degree-0 classes are
+    multiples of 1 (``unit_class`` needs dim C^0 = 1), so they are skipped
+    as factors on either side.
     """
+    positive = [(gd, gv) for gd, gv in generators if gd > 0]
     spans = {}
-    for k in range(space.top_degree + 1):
-        if space.betti(k):
-            spans[k] = SpanBuilder(space.betti(k))
-    if 0 in spans:
-        spans[0].insert(space.unit_class())
-    for d, v in generators:
-        if any(v) and d in spans:
-            spans[d].insert(v)
-    changed = True
-    while changed:
-        changed = False
-        for gd, gv in generators:
-            for d in sorted(spans):
-                target = gd + d
-                if target not in spans:
-                    continue
-                for element in spans[d].basis():
-                    _, coords = cup_product(space, (gd, gv), (d, element))
-                    if any(coords) and spans[target].insert(coords):
-                        changed = True
+    for d in range(space.top_degree + 1):
+        if not space.betti(d):
+            continue
+        span = spans[d] = SpanBuilder(space.betti(d))
+        if d == 0:
+            span.insert(space.unit_class())
+        for gd, gv in positive:
+            if gd == d and any(gv):
+                span.insert(gv)
+        for gd, gv in positive:
+            if gd < d and d - gd in spans:
+                for element in spans[d - gd].basis():
+                    _, coords = cup_product(space, (gd, gv), (d - gd, element))
+                    if any(coords):
+                        span.insert(coords)
     return spans
 
 

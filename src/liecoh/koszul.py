@@ -39,7 +39,7 @@ from .errors import (
     InternalInvariantError,
     NotAChainMap,
 )
-from .exterior import Form, basis_size, pullback_matrix
+from .exterior import basis_size, pullback_matrix
 from .liealg import LieAlgebra, PairMorphism, SubalgebraPair, direct_sum, subalgebra
 from .linalg import Matrix
 from .relative import (
@@ -100,13 +100,10 @@ class PairAnalysis:
         chain = delta_chain(self)
         mapping = induced_map(chain, self.relative_cohomology, self.ambient_cohomology)
         kernel = []
-        invq = self.quotient_model
-        q = self.pair.dim_quotient
         for k in range(self.relative_cohomology.top_degree + 1):
             for coords in mapping.kernel_basis(k):
                 rep = self.relative_cohomology.representative_matrix(k).apply(coords)
-                ambient_vec = invq.embeddings[k].apply(rep)
-                kernel.append((k, Form.from_vector(q, k, ambient_vec)))
+                kernel.append((k, self.quotient_model.form(k, rep)))
         return KoszulResult(
             pair=self.pair,
             chain_map=tuple(chain),
@@ -466,16 +463,12 @@ def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
                 )
             plus_maps.append(Matrix.zeros(0, pulled.ncols))
             continue
-        embedding = src_ana.quotient_model.embeddings[k]
-        cols = []
-        for col in pulled.cols_dense():
-            coords = embedding.coordinates(col)
-            if coords is None:
-                raise DiagramMismatch(
-                    f"pullback of an invariant form is not invariant in degree {k}"
-                )
-            cols.append(coords)
-        plus_maps.append(Matrix.from_cols(cols, src_ana.quotient_model.complex.dim(k)))
+        plus, _ = src_ana.quotient_model.embeddings[k].coordinates(pulled)
+        if plus is None:
+            raise DiagramMismatch(
+                f"pullback of an invariant form is not invariant in degree {k}"
+            )
+        plus_maps.append(plus)
     try:
         plus_induced = induced_map(
             plus_maps, dst_ana.relative_cohomology, src_ana.relative_cohomology

@@ -420,26 +420,36 @@ class Matrix:
             basis.append([Fraction(x, piv) if x else 0 for x in reversed(rows[ri])])
         return basis
 
-    def coordinates(self, vec):
-        """``solve`` for a matrix whose columns are a canonical kernel basis.
+    def coordinates(self, v: "Matrix"):
+        """Solve ``self @ C == v`` for a matrix whose columns are a canonical kernel basis.
 
         Column j is 1 at its free column f_j, its last nonzero, and 0 at the
-        other free columns (as from ``nullspace``), so c_j = vec[f_j] is the
-        only candidate; it is returned when ``self @ c == vec`` exactly.
+        other free columns (as from ``nullspace``), so row j of C can only be
+        row f_j of v, as ``Fraction``s.  One exact product decides
+        ``self @ C == v``: the result is (C, None), or (None, j) with j the
+        first column of v outside the column span.
         """
-        if len(vec) != self.nrows:
-            raise ValueError(f"vector length {len(vec)} != nrows {self.nrows}")
+        if v.nrows != self.nrows:
+            raise ValueError(f"{v.nrows} rows != nrows {self.nrows}")
         if self._free_cols is None:
             free = [-1] * self.ncols
             for i, j in self.entries:
                 free[j] = max(free[j], i)
             rows = set(free)
             unit = {(f, j): 1 for j, f in enumerate(free)}
-            if len(rows) < self.ncols or {k: v for k, v in self.entries.items() if k[0] in rows} != unit:
+            if len(rows) < self.ncols or {k: x for k, x in self.entries.items() if k[0] in rows} != unit:
                 raise ValueError("columns are not a canonical kernel basis")
-            self._free_cols = free
-        c = [Fraction(vec[f]) for f in self._free_cols]
-        return c if self.apply(c) == list(vec) else None
+            self._free_cols = {f: j for j, f in enumerate(free)}
+        basis_of = self._free_cols  # free column f_j -> j
+        c = Matrix._trusted(
+            self.ncols, v.ncols,
+            {(basis_of[i], j): Fraction(x) for (i, j), x in v.entries.items() if i in basis_of},
+        )
+        image = self @ c
+        if image.entries == v.entries:
+            return c, None
+        keys = image.entries.keys() | v.entries.keys()
+        return None, min(j for i, j in keys if image.entries.get((i, j)) != v.entries.get((i, j)))
 
     def solver(self) -> "ColumnSolver":
         if self._solver is None:

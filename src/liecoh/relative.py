@@ -10,6 +10,10 @@ the induced action on g/h, with the alternating-sum differential of the
 projected bracket taken with the sign opposite to the ambient convention
 (see ``exterior``).
 
+Both are the output of one builder, ``_embedded_subcomplex``: a kernel of
+constraint blocks per degree, with the restricted differential, returned
+as one ``EmbeddedSubcomplex``.
+
 The pullback along minus the projection s: g -> g/h restricts to a chain
 isomorphism from model 2 onto model 1; ``compare_models`` verifies
 bijectivity and the intertwining relation exactly, recording the per-degree
@@ -32,6 +36,7 @@ from .cohomology import (
 )
 from .errors import InternalInvariantError, ModelMismatch, NotDStable
 from .exterior import (
+    Form,
     alternating_differential_matrix,
     basis_size,
     endo_action_matrix,
@@ -42,38 +47,48 @@ from .exterior import (
 from .linalg import Matrix
 
 
-class BasicSubcomplex:
+class EmbeddedSubcomplex:
+    """One relative model: a subcomplex of Lambda V*, V = g (basic) or g/h
+    (invariant quotient), with the embedding of its basis per degree."""
+
     def __init__(self, pair, complex: CochainComplex, embeddings: tuple):
         self.pair = pair
         self.complex = complex
-        self.embeddings = embeddings  # per degree, columns are basis vectors inside Lambda^k g*
+        self.embeddings = embeddings  # per degree, columns are basis vectors inside Lambda^k V*
+
+    def form(self, k: int, vec) -> Form:
+        """The degree-k cochain with model coordinates ``vec``, as a form on V."""
+        return Form.from_vector(len(self.embeddings) - 1, k, self.embeddings[k].apply(vec))
 
 
-class InvariantQuotientComplex:
-    def __init__(self, pair, complex: CochainComplex, embeddings: tuple, full_differentials: tuple):
-        self.pair = pair
-        self.complex = complex
-        self.embeddings = embeddings  # per degree, columns inside Lambda^k (g/h)*
-        # the differential on all of Lambda (g/h)*, per lift choice
-        self.full_differentials = full_differentials
+def _embedded_subcomplex(pair, n, differentials, constraints, failure) -> EmbeddedSubcomplex:
+    """The common kernel of ``constraints(k)`` in each Lambda^k (Q^n)*, with
+    the restriction of ``differentials``.
 
-
-def _restrict_differentials(ambient_diffs, embeddings, failure):
-    """Express d(basis vector) in the next embedding; raise ``failure`` if it escapes."""
+    ``constraints(k)`` are the blocks of ``Matrix.stacked_nullspace``; the
+    embedding columns are its canonical kernel basis, so each d_k restricts by
+    one ``coordinates`` call, whose exact check is the d-stability arbiter:
+    an image outside the next kernel raises ``failure``.
+    """
+    embeddings = tuple(
+        Matrix.from_cols(Matrix.stacked_nullspace(constraints(k), basis_size(n, k)), basis_size(n, k))
+        for k in range(n + 1)
+    )
     restricted = []
-    for k in range(len(embeddings) - 1):
-        image = ambient_diffs[k] @ embeddings[k]
-        cols = []
-        for j, col in enumerate(image.cols_dense()):
-            coords = embeddings[k + 1].coordinates(col)
-            if coords is None:
-                raise failure(f"differential leaves the subspace at degree {k}, vector {j}")
-            cols.append(coords)
-        restricted.append(Matrix.from_cols(cols, embeddings[k + 1].ncols))
-    return tuple(restricted)
+    for k in range(n):
+        d, outside = embeddings[k + 1].coordinates(differentials[k] @ embeddings[k])
+        if d is None:
+            raise failure(f"differential leaves the subspace at degree {k}, vector {outside}")
+        restricted.append(d)
+    complex = CochainComplex(
+        dims=tuple(e.ncols for e in embeddings),
+        differentials=tuple(restricted),
+        product=EmbeddedProduct(BasisProduct(n), embeddings),
+    )
+    return EmbeddedSubcomplex(pair, complex, embeddings)
 
 
-def basic_subcomplex(pair, ambient=None) -> BasicSubcomplex:
+def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
     """Horizontal invariant subcomplex of Lambda g* for x ranging over h.
 
     Per degree, the basis is the kernel of the stacked i_x and theta_x
@@ -86,22 +101,12 @@ def basic_subcomplex(pair, ambient=None) -> BasicSubcomplex:
     if ambient is None:
         ambient = ce_complex(g)
 
-    def basis_at(k):
-        blocks = []
+    def constraints(k):
         for x in pair.sub_basis:
-            blocks.append(partial(interior_matrix, x, n, k))
-            blocks.append(partial(lie_derivative_matrix, g, x, k))
-        size = basis_size(n, k)
-        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
+            yield partial(interior_matrix, x, n, k)
+            yield partial(lie_derivative_matrix, g, x, k)
 
-    embeddings = tuple(basis_at(k) for k in range(n + 1))
-    diffs = _restrict_differentials(ambient.differentials, embeddings, NotDStable)
-    complex = CochainComplex(
-        dims=tuple(e.ncols for e in embeddings),
-        differentials=diffs,
-        product=EmbeddedProduct(BasisProduct(n), embeddings),
-    )
-    return BasicSubcomplex(pair=pair, complex=complex, embeddings=embeddings)
+    return _embedded_subcomplex(pair, n, ambient.differentials, constraints, NotDStable)
 
 
 def quotient_bracket_table(pair):
@@ -120,41 +125,33 @@ def quotient_bracket_table(pair):
     return table
 
 
-def invariant_quotient_complex(pair) -> InvariantQuotientComplex:
+def quotient_differential(pair, k: int, table=None) -> Matrix:
+    """d_k on all of Lambda (g/h)*: the alternating sum over the projected
+    brackets of the lifts (``table``, by default ``quotient_bracket_table``),
+    with the sign opposite to the ambient convention."""
+    if table is None:
+        table = quotient_bracket_table(pair)
+    return alternating_differential_matrix(
+        pair.dim_quotient, lambda i, j: table.get((i, j), {}), k, flip_sign=True
+    )
+
+
+def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     """h-invariant forms on g/h with the opposite-sign differential.
 
     Invariance per degree is the kernel of the Lie-derivative action of
     every h generator, each built on the kernel's support as in
-    ``basic_subcomplex``; the differential is the alternating sum over the
-    projected brackets of the chosen lifts, restricted to invariants.
+    ``basic_subcomplex``; the differential is ``quotient_differential``,
+    restricted to invariants.
     """
     q = pair.dim_quotient
     table = quotient_bracket_table(pair)
+    differentials = [quotient_differential(pair, k, table) for k in range(q)]
 
-    def bracket_fn(i, j):
-        if i < j:
-            return table.get((i, j), {})
-        return {m: -c for m, c in table.get((j, i), {}).items()}
+    def constraints(k):
+        return [partial(endo_action_matrix, a, q, k) for a in pair.action]
 
-    full = tuple(
-        alternating_differential_matrix(q, bracket_fn, k, flip_sign=True) for k in range(q)
-    )
-
-    def invariants_at(k):
-        blocks = [partial(endo_action_matrix, a, q, k) for a in pair.action]
-        size = basis_size(q, k)
-        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, size), size)
-
-    embeddings = tuple(invariants_at(k) for k in range(q + 1))
-    diffs = _restrict_differentials(full, embeddings, InternalInvariantError)
-    complex = CochainComplex(
-        dims=tuple(e.ncols for e in embeddings),
-        differentials=diffs,
-        product=EmbeddedProduct(BasisProduct(q), embeddings),
-    )
-    return InvariantQuotientComplex(
-        pair=pair, complex=complex, embeddings=embeddings, full_differentials=full
-    )
+    return _embedded_subcomplex(pair, q, differentials, constraints, InternalInvariantError)
 
 
 class ModelComparison:
@@ -189,15 +186,11 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
                 f"model dimensions differ in degree {k}: basic {b_dim}, invariant {i_dim}"
             )
         pulled = pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
-        cols = []
-        for j, col in enumerate(pulled.cols_dense()):
-            coords = basic.embeddings[k].coordinates(col)
-            if coords is None:
-                raise ModelMismatch(
-                    f"pullback leaves the basic subspace at degree {k}, vector {j}"
-                )
-            cols.append(coords)
-        phi = Matrix.from_cols(cols, b_dim)
+        phi, outside = basic.embeddings[k].coordinates(pulled)
+        if phi is None:
+            raise ModelMismatch(
+                f"pullback leaves the basic subspace at degree {k}, vector {outside}"
+            )
         if phi.rank() != b_dim:
             raise ModelMismatch(f"comparison is not bijective in degree {k}")
         matrices.append(phi)

@@ -97,6 +97,22 @@ def test_koszul_kernel_and_matrix_of_gl3_so3(capsys):
     assert report_digest(capsys, argv) == "ef340cb24d2b42a17023ce6bb10948ca98997eae50f8628f5029f35ff81f7d46"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("classes --builtin gl:4 --sub so:4",
+     "1a977c0f7eecbe506e3164775f99303a3cd2d0f9fe49a25b8c79f39848a39bc6"),
+    ("classes --builtin gl:3 --sub so:3",
+     "8105086ce2ecf261cd42501e1f8285e99d693bcd9ca001fe22016e82a982048f"),
+    ("koszul --builtin so:5 --sub so:3 --kernel --matrix --factor-check",
+     "fa2c75de90e670290b7f9e08fd23551687edf55b1cb00be5f31cb8727c87801d"),
+    ("betti --builtin gl:4 --relative so:4 --representatives",
+     "c6598cb9011a31f9a716495b178f1aa682d9c8d111f092cb296b05cbb8a8cb64"),
+])
+def test_relative_model_and_generator_reports(capsys, argv, digest):
+    """Generators, kernel forms and relative representatives, which pass
+    through the relative models' embeddings and the generator search."""
+    assert report_digest(capsys, argv.split()) == digest
+
+
 if __name__ == "__main__":
     with open(sys.argv[2], "w", encoding="utf-8") as fh:
         fh.write(json.dumps(gl3_conjugate_document(int(sys.argv[1])), indent=1) + "\n")

@@ -50,6 +50,12 @@ give the same answer.  The Chevalley-Eilenberg builder sums int numerators;
 its reference sums ``Fraction``s.  ``bracket`` looks up only the pairs that
 meet the supports of its arguments; its reference loops over the whole
 table, and the Jacobi reference above uses it.
+
+``generated_spans`` builds the spans in one ascending pass, and
+``identify_generators`` calls it once per degree.  Their references are
+the saturation fixpoint and the loop that saturates again after each
+generator it adjoins: the bases of the spans and the generators must agree
+over the sweep pairs.
 """
 
 import json
@@ -73,6 +79,8 @@ from liecoh.cohomology import (
     cohomology_to_json,
     compute_cohomology,
     cup_product,
+    generated_spans,
+    odd_degree_generators,
 )
 from liecoh.errors import (
     InternalInvariantError,
@@ -832,17 +840,23 @@ def test_operator_columns_match_full_matrices():
 # ---------------------------------------------------------------------------
 
 def assert_coordinates_match_solver(e: Matrix, rhs):
-    """``coordinates`` equals ``ColumnSolver.solve``, None included."""
+    """``coordinates`` of the block of right-hand sides equals
+    ``ColumnSolver.solve`` column by column: the solutions when every column
+    is in the span, and otherwise the first column that the solver refuses."""
     solver = ColumnSolver(e)
-    outside = 0
-    for b in rhs:
-        got, want = e.coordinates(b), solver.solve(b)
-        assert got == want, (e.entries, b)
-        if got is None:
-            outside += 1
-        else:
-            assert [type(x) for x in got] == [type(x) for x in want]
-    return outside
+    want = [solver.solve(b) for b in rhs]
+    refused = [j for j, x in enumerate(want) if x is None]
+    got, outside = e.coordinates(Matrix.from_cols(rhs, e.nrows))
+    if refused:
+        assert got is None and outside == refused[0], (e.entries, rhs)
+        # the columns inside the span alone
+        rhs = [b for b, x in zip(rhs, want) if x is not None]
+        want = [x for x in want if x is not None]
+        got, outside = e.coordinates(Matrix.from_cols(rhs, e.nrows))
+    assert outside is None
+    assert got == Matrix.from_cols(want, e.ncols), (e.entries, rhs)
+    assert all(type(x) is Fraction for x in got.entries.values())
+    return len(refused)
 
 
 def test_coordinates_match_solver_on_sweep_embeddings():
@@ -852,7 +866,9 @@ def test_coordinates_match_solver_on_sweep_embeddings():
         ana = PairAnalysis(pair)
         for embeddings in (ana.quotient_model.embeddings, ana.basic_model.embeddings):
             for e in embeddings:
-                outside += assert_coordinates_match_solver(e, random_rhs(rng, e))
+                rhs = random_rhs(rng, e)
+                rng.shuffle(rhs)
+                outside += assert_coordinates_match_solver(e, rhs)
     assert outside > 50
 
 
@@ -862,14 +878,16 @@ def test_coordinates_match_solver_on_random_kernels():
     for _ in range(120):
         a = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7))
         e = Matrix.from_cols(a.nullspace(), a.ncols)
-        outside += assert_coordinates_match_solver(e, random_rhs(rng, e))
+        rhs = random_rhs(rng, e)
+        rng.shuffle(rhs)
+        outside += assert_coordinates_match_solver(e, rhs)
     assert outside > 50
 
 
 def test_coordinates_refuse_a_basis_that_is_not_canonical():
     for cols in ([[1, 1], [0, 1]], [[0, 2]], [[0, 0]], [[1, 0], [1, 0]]):
         with pytest.raises(ValueError, match="canonical"):
-            Matrix.from_cols(cols, 2).coordinates([0, 0])
+            Matrix.from_cols(cols, 2).coordinates(Matrix.zeros(2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -984,8 +1002,8 @@ def test_internal_constructors_do_not_share_entries():
 # cup products: each computed once per space
 # ---------------------------------------------------------------------------
 
-def test_identify_generators_on_gl4_so4_computes_19_distinct_products():
-    """Saturation and the presentation check ask for 149 cup products, 19
+def test_identify_generators_on_gl4_so4_computes_16_distinct_products():
+    """Saturation and the presentation check ask for 47 cup products, 16
     of them distinct; each distinct one is multiplied and reduced once."""
     ana = PairAnalysis(canonical_gl_so_pair(4))
     space = ana.relative_cohomology
@@ -1005,11 +1023,80 @@ def test_identify_generators_on_gl4_so4_computes_19_distinct_products():
     report = identify_generators(ana)
     assert [(d, label) for d, _, label in report.generators] == [(1, "y1"), (4, "y4"), (5, "y3")]
     assert report.presentation == "exterior-algebra"
-    assert len(products) == 19
-    assert len([k for k in reductions if k > 0]) == 19
+    assert len(products) == 16
+    assert len([k for k in reductions if k > 0]) == 16
     # a second run asks again and computes nothing new
     assert identify_generators(ana).generators == report.generators
-    assert len(products) == 19
+    assert len(products) == 16
+
+
+def reference_generated_spans(space, generators):
+    """The saturation fixpoint: multiply every generator against the current
+    spans until nothing grows."""
+    spans = {}
+    for k in range(space.top_degree + 1):
+        if space.betti(k):
+            spans[k] = SpanBuilder(space.betti(k))
+    if 0 in spans:
+        spans[0].insert(space.unit_class())
+    for d, v in generators:
+        if any(v) and d in spans:
+            spans[d].insert(v)
+    changed = True
+    while changed:
+        changed = False
+        for gd, gv in generators:
+            for d in sorted(spans):
+                target = gd + d
+                if target not in spans:
+                    continue
+                for element in spans[d].basis():
+                    _, coords = cup_product(space, (gd, gv), (d, element))
+                    if any(coords) and spans[target].insert(coords):
+                        changed = True
+    return spans
+
+
+def reference_generators(space):
+    """The generator loop that saturates again after each generator it adjoins."""
+    gens = []
+    for d in range(1, space.top_degree + 1):
+        betti = space.betti(d)
+        if betti == 0:
+            continue
+        while True:
+            span = reference_generated_spans(space, [(g_d, list(g_v)) for g_d, g_v, _ in gens]).get(d)
+            if span is not None and span.rank >= betti:
+                break
+            unit = next(
+                u for u in ([Fraction(int(i == j)) for j in range(betti)] for i in range(betti))
+                if span is None or not span.contains(u)
+            )
+            gens.append((d, tuple(unit), f"y{(d + 1) // 2}" if d % 2 else f"y{d}"))
+    return gens
+
+
+def test_generator_search_matches_the_fixpoint_on_sweep_pairs():
+    pairs = sweep_pairs() + [zero_subalgebra(builtin("heisenberg", 3)), canonical_gl_so_pair(4)]
+    presentations = set()
+    for index, pair in enumerate(pairs):
+        ana = PairAnalysis(pair)
+        space = ana.relative_cohomology
+        report = identify_generators(ana)
+        assert list(report.generators) == reference_generators(space)
+        presentations.add(report.presentation)
+        generator_sets = (
+            [(d, list(v)) for d, v, _ in report.generators],
+            odd_degree_generators(space),
+            [(d, list(v)) for d, v, _ in report.generators[:-1]],
+        )
+        for generators in generator_sets:
+            got = generated_spans(space, generators)
+            want = reference_generated_spans(space, generators)
+            assert sorted(got) == sorted(want)
+            for d in want:
+                assert got[d].basis() == want[d].basis(), (index, d)
+    assert presentations == {"exterior-algebra", "mismatch"}
 
 
 def test_cup_product_returns_a_fresh_list(ana_gl3_so3):

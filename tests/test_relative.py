@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
 from liecoh import builtin, subalgebra
-from liecoh.cohomology import compute_cohomology
+from liecoh.cohomology import ce_complex, compute_cohomology
+from liecoh.errors import NotDStable
 from liecoh.exterior import Form, ce_differential
 from liecoh.liealg import full_subalgebra, zero_subalgebra
 from liecoh.linalg import Matrix
 from liecoh.relative import (
+    _embedded_subcomplex,
     basic_subcomplex,
     compare_models,
     invariant_quotient_complex,
@@ -156,3 +160,15 @@ def test_subcomplex_serialization_shape(gl2_so2):
     data = subcomplex_to_json(invq)
     assert data["dims"] == [1, 1, 1, 1]
     assert len(data["embedding"]["1"][0]) == 3
+
+
+def test_builder_refuses_a_kernel_that_is_not_d_stable():
+    # heisenberg(3): [x, y] = z, so d(z*) is a nonzero multiple of x* ^ y*.
+    # Degree 1 keeps x* and z* (vectors 0 and 1), degree 2 drops x* ^ y*.
+    g = builtin("heisenberg", 3)
+    constraints = {1: [Matrix.from_rows([[0, 1, 0]])], 2: [Matrix.from_rows([[1, 0, 0]])]}
+    with pytest.raises(NotDStable, match="degree 1, vector 1"):
+        _embedded_subcomplex(
+            zero_subalgebra(g), 3, ce_complex(g).differentials,
+            lambda k: constraints.get(k, []), NotDStable,
+        )
