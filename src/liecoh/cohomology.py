@@ -7,14 +7,20 @@ R d_(k+1) and d_k C, with R and C the invertible diagonal matrices that
 clear the row denominators of d_(k+1) and the column denominators of d_k.
 
 Cohomology is computed by exact rank: betti_k = dim ker d_k - rank d_(k-1).
-Each d_k is eliminated once, by ``nullspace``, which also fixes its rank
-and pivot columns.  Its canonical kernel basis has one vector kappa_i per
-free column f_i, equal to 1 at f_i and 0 at the other free columns, so a
-cocycle z has kernel coordinates (z[f_1], ..., z[f_r]).  One reduced
-elimination of a coboundary basis in those coordinates picks the
-representatives, the kappa_i that a greedy scan of [coboundaries ; kernel
-basis] would keep, and gives the map from cocycles to their classes.  The
-choice depends only on the row spaces, so the whole output is deterministic.
+Each d_k is eliminated once, from the top degree down, on its rows at the
+free columns of d_(k+1) only: d_(k+1) d_k = 0 makes them span its row
+space, so the elimination fixes its rank, pivot columns and reduced
+echelon form.  Its canonical kernel basis has one vector kappa_f per free
+column f, equal to 1 at f and 0 at the other free columns, so a cocycle z
+has kernel coordinates (z[f_1], ..., z[f_r]).  Those rows are reduced in
+descending order and never swapped, so a row of d_(k-1) at a free column f
+of d_k reduces to zero exactly when it depends on the rows at the larger
+free columns: then kappa_f is a representative, the vector that a greedy
+scan of [coboundaries ; kernel basis] would keep.  The map from cocycles to
+their classes comes from one more elimination, of a coboundary basis in
+kernel coordinates, made for a degree the first time ``reduce`` needs it.
+The choice depends only on the row spaces, so the whole output is
+deterministic.
 
 A complex may be the weight-zero block of a bigger, graded complex (see
 ``ce_complex``): its basis is then a subset of the full cochain basis, and
@@ -231,14 +237,28 @@ class CohomologySpace:
         self._cups = {}  # cup_product memo: (ka, ca, kb, cb) -> class coordinates
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
-        # One elimination per differential: nullspace() also records the rank
-        # and pivot columns, and each kernel lives only while the
-        # representatives of its degree are picked.
-        picks = [
-            self._pick_representatives(k, diffs[k].nullspace()) for k in range(top + 1)
-        ]
-        self._representatives = [reps for reps, _ in picks]
-        self._reducers = [reducer for _, reducer in picks]
+        self._free = [None] * (top + 1)  # free columns of d_k, ascending
+        self._kept = [None] * (top + 1)  # the free columns whose kappa_f are representatives
+        self._representatives = [None] * (top + 1)
+        self._reducers = [None] * (top + 1)  # built by reduce, on first use
+        # One elimination per differential, top down.  d_k is reduced on its
+        # rows at the free columns of d_(k+1), which span its row space
+        # because d_(k+1) d_k = 0, in descending order (d_top has no rows).
+        # Its rows that vanish are the kept free columns of degree k + 1, and
+        # the reduced rows of d_(k+1) are held only until then.
+        order, above = [], None
+        for k in range(top, -1, -1):
+            rows, pivots = diffs[k]._eliminate(order)
+            if above is not None:
+                pivot_rows = {ri for ri, _ in pivots}
+                kept = sorted(f for ri, f in enumerate(order) if ri not in pivot_rows)
+                self._pick_representatives(k + 1, *above, kept)
+            above = rows, pivots
+            self._free[k] = diffs[k].free_columns()
+            order = self._free[k][::-1]
+        if above is not None:
+            # d_(-1) = 0: every free column of d_0 is kept.
+            self._pick_representatives(0, *above, self._free[0])
         self.ranks = tuple(d.rank() for d in diffs)
         self.betti_numbers = tuple(
             complex.dim(k) - self.rank(k) - self.rank(k - 1) for k in range(top + 1)
@@ -288,31 +308,55 @@ class CohomologySpace:
             return self.complex.dim(k)
         return block.full_dims[k]
 
-    def _pick_representatives(self, k: int, kernel):
-        """The vectors of ``kernel``, the canonical kernel basis of d_k, that
-        extend the coboundary span, and the matrix that ``reduce`` applies.
+    def _pick_representatives(self, k: int, rows, pivots, kept):
+        """Record the representatives of degree k: the canonical kernel
+        vectors kappa_f of d_k, read off its reduced ``rows`` and ``pivots``,
+        at the ``kept`` free columns f.
 
-        Kernel vector kappa_i is 1 at its free column f_i, which is its last
-        nonzero, and 0 at the other free columns, so a cocycle z has kernel
-        coordinates z[f_1], ..., z[f_r].  The columns of d_(k-1) at its
-        pivot columns are a basis of the coboundaries; their kernel
-        coordinates, in reversed order, are brought to reduced echelon form,
-        and kappa_i is kept iff position r-1-i is not a pivot.  This is the
-        choice of a greedy scan of [coboundaries ; kappa_1 ; ... ; kappa_r].
-        Subtracting echelon rows clears a cocycle's pivot positions; what is
-        left at the kept positions are its coordinates.
+        Kernel vector kappa_f is 1 at its free column f, which is its last
+        nonzero, and 0 at the other free columns.  It is kept when row f of
+        d_(k-1) reduces to zero in the top-down elimination, that is when it
+        depends on the rows of d_(k-1) at the larger free columns of d_k.
+        Those are the vectors that a greedy scan of [coboundaries ;
+        kappa_(f_1) ; ... ; kappa_(f_r)] keeps.
 
-        On a block both matrices are written in full coordinates: the
-        representatives vanish off the block, and the reducer reads only the
-        block's coordinates of a cocycle, its projection onto the block.
-        That projection is a chain map, inverse to the inclusion on
-        cohomology, so the reducer serves every full cocycle.
+        On a block the representatives are written in full coordinates: they
+        vanish off the block.
         """
-        r = len(kernel)
-        free = [next(j for j in range(len(vec) - 1, -1, -1) if vec[j]) for vec in kernel]
+        self._kept[k] = kept
+        vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept)
+        place = self._place(k)
+        reps = {(place[i], j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
+        self._representatives[k] = Matrix(self.full_dim(k), len(kept), reps)
+
+    def _place(self, k: int):
+        """Full position of each degree-k basis vector of the eliminated complex."""
+        block = self.complex.block
+        return block.positions[k] if block is not None else range(self.complex.dim(k))
+
+    def _reducer(self, k: int) -> Matrix:
+        """The matrix that ``reduce`` applies in degree k.
+
+        A cocycle z has kernel coordinates z[f_1], ..., z[f_r], its entries
+        at the free columns of d_k.  The columns of d_(k-1) at its pivot
+        columns are a basis of the coboundaries; their kernel coordinates,
+        in reversed order, are brought to reduced echelon form.  Subtracting
+        echelon rows clears a cocycle's pivot positions; what is left at the
+        non-pivot positions are its coordinates.  Those positions must be
+        the kept free columns of the top-down elimination, or
+        InternalInvariantError is raised.
+
+        On a block the reducer reads only the block's coordinates of a
+        cocycle, its projection onto the block.  That projection is a chain
+        map, inverse to the inclusion on cohomology, so the reducer serves
+        every full cocycle.
+        """
+        free = self._free[k]
+        r = len(free)
         position = {f: r - 1 - i for i, f in enumerate(free)}
         image = self.complex.differential(k - 1)
-        basis_cols = {c: row for row, c in enumerate(image.pivot_columns())}
+        # d_(-1) = 0 has no pivot columns, and needs no elimination to say so.
+        basis_cols = {c: row for row, c in enumerate(image.pivot_columns() if k else ())}
         entries = {}
         for (i, j), v in image.entries.items():
             if j in basis_cols and i in position:
@@ -320,17 +364,19 @@ class CohomologySpace:
         rows, pivots = Matrix(len(basis_cols), r, entries)._eliminate()
         taken = {p for _, p in pivots}
         kept = [i for i in range(r) if r - 1 - i not in taken]
+        if [free[i] for i in kept] != self._kept[k]:
+            raise InternalInvariantError(
+                f"the coboundary elimination keeps other free columns than the "
+                f"top-down elimination in degree {k}"
+            )
         column = {r - 1 - i: j for j, i in enumerate(kept)}
-        block = self.complex.block
-        place = block.positions[k] if block is not None else range(self.complex.dim(k))
+        place = self._place(k)
         reducer = {(j, place[free[i]]): 1 for j, i in enumerate(kept)}
         for ri, p in pivots:
             for q, j in column.items():
                 if rows[ri][q]:
                     reducer[(j, place[free[r - 1 - p]])] = Fraction(-rows[ri][q], rows[ri][p])
-        reps = {(place[i], j): v for j, c in enumerate(kept) for i, v in enumerate(kernel[c]) if v}
-        dim = self.full_dim(k)
-        return Matrix(dim, len(kept), reps), Matrix(len(kept), dim, reducer)
+        return Matrix(len(kept), self.full_dim(k), reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:
@@ -355,6 +401,8 @@ class CohomologySpace:
             raise NotACocycle(k, residual)
         if not self.betti(k):
             return []
+        if self._reducers[k] is None:
+            self._reducers[k] = self._reducer(k)
         return [Fraction(x) for x in self._reducers[k].apply(vec)]
 
     def unit_class(self):

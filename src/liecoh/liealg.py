@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import or_
 
 from .errors import (
@@ -133,6 +133,7 @@ class Grading:
         self.weights = tuple(weights)
         self.parities = tuple(parities)
         self.full_parity = reduce(or_, self.parities, 0)
+        self._states = None
 
     @property
     def trivial(self) -> bool:
@@ -141,17 +142,49 @@ class Grading:
 
     def block(self, k: int):
         """The degree-k weight-zero block as ascending (position, multi-index)
-        pairs, positions in the lexicographic basis of Lambda^k g*."""
-        weights, parities = self.weights, self.parities
+        pairs, positions in the lexicographic basis of Lambda^k g*.
+
+        Only the block is visited: a depth-first search over ascending
+        letters takes letter v next only when some set of the letters after
+        it completes the multi-index to weight 0 and parity 0 or all-ones,
+        as the table of the (count, weight, parity) that each suffix of the
+        letters reaches says.  The position of i_1 < ... < i_k is
+        C(n, k) - 1 - sum_t C(n - 1 - i_t, k + 1 - t).
+        """
+        weights, parities, full = self.weights, self.parities, self.full_parity
+        n = len(weights)
+        reach = self._suffix_states()
         out = []
-        for pos, idx in enumerate(combinations(range(len(weights)), k)):
-            weight = parity = 0
-            for i in idx:
-                weight += weights[i]
-                parity ^= parities[i]
-            if not weight and (parity == 0 or parity == self.full_parity):
-                out.append((pos, idx))
+
+        def visit(start, left, weight, parity, pos, idx):
+            if left == 1:
+                # the last letter: no suffix table needed
+                for v in range(start, n):
+                    if weights[v] == -weight and parity ^ parities[v] in (0, full):
+                        out.append((pos - (n - 1 - v), idx + (v,)))
+                return
+            for v in range(start, n - left + 1):
+                w, p = weight + weights[v], parity ^ parities[v]
+                states = reach[v + 1]
+                if (left - 1, -w, p) in states or (left - 1, -w, p ^ full) in states:
+                    visit(v + 1, left - 1, w, p, pos - comb(n - 1 - v, left), idx + (v,))
+
+        if k:
+            visit(0, k, 0, 0, comb(n, k) - 1, ())
+        else:
+            out.append((0, ()))
         return out
+
+    def _suffix_states(self):
+        """``states[i]``: the (count, weight, parity) of every set of the
+        letters i, ..., n - 1; found on first use and kept."""
+        if self._states is None:
+            states = [{(0, 0, 0)}]
+            for w, p in zip(reversed(self.weights), reversed(self.parities)):
+                after = states[-1]
+                states.append(after | {(c + 1, x + w, y ^ p) for c, x, y in after})
+            self._states = states[::-1]
+        return self._states
 
 
 def torus_weights(g: LieAlgebra) -> tuple:

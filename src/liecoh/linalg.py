@@ -333,21 +333,35 @@ class Matrix:
             rows[i][j] = v
         return rows, scales
 
-    def _int_rows(self):
-        return self._scaled_int_rows(self.ncols)[0]
+    def _int_rows(self, order=None):
+        """Dense int rows, each row times the lcm of its denominators; with
+        ``order``, a list of row indices, only those rows, in that order."""
+        if order is None:
+            return self._scaled_int_rows(self.ncols)[0]
+        at = {i: r for r, i in enumerate(order)}
+        picked = {(at[i], j): v for (i, j), v in self.entries.items() if i in at}
+        return Matrix._trusted(len(order), self.ncols, picked)._int_rows()
 
-    def _eliminate(self):
+    def _eliminate(self, order=None):
         """Reduced integer rows and pivots; only the rank and pivot columns are kept.
 
-        The rows are reduced sparsest first (a stable sort by nonzero count),
-        which makes fewer and shorter combines than the given order.  Every
-        caller reads only what the row space fixes: the rank, the set of
-        pivot columns, and each pivot row divided by its pivot (the reduced
-        echelon form, whose primitive integer rows are the same in any
-        order).  ``pivots`` indexes the returned, sorted rows.
+        Without ``order`` every row is reduced, sparsest first (a stable
+        sort by nonzero count), which makes fewer and shorter combines than
+        the given order.  Every such caller reads only what the row space
+        fixes: the rank, the set of pivot columns, and each pivot row
+        divided by its pivot (the reduced echelon form, whose primitive
+        integer rows are the same in any order).
+
+        With ``order``, a list of row indices, only those rows are reduced,
+        in that order, and the caller vouches that they span the row space
+        (``CohomologySpace`` passes the rows of d_k at the free columns of
+        d_(k+1)).  Rows are never swapped, so a row that is not a pivot row
+        reduces to zero exactly when it depends on the rows before it.
+        ``pivots`` indexes the returned rows.
         """
-        rows = self._int_rows()
-        rows.sort(key=lambda row: row.count(0), reverse=True)
+        rows = self._int_rows(order)
+        if order is None:
+            rows.sort(key=lambda row: row.count(0), reverse=True)
         pivots = row_reduce(rows, self.ncols, True)
         self._rank = len(pivots)
         self._pivot_cols = sorted(ci for _, ci in pivots)
@@ -364,18 +378,20 @@ class Matrix:
             self._eliminate()
         return self._pivot_cols
 
-    def nullspace(self):
-        """Canonical kernel basis (one vector per free column, ascending).
+    def free_columns(self):
+        """The columns that are not pivot columns, ascending."""
+        pivot_cols = set(self.pivot_columns())
+        return [f for f in range(self.ncols) if f not in pivot_cols]
 
-        Read off the reduced integer rows; zero entries stay ``int`` 0.  The
-        elimination also fixes the rank and the pivot columns.
+    def _kernel_vectors(self, rows, pivots, free):
+        """The canonical kernel vector kappa_f of each free column f in ``free``.
+
+        ``rows`` and ``pivots`` are a reduced elimination of this matrix:
+        kappa_f is ``Fraction`` 1 at f, -row[f] / row[c] at the pivot column
+        c of each pivot row, and ``int`` 0 elsewhere.
         """
-        rows, pivots = self._eliminate()
-        pivot_cols = set(self._pivot_cols)
         basis = []
-        for f in range(self.ncols):
-            if f in pivot_cols:
-                continue
+        for f in free:
             vec = [0] * self.ncols
             vec[f] = Fraction(1)
             for ri, ci in pivots:
@@ -384,6 +400,15 @@ class Matrix:
                     vec[ci] = Fraction(-x, rows[ri][ci])
             basis.append(vec)
         return basis
+
+    def nullspace(self):
+        """Canonical kernel basis (one vector per free column, ascending).
+
+        Read off the reduced integer rows; zero entries stay ``int`` 0.  The
+        elimination also fixes the rank and the pivot columns.
+        """
+        rows, pivots = self._eliminate()
+        return self._kernel_vectors(rows, pivots, self.free_columns())
 
     @staticmethod
     def stacked_nullspace(blocks, ncols: int):

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from liecoh import builtin
+from liecoh import builtin, linalg
 from liecoh.cohomology import (
     CochainComplex,
+    CohomologySpace,
     ce_complex,
     compute_cohomology,
     cup_product,
     induced_map,
     odd_generated,
 )
-from liecoh.errors import InvalidComplex, NotAChainMap, NotACocycle
+from liecoh.errors import InternalInvariantError, InvalidComplex, NotAChainMap, NotACocycle
 from liecoh.exterior import pullback_matrix
 from liecoh.linalg import Matrix
 
@@ -226,3 +227,50 @@ def test_odd_generated_verdicts():
 def test_unit_class_is_single_generator():
     space = cohomology_of("so", 3)
     assert space.unit_class() == [Fraction(1)]
+
+
+def counted_row_reduce(monkeypatch):
+    """Count the calls of ``linalg.row_reduce`` from here on."""
+    calls = []
+    real = linalg.row_reduce
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "row_reduce", counting)
+    return calls
+
+
+def test_one_elimination_per_degree_and_reducers_on_first_use(monkeypatch, ana_gl3_so3):
+    complexes = [ce_complex(builtin(name, n)) for name, n in (("heisenberg", 5), ("so", 3), ("gl", 1))]
+    for g in (builtin("gl", 3), builtin("so", 5)):
+        complexes.append(ce_complex(g, g.grading))
+    complexes += [ana_gl3_so3.quotient_model.complex, ana_gl3_so3.basic_model.complex]
+    calls = counted_row_reduce(monkeypatch)
+    for complex in complexes:
+        del calls[:]
+        space = CohomologySpace(complex)
+        assert len(calls) <= space.top_degree + 1
+        for k in range(space.top_degree + 1):
+            reps = space.representative_vectors(k)
+            cocycle = reps[0] if reps else [0] * space.full_dim(k)
+            before = len(calls)
+            space.reduce(k, cocycle)
+            first = len(calls) - before
+            assert first <= (1 if space.betti(k) else 0), (complex.dims, k)
+            space.reduce(k, cocycle)
+            assert len(calls) - before == first, (complex.dims, k)
+
+
+def test_reducer_refuses_a_kept_set_the_coboundaries_do_not_give():
+    # H^2(heisenberg(3)) = 2: all three free columns of d_2, two kept
+    space = cohomology_of("heisenberg", 3)
+    free, kept = space._free[2], space._kept[2]
+    assert len(free) == 3 and len(kept) == 2
+    dropped = [f for f in free if f not in kept]
+    space._kept[2] = sorted(kept[1:] + dropped)
+    with pytest.raises(InternalInvariantError, match="top-down"):
+        space.reduce(2, space.representative_vectors(2)[0])
+    space._kept[2] = kept
+    assert space.reduce(2, space.representative_vectors(2)[0]) == [Fraction(1), Fraction(0)]

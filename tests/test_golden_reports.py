@@ -1,13 +1,15 @@
 """Golden digests of whole CLI reports.
 
 Each case runs ``cli.main`` and hashes its JSON report with
-``timing_seconds`` removed.  The digests were recorded with the
+``timing_seconds`` removed.  The first digests were recorded with the
 entry-by-entry elimination loop, rows eliminated in the given order and a
-Chevalley-Eilenberg builder that summed ``Fraction``s; a faster path must
-reproduce them, so any change of a Betti number, representative, kernel
-vector or entry formatting shows here.
+Chevalley-Eilenberg builder that summed ``Fraction``s, and each later case
+before the change it guards (the largest blocks and the third conjugate
+with the bottom-up ``CohomologySpace``); a faster path must reproduce them,
+so any change of a Betti number, representative, kernel vector or entry
+formatting shows here.
 
-The two gl(3) conjugates are built here from a seeded change of basis
+The three gl(3) conjugates are built here from a seeded change of basis
 P = U Pi, U unipotent on the whole first superdiagonal, as in the
 benchmark's ``rational`` workload.  Run as a script, this module writes
 the document of one conjugate:
@@ -85,6 +87,7 @@ def report_digest(capsys, argv):
 @pytest.mark.parametrize("seed, digest", [
     (1, "b2a6844d8df6a345665d3124cdcfc91839b1a87c5b1186869db5426046a1ef1c"),
     (2, "5f4d853872896af9c31cadf3303783b03d8d4a5fd924339d6ebc1a2ad393b5d7"),
+    (3, "32d5cdc5cec95be8979896b55ba05ec1e9655c7b67c4de253504c2050a6098a4"),
 ])
 def test_betti_representatives_of_gl3_conjugates(capsys, tmp_path, seed, digest):
     path = tmp_path / f"gl3_conjugate_{seed}.json"
@@ -110,6 +113,20 @@ def test_koszul_kernel_and_matrix_of_gl3_so3(capsys):
 def test_relative_model_and_generator_reports(capsys, argv, digest):
     """Generators, kernel forms and relative representatives, which pass
     through the relative models' embeddings and the generator search."""
+    assert report_digest(capsys, argv.split()) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("betti --builtin so:6 --representatives",
+     "a50291967087d257d8f2eabacbf3e874809b0f2cd2919e243f22a4f8fea892f4"),
+    ("betti --builtin gl:4 --representatives",
+     "15361382e70df5ee482331e19b4adc0aac6df9c43e5b5d9b8e98cf21c464f780"),
+    ("koszul --builtin gl:3 --sub so:2 --kernel --matrix --factor-check",
+     "966fee0701347e4c066909637ffdaaff434989c890c4b905952c85fcdcd124c3"),
+])
+def test_largest_blocks_and_a_nonzero_kernel(capsys, argv, digest):
+    """The largest weight-zero blocks, and a Koszul map with a kernel, whose
+    induced maps reduce through the reducers built on first use."""
     assert report_digest(capsys, argv.split()) == digest
 
 

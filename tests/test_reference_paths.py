@@ -21,9 +21,16 @@ trivial-grading path over all of Lambda g*: ranks in the block, Betti
 numbers, representatives, JSON reports and reductions of non-homogeneous
 cocycles must agree exactly over the builtin sweep.
 
-``CohomologySpace`` eliminates each differential once, reads the rank off
-the kernel elimination, picks representatives in kernel coordinates and
-reduces cocycles there; ``CochainComplex`` decides d o d = 0 on
+``CohomologySpace`` eliminates each differential once, top down, on its
+rows at the free columns of the next differential, reads the
+representatives off the rows that vanish, and reduces cocycles in kernel
+coordinates with a reducer built on first use.  Its reference is the
+bottom-up pass it replaced (each d_k on all of its rows, then a second
+elimination per degree for the pick), and a test checks on every
+differential of the sweep that those rows give the rank, pivot columns and
+reduced echelon form of all rows, and vanish exactly at the kept free
+columns.  ``Grading.block`` searches only the weight-zero block; its
+reference enumerates every multi-index.  ``CochainComplex`` decides d o d = 0 on
 integer-scaled matrices; and the relative models narrow their kernels one
 constraint block at a time and read coordinates off the free columns of
 their embeddings.  The references keep the earlier forms: a separate
@@ -64,6 +71,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import sympy
 
@@ -651,6 +659,37 @@ def test_trivial_gradings_and_the_cli_space():
     full = ce_complex(g)
     space = ce_cohomology(g, full=full)
     assert space.complex.block is not None and space.full_complex is full
+
+
+def reference_block(grading: Grading, k: int):
+    """Every k-set of letters in lexicographic order, kept when it lies in
+    the weight-zero block."""
+    out = []
+    for pos, idx in enumerate(combinations(range(len(grading.weights)), k)):
+        weight = parity = 0
+        for i in idx:
+            weight += grading.weights[i]
+            parity ^= grading.parities[i]
+        if not weight and (parity == 0 or parity == grading.full_parity):
+            out.append((pos, idx))
+    return out
+
+
+def test_block_search_matches_the_full_enumeration():
+    gradings = [g.grading for g in builtin_sweep() + [builtin("gl", 4), builtin("so", 6)]]
+    gradings += [g.grading for g in rational_conjugates()]
+    gradings += [Grading((0,) * n, (0,) * n) for n in (0, 1, 5, 11)]
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        weights = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+        parities = [rng.randrange(8) for _ in range(n)] if rng.random() < 0.5 else [0] * n
+        gradings.append(Grading(weights, parities))
+    assert sum(g.trivial for g in gradings) >= 10
+    for grading in gradings:
+        n = len(grading.weights)
+        for k in range(n + 1):
+            assert grading.block(k) == reference_block(grading, k), (grading.weights, grading.parities, k)
 
 
 def test_not_a_cocycle_is_raised_off_the_block():
@@ -1324,10 +1363,11 @@ def test_row_reduce_matches_loop_kernel_on_solver_tableaux():
         assert_kernel_matches_reference(solver_tableau(pair.projection_matrix), pair.projection_matrix.ncols)
 
 
-def eliminate_in_given_order(m: Matrix):
-    """``Matrix._eliminate`` before it sorted the rows: the given order, and
-    the pivot columns in the order found."""
-    rows = m._int_rows()
+def eliminate_in_given_order(m: Matrix, order=None):
+    """``Matrix._eliminate`` before it sorted the rows: the given order (all
+    rows, or the rows ``order`` lists, in that order), and the pivot columns
+    in the order found."""
+    rows = m._int_rows(order)
     pivots = row_reduce(rows, m.ncols, True)
     m._rank = len(pivots)
     m._pivot_cols = [ci for _, ci in pivots]
@@ -1397,7 +1437,11 @@ def test_sorted_elimination_matches_given_order_in_stacked_nullspace(monkeypatch
 
 
 def copied_complex(complex: CochainComplex) -> CochainComplex:
-    return CochainComplex(dims=complex.dims, differentials=tuple(copied(d) for d in complex.differentials))
+    """The same complex, block and product, with no cached elimination."""
+    return CochainComplex(
+        dims=complex.dims, differentials=tuple(copied(d) for d in complex.differentials),
+        product=complex.product, block=complex.block,
+    )
 
 
 def picks(complex: CochainComplex):
@@ -1405,7 +1449,7 @@ def picks(complex: CochainComplex):
     space = CohomologySpace(copied_complex(complex))
     out = []
     for k in range(space.top_degree + 1):
-        reps, reducer = space.representative_matrix(k), space._reducers[k]
+        reps, reducer = space.representative_matrix(k), space._reducer(k)
         out.append((reps, entry_types(reps), reducer, entry_types(reducer), space.ranks[k]))
     return out
 
@@ -1419,6 +1463,135 @@ def test_sorted_elimination_matches_given_order_in_representative_picks(monkeypa
     with monkeypatch.context() as mp:
         mp.setattr(Matrix, "_eliminate", eliminate_in_given_order)
         assert [picks(c) for c in complexes] == want
+
+
+# ---------------------------------------------------------------------------
+# CohomologySpace: one elimination per degree, top down
+# ---------------------------------------------------------------------------
+
+class BottomUpCohomologySpace(CohomologySpace):
+    """The ``CohomologySpace`` that the top-down pass replaced.
+
+    Each d_k is eliminated on all of its rows by ``nullspace``, bottom up;
+    a second elimination, of the coboundary basis in kernel coordinates,
+    picks the representatives and builds the reducer of every degree at
+    once.  ``kept[k]`` are the free columns of d_k whose kernel vectors it
+    keeps.
+    """
+
+    def __init__(self, complex: CochainComplex, full: CochainComplex = None):
+        self.complex = complex
+        self._full = full
+        self._cups = {}
+        top = complex.top_degree
+        diffs = [complex.differential(k) for k in range(top + 1)]
+        picks = [self._bottom_up_pick(k, diffs[k].nullspace()) for k in range(top + 1)]
+        self._representatives = [reps for reps, _, _ in picks]
+        self._bottom_up_reducers = [reducer for _, reducer, _ in picks]
+        self.kept = [kept for _, _, kept in picks]
+        self.ranks = tuple(d.rank() for d in diffs)
+        self.betti_numbers = tuple(
+            complex.dim(k) - self.rank(k) - self.rank(k - 1) for k in range(top + 1)
+        )
+        for k, reps in enumerate(self._representatives):
+            assert reps.ncols == self.betti(k)
+
+    def _bottom_up_pick(self, k, kernel):
+        r = len(kernel)
+        free = [next(j for j in range(len(vec) - 1, -1, -1) if vec[j]) for vec in kernel]
+        position = {f: r - 1 - i for i, f in enumerate(free)}
+        image = self.complex.differential(k - 1)
+        basis_cols = {c: row for row, c in enumerate(image.pivot_columns())}
+        entries = {}
+        for (i, j), v in image.entries.items():
+            if j in basis_cols and i in position:
+                entries[(basis_cols[j], position[i])] = v
+        rows, pivots = Matrix(len(basis_cols), r, entries)._eliminate()
+        taken = {p for _, p in pivots}
+        kept = [i for i in range(r) if r - 1 - i not in taken]
+        column = {r - 1 - i: j for j, i in enumerate(kept)}
+        block = self.complex.block
+        place = block.positions[k] if block is not None else range(self.complex.dim(k))
+        reducer = {(j, place[free[i]]): 1 for j, i in enumerate(kept)}
+        for ri, p in pivots:
+            for q, j in column.items():
+                if rows[ri][q]:
+                    reducer[(j, place[free[r - 1 - p]])] = Fraction(-rows[ri][q], rows[ri][p])
+        reps = {(place[i], j): v for j, c in enumerate(kept) for i, v in enumerate(kernel[c]) if v}
+        dim = self.full_dim(k)
+        return Matrix(dim, len(kept), reps), Matrix(len(kept), dim, reducer), [free[i] for i in kept]
+
+    def reduce(self, k, vec):
+        residual = self.full_complex.differential(k).apply(vec)
+        if any(residual):
+            raise NotACocycle(k, residual)
+        if not self.betti(k):
+            return []
+        return [Fraction(x) for x in self._bottom_up_reducers[k].apply(vec)]
+
+
+def top_down_sweep():
+    """(complex, full complex or None): the complex ``ce_cohomology``
+    eliminates for every builtin of the sweep (the weight-zero block where
+    the grading is not trivial), the rational conjugates, and both relative
+    models of the sweep pairs and of three zero pairs."""
+    cases = []
+    for g in builtin_sweep():
+        full = ce_complex(g)
+        cases.append((full, None) if g.grading.trivial else (ce_complex(g, g.grading, full), full))
+    cases += [(ce_complex(g), None) for g in rational_conjugates()]
+    zero_pairs = [zero_subalgebra(builtin(name, n)) for name, n in (("heisenberg", 3), ("gl", 1), ("so", 4))]
+    for pair in sweep_pairs() + zero_pairs:
+        ana = PairAnalysis(pair)
+        cases += [(ana.quotient_model.complex, None), (ana.basic_model.complex, None)]
+    return cases
+
+
+def test_top_down_pass_matches_bottom_up_pass():
+    """Ranks, Betti numbers, representatives in value and entry type, and
+    ``reduce`` on random cocycles of the full complex."""
+    rng = random.Random(46)
+    for index, (complex, full) in enumerate(top_down_sweep()):
+        got = CohomologySpace(copied_complex(complex), full)
+        want = BottomUpCohomologySpace(copied_complex(complex), full)
+        assert got.ranks == want.ranks, index
+        assert got.betti_numbers == want.betti_numbers, index
+        for k in range(complex.top_degree + 1):
+            reps, ref = got.representative_matrix(k), want.representative_matrix(k)
+            assert reps == ref and entry_types(reps) == entry_types(ref), (index, k)
+        cochains = SimpleNamespace(complex=got.full_complex)
+        for k in range(complex.top_degree + 1):
+            for z in random_cocycles(rng, cochains, k):
+                coords, ref = got.reduce(k, z), want.reduce(k, z)
+                assert coords == ref and [type(x) for x in coords] == [type(x) for x in ref], (index, k, z)
+
+
+def test_rows_at_the_free_columns_above_span_each_differential():
+    """d_k on its rows at the free columns of d_(k+1), in descending order:
+    the rank, pivot columns and reduced echelon form of all its rows, and
+    the rows that vanish are the free columns of degree k + 1 that the
+    bottom-up pick keeps."""
+    for index, (complex, _) in enumerate(top_down_sweep()):
+        kept = BottomUpCohomologySpace(copied_complex(complex)).kept
+        top = complex.top_degree
+        # d_(-1) = 0: the bottom-up pick keeps every free column of d_0
+        assert kept[0] == copied(complex.differential(0)).free_columns(), index
+        for k in range(top + 1):
+            d = complex.differential(k)
+            above = copied(complex.differential(k + 1)).free_columns()
+            order = above[::-1]
+            all_rows, all_pivots = copied(d)._eliminate()
+            rows, pivots = copied(d)._eliminate(order)
+            assert len(pivots) == len(all_pivots), (index, k)
+            assert sorted(c for _, c in pivots) == sorted(c for _, c in all_pivots), (index, k)
+            assert reduced_echelon(rows, pivots) == reduced_echelon(all_rows, all_pivots), (index, k)
+            pivot_rows = {ri for ri, _ in pivots}
+            vanishing = sorted(f for ri, f in enumerate(order) if ri not in pivot_rows)
+            assert not any(any(rows[ri]) for ri in range(len(order)) if ri not in pivot_rows)
+            if k < top:
+                assert vanishing == kept[k + 1], (index, k)
+            else:
+                assert vanishing == [], index
 
 
 # ---------------------------------------------------------------------------
