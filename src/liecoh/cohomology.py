@@ -2,25 +2,31 @@
 
 A complex is a tuple of per-degree dimensions plus the differential
 matrices; construction checks the shapes and that consecutive
-differentials compose to zero, in integers: d_(k+1) d_k = 0 is decided on
-R d_(k+1) and d_k C, with R and C the invertible diagonal matrices that
-clear the row denominators of d_(k+1) and the column denominators of d_k.
+differentials compose to zero, exactly and in integers.  d_(k+1) d_k = 0
+is decided on integer multiples A = R d_(k+1) and B = d_k C, with R and C
+positive diagonal (the builder's common denominator, or the row and
+column denominators), by two matrix-vector products instead of a matrix
+product: A (B y), with y_j = 2^(s j) wide enough that each entry packs one
+row of A B in base 2^s (see ``_product_vanishes``).  No float and no
+random vector enters.
 
 Cohomology is computed by exact rank: betti_k = dim ker d_k - rank d_(k-1).
 Each d_k is eliminated once, from the top degree down, on its rows at the
 free columns of d_(k+1) only: d_(k+1) d_k = 0 makes them span its row
-space, so the elimination fixes its rank, pivot columns and reduced
-echelon form.  Its canonical kernel basis has one vector kappa_f per free
-column f, equal to 1 at f and 0 at the other free columns, so a cocycle z
-has kernel coordinates (z[f_1], ..., z[f_r]).  Those rows are reduced in
-descending order and never swapped, so a row of d_(k-1) at a free column f
-of d_k reduces to zero exactly when it depends on the rows at the larger
-free columns: then kappa_f is a representative, the vector that a greedy
-scan of [coboundaries ; kernel basis] would keep.  The map from cocycles to
-their classes comes from one more elimination, of a coboundary basis in
-kernel coordinates, made for a degree the first time ``reduce`` needs it.
-The choice depends only on the row spaces, so the whole output is
-deterministic.
+space, so the elimination fixes its rank and pivot columns.  The
+elimination goes forward only, to an echelon form whose pivot rows are
+not cleared at later pivot columns.  Its canonical kernel basis has one
+vector kappa_f per free column f, equal to 1 at f and 0 at the other free
+columns, so a cocycle z has kernel coordinates (z[f_1], ..., z[f_r]).
+Those rows are reduced in descending order and never swapped, so a row of
+d_(k-1) at a free column f of d_k reduces to zero exactly when it depends
+on the rows at the larger free columns: then kappa_f is a representative,
+the vector that a greedy scan of [coboundaries ; kernel basis] would
+keep.  Only those kappa_f are read, by back-substitution through the
+forward rows.  The map from cocycles to their classes comes from one more
+elimination, of a coboundary basis in kernel coordinates, made for a
+degree the first time ``reduce`` needs it.  The choice depends only on the
+row spaces, so the whole output is deterministic.
 
 A complex may be the weight-zero block of a bigger, graded complex (see
 ``ce_complex``): its basis is then a subset of the full cochain basis, and
@@ -131,9 +137,9 @@ class CochainComplex:
                     f"({self.dims[k + 1]}, {self.dims[k]})"
                 )
         for k in range(len(self.differentials) - 1):
-            left, _ = self.differentials[k + 1].row_scaled()
-            right, _ = self.differentials[k].col_scaled()
-            if not (left @ right).is_zero():
+            left = self.differentials[k + 1]._integral(0)
+            right = self.differentials[k]._integral(1)
+            if not _product_vanishes(left, right):
                 raise InvalidComplex(f"d o d != 0 between degrees {k} and {k + 2}")
 
     @property
@@ -149,6 +155,27 @@ class CochainComplex:
         if 0 <= k < len(self.differentials):
             return self.differentials[k]
         return Matrix.zeros(self.dim(k + 1), self.dim(k))
+
+
+def _product_vanishes(a: Matrix, b: Matrix) -> bool:
+    """Whether the product of two int matrices is zero, by two
+    matrix-vector products.
+
+    Every entry of a @ b is at most beta = max_i sum_l |a_il| * max |b| in
+    absolute value.  With s = beta.bit_length() + 2 and y_j = 2^(s j), entry
+    i of a @ (b @ y) is sum_j (a @ b)_ij 2^(s j), whose base-2^s digits are
+    unique while each |digit| < 2^(s - 1); so it is zero exactly when row i
+    of a @ b is.
+    """
+    if not a.entries or not b.entries:
+        return True
+    row_sums = [0] * a.nrows
+    for (i, _), v in a.entries.items():
+        row_sums[i] += abs(v)
+    beta = max(row_sums) * max(map(abs, b.entries.values()))
+    s = beta.bit_length() + 2
+    y = Matrix(b.ncols, 1, {(j, 0): 1 << (s * j) for j in range(b.ncols)})
+    return (a @ (b @ y)).is_zero()
 
 
 def ce_complex(g, grading=None, full=None) -> CochainComplex:
@@ -241,11 +268,11 @@ class CohomologySpace:
         self._kept = [None] * (top + 1)  # the free columns whose kappa_f are representatives
         self._representatives = [None] * (top + 1)
         self._reducers = [None] * (top + 1)  # built by reduce, on first use
-        # One elimination per differential, top down.  d_k is reduced on its
-        # rows at the free columns of d_(k+1), which span its row space
+        # One forward elimination per differential, top down.  d_k is reduced
+        # on its rows at the free columns of d_(k+1), which span its row space
         # because d_(k+1) d_k = 0, in descending order (d_top has no rows).
         # Its rows that vanish are the kept free columns of degree k + 1, and
-        # the reduced rows of d_(k+1) are held only until then.
+        # the forward rows of d_(k+1) are held only until then.
         order, above = [], None
         for k in range(top, -1, -1):
             rows, pivots = diffs[k]._eliminate(order)
@@ -310,8 +337,8 @@ class CohomologySpace:
 
     def _pick_representatives(self, k: int, rows, pivots, kept):
         """Record the representatives of degree k: the canonical kernel
-        vectors kappa_f of d_k, read off its reduced ``rows`` and ``pivots``,
-        at the ``kept`` free columns f.
+        vectors kappa_f of d_k at the ``kept`` free columns f, back-substituted
+        through its forward ``rows`` and ``pivots``.
 
         Kernel vector kappa_f is 1 at its free column f, which is its last
         nonzero, and 0 at the other free columns.  It is kept when row f of
@@ -324,7 +351,7 @@ class CohomologySpace:
         vanish off the block.
         """
         self._kept[k] = kept
-        vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept)
+        vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept, full=False)
         place = self._place(k)
         reps = {(place[i], j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
         self._representatives[k] = Matrix(self.full_dim(k), len(kept), reps)

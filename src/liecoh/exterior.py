@@ -264,6 +264,9 @@ def alternating_differential_matrix(
     raises InternalInvariantError.  A grading compatible with the bracket
     never produces one, so for the weight-zero block of a grading this check
     proves that d preserves the block.
+
+    Entries are summed as int numerators over one common denominator; the
+    returned matrix keeps those numerators (``Matrix._numerators``).
     """
     # m -> (mask of {u, v}, masks of the letters below u and below v, c * scale)
     # for each term c e_m of [e_u, e_v], u < v; scale is the lcm of the
@@ -303,7 +306,15 @@ def alternating_differential_matrix(
                 odd = (flip + p + 1 + (rest & below_u).bit_count() + (rest & below_v).bit_count()) & 1
                 key = (row, col)
                 entries[key] = entries.get(key, 0) + (-c if odd else c)
-    return Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items() if v})
+    for key in [key for key, v in entries.items() if not v]:
+        del entries[key]
+    if scale == 1:
+        d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v) for key, v in entries.items()})
+    else:
+        d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
+    # scale * d, for the elimination and the d o d check
+    d._numerators = Matrix._trusted(len(rows), len(columns), entries)
+    return d
 
 
 def _mask(idx) -> int:

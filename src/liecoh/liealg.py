@@ -338,32 +338,34 @@ def _matrix_unit(n, a, b):
     return m
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
 def _from_matrix_basis(mats, names, sign_parities=None) -> LieAlgebra:
-    """Structure constants of a bracket-closed list of n x n matrices."""
+    """Structure constants of a bracket-closed list of n x n matrices.
+
+    Each commutator is formed over the nonzero entries of the two matrices
+    only, and flattened row-major into an int vector for the solve.
+    """
     dim = len(mats)
+    n = len(mats[0]) if mats else 0
     flat = Matrix.from_cols([[x for row in m for x in row] for m in mats])
     solver = flat.solver()
+    # per matrix m: row a -> [(b, m[a][b])] and column b -> [(a, m[a][b])], nonzeros only
+    rows = [[[(b, x) for b, x in enumerate(row) if x] for row in m] for m in mats]
+    cols = [[[(a, m[a][b]) for a in range(n) if m[a][b]] for b in range(n)] for m in mats]
     structure = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            comm = _commutator(mats[i], mats[j])
-            coords = solver.solve([x for row in comm for x in row])
+            comm = [0] * (n * n)
+            for p, q, sign in ((i, j, 1), (j, i, -1)):
+                # [m_i, m_j] = m_i m_j - m_j m_i; entry (a, c) of m_p m_q sums m_p[a][b] m_q[b][c]
+                for b in range(n):
+                    for a, u in cols[p][b]:
+                        for c, v in rows[q][b]:
+                            comm[a * n + c] += sign * u * v
+            coords = solver.solve(comm)
             if coords is None:
                 raise NotClosedUnderBracket(i, j)
             terms = {k: v for k, v in enumerate(coords) if v}

@@ -4,8 +4,9 @@ All ranks, kernels and solutions are computed by integer-preserving Gaussian
 elimination with a fixed pivot rule (first nonzero by row-major scan), so
 results are reproducible bit for bit.  Rows are cleared of denominators and
 reduced with cross-multiplication updates followed by gcd stripping; no
-floating point appears anywhere.  Kernels are read straight off the reduced
-integer rows; minors are built in ``exterior`` by the wedge recursion.
+floating point appears anywhere.  Kernels are read off the integer echelon
+rows, reduced or forward only (then by back-substitution); minors are built
+in ``exterior`` by the wedge recursion.
 
 The elimination inner loop, ``row_reduce``, is the hot kernel of the whole
 library; it is plain Python over lists of ints.
@@ -53,9 +54,14 @@ def row_reduce(rows, lead, full):
     ``r_i <- (a * r_i - b * r_p)`` with a > 0, followed by division of the
     row by the gcd of its entries, so every row stays a positive rational
     multiple of a row in the span of the originals.  Pivot entries end up
-    positive.  With ``full=True`` earlier pivot rows are cleared at each new
-    pivot column, giving a (row-permuted, integer-scaled) reduced echelon
-    form: every pivot column has a single nonzero entry.
+    positive.  With ``full=False`` the result is a forward echelon form: each
+    pivot row is zero at the pivot columns found before it, and may be
+    nonzero at later ones.  With ``full=True`` earlier pivot rows are also
+    cleared at each new pivot column, giving a (row-permuted,
+    integer-scaled) reduced echelon form: every pivot column has a single
+    nonzero entry.  A row reduced against the pivots is the unique vector of
+    its coset that is zero at every earlier pivot column, so the rank, the
+    pivot columns and the rows that vanish do not depend on ``full``.
     """
     pivots = []
     if lead < 0:
@@ -108,7 +114,9 @@ class Matrix:
     (dim W, dim V) and acts on coordinate columns.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_rank", "_pivot_cols", "_free_cols", "_solver")
+    __slots__ = (
+        "nrows", "ncols", "entries", "_rank", "_numerators", "_pivot_cols", "_free_cols", "_solver"
+    )
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
@@ -122,6 +130,9 @@ class Matrix:
                     clean[(i, j)] = v
         self.entries = clean
         self._rank = None
+        # The int matrix ``scale * self`` for one positive int scale, kept by
+        # the builder that summed it (``exterior.alternating_differential_matrix``).
+        self._numerators = None
         self._pivot_cols = None
         self._free_cols = None
         self._solver = None
@@ -325,6 +336,14 @@ class Matrix:
             entries[key] = v * s if type(v) is int else v.numerator * (s // v.denominator)
         return Matrix._trusted(self.nrows, self.ncols, entries), scales
 
+    def _integral(self, axis):
+        """An int matrix that is this one with each row (axis 0) or column
+        (axis 1) times a positive int: the builder's numerators when it kept
+        them, which scale every row and column alike, else ``_scaled``."""
+        if self._numerators is not None:
+            return self._numerators
+        return self._scaled(axis)[0]
+
     def _scaled_int_rows(self, width: int):
         """Dense rows of ``row_scaled``, zero-padded to ``width``, and the scales."""
         scaled, scales = self.row_scaled()
@@ -334,35 +353,53 @@ class Matrix:
         return rows, scales
 
     def _int_rows(self, order=None):
-        """Dense int rows, each row times the lcm of its denominators; with
-        ``order``, a list of row indices, only those rows, in that order."""
-        if order is None:
-            return self._scaled_int_rows(self.ncols)[0]
-        at = {i: r for r, i in enumerate(order)}
-        picked = {(at[i], j): v for (i, j), v in self.entries.items() if i in at}
-        return Matrix._trusted(len(order), self.ncols, picked)._int_rows()
+        """Dense int rows, each a positive multiple of its row: the builder's
+        numerators when it kept them, else the row times the lcm of its
+        denominators.  With ``order``, a list of row indices, only those
+        rows, in that order.
+
+        A positive factor on a row changes no row that ``row_reduce``
+        returns: every row it reduces is made primitive by its gcd.
+        """
+        at = {i: r for r, i in enumerate(range(self.nrows) if order is None else order)}
+        source = self._numerators
+        if source is None:
+            picked = self.entries
+            if order is not None:
+                picked = {key: v for key, v in picked.items() if key[0] in at}
+            source = Matrix._trusted(self.nrows, self.ncols, picked)._scaled(0)[0]
+        rows = [[0] * self.ncols for _ in at]
+        for (i, j), v in source.entries.items():
+            r = at.get(i)
+            if r is not None:
+                rows[r][j] = v
+        return rows
 
     def _eliminate(self, order=None):
-        """Reduced integer rows and pivots; only the rank and pivot columns are kept.
+        """Integer rows and pivots from ``row_reduce``; only the rank and the
+        pivot columns are kept.
 
         Without ``order`` every row is reduced, sparsest first (a stable
-        sort by nonzero count), which makes fewer and shorter combines than
-        the given order.  Every such caller reads only what the row space
-        fixes: the rank, the set of pivot columns, and each pivot row
-        divided by its pivot (the reduced echelon form, whose primitive
-        integer rows are the same in any order).
+        sort by nonzero count), to a reduced echelon form; sparsest first
+        makes fewer and shorter combines than the given order.  Every such
+        caller reads only what the row space fixes: the rank, the set of
+        pivot columns, and each pivot row divided by its pivot (the reduced
+        echelon form, whose primitive integer rows are the same in any
+        order).
 
         With ``order``, a list of row indices, only those rows are reduced,
-        in that order, and the caller vouches that they span the row space
-        (``CohomologySpace`` passes the rows of d_k at the free columns of
-        d_(k+1)).  Rows are never swapped, so a row that is not a pivot row
-        reduces to zero exactly when it depends on the rows before it.
-        ``pivots`` indexes the returned rows.
+        in that order, to a forward echelon form (``full=False``): nothing
+        clears a pivot row at the pivot columns found after it, and
+        ``_kernel_vectors`` back-substitutes instead.  The caller vouches
+        that the rows span the row space (``CohomologySpace`` passes the rows
+        of d_k at the free columns of d_(k+1)).  Rows are never swapped, so
+        a row that is not a pivot row reduces to zero exactly when it
+        depends on the rows before it.  ``pivots`` indexes the returned rows.
         """
         rows = self._int_rows(order)
         if order is None:
             rows.sort(key=lambda row: row.count(0), reverse=True)
-        pivots = row_reduce(rows, self.ncols, True)
+        pivots = row_reduce(rows, self.ncols, order is None)
         self._rank = len(pivots)
         self._pivot_cols = sorted(ci for _, ci in pivots)
         return rows, pivots
@@ -383,21 +420,46 @@ class Matrix:
         pivot_cols = set(self.pivot_columns())
         return [f for f in range(self.ncols) if f not in pivot_cols]
 
-    def _kernel_vectors(self, rows, pivots, free):
+    def _kernel_vectors(self, rows, pivots, free, full=True):
         """The canonical kernel vector kappa_f of each free column f in ``free``.
 
-        ``rows`` and ``pivots`` are a reduced elimination of this matrix:
-        kappa_f is ``Fraction`` 1 at f, -row[f] / row[c] at the pivot column
-        c of each pivot row, and ``int`` 0 elsewhere.
+        ``rows`` and ``pivots`` are an echelon form of this matrix from
+        ``row_reduce(..., full)``: each pivot row is zero at the pivot
+        columns found before it, and with ``full`` at every other pivot
+        column too.  kappa_f is ``Fraction`` 1 at f and 0 at the other free
+        columns, and the pivot rows fix the rest, from the last pivot to the
+        first: at the pivot column c of a row, -(row[f] + the sum of
+        row[c'] kappa_f[c'] over the later pivot columns c') / row[c].  The
+        sum is kept as an int numerator and denominator, so each entry costs
+        one gcd; zero entries stay ``int`` 0.  With ``full`` the sums are
+        empty, and the later pivot columns are not searched.
         """
+        steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
+        pivot_cols = () if full else [ci for _, ci in pivots]
+        for ri, ci in reversed(pivots):
+            row = rows[ri]
+            later = [(c, row[c]) for c in compress(pivot_cols, map(row.__getitem__, pivot_cols)) if c != ci]
+            steps.append((row, ci, row[ci], later))
         basis = []
         for f in free:
             vec = [0] * self.ncols
             vec[f] = Fraction(1)
-            for ri, ci in pivots:
-                x = rows[ri][f]
-                if x:
-                    vec[ci] = Fraction(-x, rows[ri][ci])
+            for row, ci, piv, later in steps:
+                num = row[f]
+                if later:
+                    den = 1
+                    for c, a in later:
+                        x = vec[c]
+                        if x:
+                            n, d = x.numerator, x.denominator
+                            if d == den:
+                                num += a * n
+                            else:
+                                num = num * d + a * n * den
+                                den *= d
+                    piv *= den
+                if num:
+                    vec[ci] = Fraction(-num, piv)
             basis.append(vec)
         return basis
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh import builtin, linalg
 from liecoh.cohomology import (
     CochainComplex,
     CohomologySpace,
+    _product_vanishes,
     ce_complex,
     compute_cohomology,
     cup_product,
@@ -15,6 +18,7 @@ from liecoh.cohomology import (
 )
 from liecoh.errors import InternalInvariantError, InvalidComplex, NotAChainMap, NotACocycle
 from liecoh.exterior import pullback_matrix
+from liecoh.liealg import LieAlgebra
 from liecoh.linalg import Matrix
 
 
@@ -81,6 +85,138 @@ def test_invalid_complex_rejected():
     d1 = Matrix.from_rows([[1, 0]])
     with pytest.raises(InvalidComplex):
         CochainComplex(dims=(1, 2, 1), differentials=(d0, d1))
+
+
+def rescaled(g, c):
+    """g in the basis c_i e_i: [c_i e_i, c_j e_j] = sum_k (c_i c_j / c_k) a_ij^k (c_k e_k)."""
+    structure = {
+        (i, j): {k: c[i] * c[j] / c[k] * v for k, v in terms.items()}
+        for (i, j), terms in g.structure.items()
+    }
+    return LieAlgebra(g.dim, g.basis_names, structure)
+
+
+def first_dd_failure(differentials):
+    """First k with d_(k+1) d_k != 0 by the ``Fraction`` product, or None."""
+    for k in range(len(differentials) - 1):
+        if not (differentials[k + 1] @ differentials[k]).is_zero():
+            return k
+    return None
+
+
+def builder_scale(d: Matrix) -> int:
+    """The common denominator L of a built d_k: its numerators are L d."""
+    key = next(iter(d.entries))
+    return d._numerators.entries[key] // d.entries[key]
+
+
+def perturbed(d: Matrix, key, delta, numerators: bool) -> Matrix:
+    """d with ``delta`` added at ``key``; with ``numerators``, also in the
+    builder's numerators, as if the builder had summed the changed entry."""
+    entries = dict(d.entries)
+    entries[key] = entries.get(key, 0) + delta
+    out = Matrix(d.nrows, d.ncols, entries)
+    if numerators:
+        ints = dict(d._numerators.entries)
+        ints[key] = ints.get(key, 0) + delta * builder_scale(d)
+        out._numerators = Matrix(d.nrows, d.ncols, ints)
+    return out
+
+
+@pytest.mark.parametrize("numerators", [False, True])
+def test_one_changed_entry_fails_the_dd_check_in_every_degree_pair(numerators):
+    """Each d_k of a complex with a common denominator L > 1, one entry
+    changed by +-1/L or by +-2^300 (the first entry, row-major, that the
+    ``Fraction`` product d o d sees): the check raises at the first pair
+    whose ``Fraction`` product is nonzero, and every pair is hit."""
+    c = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(5), Fraction(1, 2)]
+    complex = ce_complex(rescaled(builtin("so", 4), c))
+    diffs = complex.differentials
+    scale = builder_scale(diffs[2])
+    assert scale > 1 and all(d._numerators is not None for d in diffs)
+    assert first_dd_failure(diffs) is None
+    hit = set()
+    for k, d in enumerate(diffs):
+        for delta in (Fraction(1, scale), Fraction(-1, scale), 2 ** 300, -(2 ** 300)):
+            for key in ((i, j) for i in range(d.nrows) for j in range(d.ncols)):
+                bad = list(diffs)
+                bad[k] = perturbed(d, key, delta, numerators and bool(d.entries))
+                expected = first_dd_failure(bad)
+                if expected is not None:
+                    break
+            assert expected in (k - 1, k), (k, delta)
+            hit.add(expected)
+            with pytest.raises(InvalidComplex, match=f"between degrees {expected} and {expected + 2}$"):
+                CochainComplex(dims=complex.dims, differentials=tuple(bad))
+    assert hit == set(range(len(diffs) - 1))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b, zero): int or ``Fraction`` entries, zero True when a @ b == 0,
+    False when it is not, None when unknown.
+
+    * kernel: the rows of a from the left kernel of b, so a @ b == 0;
+    * signs: a = x [S | -S] and b = y [T ; T], so a @ b == 0, or
+      b = y [T ; -T], so a @ b = 2 x y S T, whose entry (0, 0) is +-beta
+      (the first column of T has the signs of the first row of S);
+    * carry: a = [1] and b = [2^t, -1], up to positive scales, where
+      beta = 2^t and a packing with digits of t bits sums to zero.
+
+    Kernel and sign pairs may then get one entry changed.
+    """
+    m, l, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scalars = st.one_of(
+        st.integers(-(2 ** 70), 2 ** 70),
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    )
+    kind = draw(st.sampled_from(("kernel", "signs", "carry")))
+    if kind == "carry":
+        t, q = draw(st.integers(0, 80)), draw(st.integers(1, 12))
+        a = Matrix.from_rows([[Fraction(draw(st.integers(1, 12)), q)]])
+        b = Matrix.from_rows([[Fraction(2 ** t, q), Fraction(-1, q)]])
+        return a, b, False
+    if kind == "signs":
+        x, y = draw(st.integers(1, 2 ** 40)), draw(scalars.filter(bool))
+        s_half = [[draw(st.sampled_from((x, -x))) for _ in range(l)] for _ in range(m)]
+        t_half = [[draw(st.sampled_from((y, -y))) for _ in range(n)] for _ in range(l)]
+        for r in range(l):
+            t_half[r][0] = y if s_half[0][r] > 0 else -y
+        zero = draw(st.booleans())
+        below = t_half if zero else [[-v for v in row] for row in t_half]
+        a = Matrix.from_rows([row + [-v for v in row] for row in s_half], 2 * l)
+        b = Matrix.from_rows(t_half + below, n)
+    else:
+        b = Matrix.from_rows([[draw(scalars) for _ in range(n)] for _ in range(l)], n)
+        rows = []
+        for _ in range(m):
+            row = [0] * l
+            for vec in b.transpose().nullspace():
+                coeff = draw(scalars)
+                row = [u + coeff * v for u, v in zip(row, vec)]
+            rows.append(row)
+        a, zero = Matrix.from_rows(rows, l), True
+    if draw(st.booleans()):
+        changed = draw(st.sampled_from((0, 1)))
+        target = (a, b)[changed]
+        key = (draw(st.integers(0, target.nrows - 1)), draw(st.integers(0, target.ncols - 1)))
+        entries = dict(target.entries)
+        entries[key] = entries.get(key, 0) + draw(scalars.filter(bool))
+        target = Matrix(target.nrows, target.ncols, entries)
+        a, b = (target, b) if changed == 0 else (a, target)
+        zero = None
+    return a, b, zero
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(matrix_pairs())
+def test_packed_dd_check_matches_the_plain_product(pair):
+    a, b, zero = pair
+    left, right = a.row_scaled()[0], b.col_scaled()[0]
+    plain = (left @ right).is_zero()
+    if zero is not None:
+        assert plain == zero
+    assert _product_vanishes(left, right) == plain
 
 
 def test_reduce_representative_is_unit_vector():

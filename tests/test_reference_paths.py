@@ -28,8 +28,10 @@ coordinates with a reducer built on first use.  Its reference is the
 bottom-up pass it replaced (each d_k on all of its rows, then a second
 elimination per degree for the pick), and a test checks on every
 differential of the sweep that those rows give the rank, pivot columns and
-reduced echelon form of all rows, and vanish exactly at the kept free
-columns.  ``Grading.block`` searches only the weight-zero block; its
+(back-substituted) reduced echelon form of all rows, and vanish exactly at
+the kept free columns.  The pass eliminates forward only and
+back-substitutes the kept kernel vectors; its reference is the same pass
+on reduced echelon forms, read off the reduced rows.  ``Grading.block`` searches only the weight-zero block; its
 reference enumerates every multi-index.  ``CochainComplex`` decides d o d = 0 on
 integer-scaled matrices; and the relative models narrow their kernels one
 constraint block at a time and read coordinates off the free columns of
@@ -1379,6 +1381,20 @@ def reduced_echelon(rows, pivots):
     return {ci: [Fraction(x, rows[ri][ci]) for x in rows[ri]] for ri, ci in pivots}
 
 
+def reduced_from_forward(rows, pivots):
+    """The reduced echelon form of a forward echelon form (each pivot row
+    zero at the pivot columns found before it), by ``Fraction`` back
+    substitution from the last pivot row to the first."""
+    reduced = {}
+    for ri, ci in reversed(pivots):
+        row = [Fraction(x) for x in rows[ri]]
+        for c, below in reduced.items():
+            if row[c]:
+                row = [x - row[c] * y for x, y in zip(row, below)]
+        reduced[ci] = [x / row[ci] for x in row]
+    return reduced
+
+
 def copied(m: Matrix) -> Matrix:
     """The same matrix with no cached elimination."""
     return Matrix(m.nrows, m.ncols, m.entries)
@@ -1568,7 +1584,8 @@ def test_top_down_pass_matches_bottom_up_pass():
 
 def test_rows_at_the_free_columns_above_span_each_differential():
     """d_k on its rows at the free columns of d_(k+1), in descending order:
-    the rank, pivot columns and reduced echelon form of all its rows, and
+    the rank and pivot columns of all its rows, the reduced echelon form of
+    all its rows once its forward rows are back-substituted, and
     the rows that vanish are the free columns of degree k + 1 that the
     bottom-up pick keeps."""
     for index, (complex, _) in enumerate(top_down_sweep()):
@@ -1584,7 +1601,7 @@ def test_rows_at_the_free_columns_above_span_each_differential():
             rows, pivots = copied(d)._eliminate(order)
             assert len(pivots) == len(all_pivots), (index, k)
             assert sorted(c for _, c in pivots) == sorted(c for _, c in all_pivots), (index, k)
-            assert reduced_echelon(rows, pivots) == reduced_echelon(all_rows, all_pivots), (index, k)
+            assert reduced_from_forward(rows, pivots) == reduced_echelon(all_rows, all_pivots), (index, k)
             pivot_rows = {ri for ri, _ in pivots}
             vanishing = sorted(f for ri, f in enumerate(order) if ri not in pivot_rows)
             assert not any(any(rows[ri]) for ri in range(len(order)) if ri not in pivot_rows)
@@ -1592,6 +1609,82 @@ def test_rows_at_the_free_columns_above_span_each_differential():
                 assert vanishing == kept[k + 1], (index, k)
             else:
                 assert vanishing == [], index
+
+
+def reduced_top_down(complex: CochainComplex):
+    """The top-down pass as it was before its elimination went forward only:
+    each d_k, row-scaled, on its rows at the free columns of d_(k+1) in
+    descending order, to reduced echelon form, and each kept kappa_f read
+    off the reduced rows, -row[f] / row[c] at each pivot column c.  Returns
+    the ranks, the kept free columns and the kept vectors of every degree,
+    in the eliminated complex's coordinates."""
+    top = complex.top_degree
+    diffs = [copied(complex.differential(k)) for k in range(top + 1)]
+    ranks, kept, vectors = [None] * (top + 1), [None] * (top + 1), [None] * (top + 1)
+
+    def pick(k, rows, pivots, free):
+        kept[k] = free
+        vectors[k] = []
+        for f in free:
+            vec = [0] * diffs[k].ncols
+            vec[f] = Fraction(1)
+            for ri, ci in pivots:
+                if rows[ri][f]:
+                    vec[ci] = Fraction(-rows[ri][f], rows[ri][ci])
+            vectors[k].append(vec)
+
+    order, above = [], None
+    for k in range(top, -1, -1):
+        d = diffs[k]
+        rows = d._int_rows(order)
+        pivots = row_reduce(rows, d.ncols, True)
+        ranks[k] = len(pivots)
+        if above is not None:
+            pivot_rows = {ri for ri, _ in pivots}
+            pick(k + 1, *above, sorted(f for ri, f in enumerate(order) if ri not in pivot_rows))
+        above = rows, pivots
+        pivot_cols = {ci for _, ci in pivots}
+        order = [f for f in range(d.ncols) if f not in pivot_cols][::-1]
+    if above is not None:
+        pick(0, *above, order[::-1])
+    return ranks, kept, vectors
+
+
+def test_forward_pass_matches_the_reduced_pass():
+    """Ranks, kept free columns and representatives, in value and entry type,
+    of the forward elimination with back-substitution (on the builder's
+    numerators where it kept them) against the reduced top-down pass (on
+    row-scaled rows)."""
+    for index, (complex, full) in enumerate(top_down_sweep()):
+        space = CohomologySpace(complex, full)
+        ranks, kept, vectors = reduced_top_down(complex)
+        assert space.ranks == tuple(ranks), index
+        assert space._kept == kept, index
+        for k in range(complex.top_degree + 1):
+            place = space._place(k)
+            entries = {(place[i], j): v for j, vec in enumerate(vectors[k]) for i, v in enumerate(vec) if v}
+            want = Matrix(space.full_dim(k), len(vectors[k]), entries)
+            got = space.representative_matrix(k)
+            assert got == want and entry_types(got) == entry_types(want), (index, k)
+
+
+def test_kernel_vectors_by_back_substitution_match_the_reduced_form():
+    """``_kernel_vectors`` on forward rows (``full=False``) against the same
+    reader on the reduced rows of the same rows, over random matrices and
+    the differentials of the rational conjugates, every free column."""
+    rng = random.Random(47)
+    mats = [random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(150)]
+    mats += [d for g in rational_conjugates() for d in ce_complex(g).differentials]
+    for index, m in enumerate(mats):
+        order = list(range(m.nrows))[::-1]
+        forward = copied(m)
+        rows, pivots = forward._eliminate(order)
+        basis = forward._kernel_vectors(rows, pivots, forward.free_columns(), full=False)
+        rows = m._int_rows(order)
+        want = m._kernel_vectors(rows, row_reduce(rows, m.ncols, True), forward.free_columns())
+        assert basis == want, index
+        assert [[type(x) for x in v] for v in basis] == [[type(x) for x in v] for v in want], index
+        assert all(not any(m.apply(v)) for v in basis), index
 
 
 # ---------------------------------------------------------------------------
