@@ -308,10 +308,7 @@ def alternating_differential_matrix(
                 entries[key] = entries.get(key, 0) + (-c if odd else c)
     for key in [key for key, v in entries.items() if not v]:
         del entries[key]
-    if scale == 1:
-        d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v) for key, v in entries.items()})
-    else:
-        d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
+    d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
     # scale * d, for the elimination and the d o d check
     d._numerators = Matrix._trusted(len(rows), len(columns), entries)
     return d

@@ -131,7 +131,8 @@ class Matrix:
         self.entries = clean
         self._rank = None
         # The int matrix ``scale * self`` for one positive int scale, kept by
-        # the builder that summed it (``exterior.alternating_differential_matrix``).
+        # the builder that summed it (``exterior.alternating_differential_matrix``)
+        # and dropped by ``CohomologySpace`` once its elimination has read it.
         self._numerators = None
         self._pivot_cols = None
         self._free_cols = None
@@ -361,19 +362,10 @@ class Matrix:
         A positive factor on a row changes no row that ``row_reduce``
         returns: every row it reduces is made primitive by its gcd.
         """
-        at = {i: r for r, i in enumerate(range(self.nrows) if order is None else order)}
-        source = self._numerators
-        if source is None:
-            picked = self.entries
-            if order is not None:
-                picked = {key: v for key, v in picked.items() if key[0] in at}
-            source = Matrix._trusted(self.nrows, self.ncols, picked)._scaled(0)[0]
-        rows = [[0] * self.ncols for _ in at]
-        for (i, j), v in source.entries.items():
-            r = at.get(i)
-            if r is not None:
-                rows[r][j] = v
-        return rows
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for (i, j), v in self._integral(0).entries.items():
+            rows[i][j] = v
+        return rows if order is None else [rows[i] for i in order]
 
     def _eliminate(self, order=None):
         """Integer rows and pivots from ``row_reduce``; only the rank and the
@@ -432,7 +424,8 @@ class Matrix:
         row[c'] kappa_f[c'] over the later pivot columns c') / row[c].  The
         sum is kept as an int numerator and denominator, so each entry costs
         one gcd; zero entries stay ``int`` 0.  With ``full`` the sums are
-        empty, and the later pivot columns are not searched.
+        empty, and the later pivot columns are not searched: that search
+        reads rank^2 entries, about 7% of ``nullspace`` on small matrices.
         """
         steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
         pivot_cols = () if full else [ci for _, ci in pivots]
