@@ -49,6 +49,17 @@ def multi_index_positions(n: int, k: int):
     return {idx: pos for pos, idx in enumerate(multi_indices(n, k))}
 
 
+@lru_cache(maxsize=None)
+def multi_index_masks(n: int, k: int):
+    """The degree-k multi-indices on n letters as bitmasks, in basis order."""
+    return tuple(map(_mask, multi_indices(n, k)))
+
+
+@lru_cache(maxsize=None)
+def multi_mask_positions(n: int, k: int):
+    return {mask: pos for pos, mask in enumerate(multi_index_masks(n, k))}
+
+
 def basis_size(n: int, k: int) -> int:
     return len(multi_indices(n, k))
 
@@ -275,12 +286,11 @@ def alternating_differential_matrix(
     for u in range(n):
         for v in range(u + 1, n):
             for m, c in bracket_fn(u, v).items():
-                if c:
-                    raw.append((m, (1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
-    scale = lcm(*(c.denominator for *_, c in raw))
+                raw.append(((m, (1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1), c))
+    raw, scale = _int_terms(raw)
     terms = [[] for _ in range(n)]
-    for m, uv, below_u, below_v, c in raw:
-        terms[m].append((uv, below_u, below_v, c.numerator * (scale // c.denominator)))
+    for (m, uv, below_u, below_v), c in raw:
+        terms[m].append((uv, below_u, below_v, c))
     if columns is None:
         columns = multi_indices(n, k)
     if rows is None:
@@ -333,32 +343,36 @@ def endo_action_matrix(a: Matrix, n: int, k: int, columns=None) -> Matrix:
     """Matrix on Lambda^k V* of theta_A for an endomorphism A of V.
 
     Column I holds theta_A theta^I: for each letter m = I[p] and each entry
-    A[m, j], the term on J = I - {m} + {j}.  ``columns``, ascending positions
-    in the degree-k basis, fills only those columns (default: all); the shape
-    stays full, and each filled column equals the full matrix's.
+    A[m, j], the term on J = I - {m} + {j}, with sign (-1)^(t - p + 1), t the
+    position of j in J; multi-indices are handled as bitmasks.  ``columns``,
+    ascending positions in the degree-k basis, fills only those columns
+    (default: all); the shape stays full, and each filled column equals the
+    full matrix's.  Entries are summed as int numerators over one common
+    denominator (``_int_terms``).
     """
     if a.shape != (n, n):
         raise DimensionMismatch(f"endomorphism shape {a.shape} != ({n}, {n})")
-    by_row = {}
-    for (m, j), v in a.entries.items():
-        by_row.setdefault(m, []).append((j, v))
+    terms, scale = _int_terms(a.entries.items())
+    by_row = {}  # m -> (bit of j, mask of the letters below j, A[m, j] * scale)
+    for (m, j), v in terms:
+        by_row.setdefault(m, []).append((1 << j, (1 << j) - 1, v))
     indices = multi_indices(n, k)
-    rows = multi_index_positions(n, k)
+    masks = multi_index_masks(n, k)
+    rows = multi_mask_positions(n, k)
     if columns is None:
         columns = range(len(indices))
     entries = {}
     for col in columns:
-        I = indices[col]
-        for p, m in enumerate(I):
-            rest = I[:p] + I[p + 1:]
-            for j, v in by_row.get(m, ()):
-                ins = _insert(rest, j)
-                if ins is None:
+        mask = masks[col]
+        for p, m in enumerate(indices[col]):
+            rest = mask ^ (1 << m)
+            for bit, below, v in by_row.get(m, ()):
+                if rest & bit:
                     continue
-                t, J = ins
-                key = (rows[J], col)
-                entries[key] = entries.get(key, Fraction(0)) + (-v if (t - p) % 2 == 0 else v)
-    return Matrix(len(indices), len(indices), entries)
+                key = (rows[rest | bit], col)
+                odd = ((rest & below).bit_count() + p) & 1
+                entries[key] = entries.get(key, 0) + (v if odd else -v)
+    return _over_scale(len(indices), len(indices), entries, scale)
 
 
 def lie_derivative_matrix(g, x, k: int, columns=None) -> Matrix:
@@ -368,24 +382,44 @@ def lie_derivative_matrix(g, x, k: int, columns=None) -> Matrix:
 def interior_matrix(x, n: int, k: int, columns=None) -> Matrix:
     """Matrix of i_x: Lambda^k V* -> Lambda^(k-1) V*.
 
-    ``columns`` fills only those columns, as in ``endo_action_matrix``.
+    ``columns`` fills only those columns, and entries are summed as int
+    numerators, as in ``endo_action_matrix``.
     """
     if len(x) != n:
         raise DimensionMismatch("vector length != ambient dimension")
-    rows = multi_index_positions(n, k - 1)
+    coords, scale = _int_terms(enumerate(x))
+    coords = dict(coords)
+    rows = multi_mask_positions(n, k - 1)
     indices = multi_indices(n, k)
+    masks = multi_index_masks(n, k)
     if columns is None:
         columns = range(len(indices))
     entries = {}
     for col in columns:
-        I = indices[col]
-        for p, i in enumerate(I):
-            if x[i]:
-                rest = I[:p] + I[p + 1:]
-                sign = -1 if p % 2 else 1
-                key = (rows[rest], col)
-                entries[key] = entries.get(key, Fraction(0)) + sign * x[i]
-    return Matrix(len(rows), len(indices), entries)
+        for p, i in enumerate(indices[col]):
+            c = coords.get(i)
+            if c:
+                key = (rows[masks[col] ^ (1 << i)], col)
+                entries[key] = entries.get(key, 0) + (-c if p % 2 else c)
+    return _over_scale(len(rows), len(indices), entries, scale)
+
+
+def _int_terms(items):
+    """``(key, value)`` pairs of rationals as ``(key, value * L)`` int pairs
+    for L the lcm of the values' denominators, zeros dropped; and L."""
+    items = [(key, v) for key, v in items if v]
+    scale = lcm(*(v.denominator for _, v in items))
+    return [(key, v.numerator * (scale // v.denominator)) for key, v in items], scale
+
+
+def _over_scale(nrows: int, ncols: int, entries: dict, scale: int) -> Matrix:
+    """The matrix of int sums ``entries`` divided by ``scale``: int entries
+    when the scale is 1, else ``Fraction``s; zero sums dropped."""
+    if scale == 1:
+        entries = {key: v for key, v in entries.items() if v}
+    else:
+        entries = {key: Fraction(v, scale) for key, v in entries.items() if v}
+    return Matrix._trusted(nrows, ncols, entries)
 
 
 def pullback_matrix(f: Matrix, k: int) -> Matrix:
@@ -426,25 +460,44 @@ def pullback_matrix(f: Matrix, k: int) -> Matrix:
 
 
 def wedge_vector(n: int, k: int, v, l: int, w):
-    """Wedge two coordinate vectors of Lambda^k V* and Lambda^l V*."""
-    out_positions = multi_index_positions(n, k + l)
+    """Wedge two coordinate vectors of Lambda^k V* and Lambda^l V*.
+
+    Multi-indices are bitmasks: theta^I ^ theta^J is zero when I & J, and
+    otherwise (-1)^t theta^(I | J), t the number of pairs i in I, j in J
+    with i > j.  Its parity is that of |I & odd(J)|, odd(J) the letters with
+    an odd number of letters of J below them, so each pair costs two ands
+    and one popcount; w's nonzeros are listed once.
+    """
+    out_positions = multi_mask_positions(n, k + l)
     out = [Fraction(0)] * len(out_positions)
     if not out_positions:
         return out
-    vk = multi_indices(n, k)
-    wl = multi_indices(n, l)
+    vk = multi_index_masks(n, k)
+    wl = multi_index_masks(n, l)
+    right = [(wl[pb], _odd_below(wl[pb], n), vb) for pb, vb in enumerate(w) if vb]
     for pa, va in enumerate(v):
         if not va:
             continue
-        ia = vk[pa]
-        for pb, vb in enumerate(w):
-            if not vb:
+        a = vk[pa]
+        for b, odd, vb in right:
+            if a & b:
                 continue
-            merged = merge_sign(ia, wl[pb])
-            if merged is None:
-                continue
-            sign, idx = merged
-            out[out_positions[idx]] += sign * va * vb
+            pos = out_positions[a | b]
+            if (a & odd).bit_count() & 1:
+                out[pos] -= va * vb
+            else:
+                out[pos] += va * vb
+    return out
+
+
+def _odd_below(mask: int, n: int) -> int:
+    """The letters below n with an odd number of letters of ``mask`` below them."""
+    out = 0
+    odd = 0
+    for i in range(n):
+        if odd:
+            out |= 1 << i
+        odd ^= mask >> i & 1
     return out
 
 

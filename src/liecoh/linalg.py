@@ -326,8 +326,11 @@ class Matrix:
         return self._scaled(1)
 
     def _scaled(self, axis):
-        """Each row (axis 0) or column (axis 1) times the lcm of its denominators."""
+        """Each row (axis 0) or column (axis 1) times the lcm of its
+        denominators; an int matrix is returned as it is (it is immutable)."""
         scales = [1] * self.shape[axis]
+        if all(type(v) is int for v in self.entries.values()):
+            return self, scales
         for key, v in self.entries.items():
             if type(v) is not int and v.denominator != 1:
                 scales[key[axis]] = lcm(scales[key[axis]], v.denominator)
@@ -419,21 +422,35 @@ class Matrix:
         ``row_reduce(..., full)``: each pivot row is zero at the pivot
         columns found before it, and with ``full`` at every other pivot
         column too.  kappa_f is ``Fraction`` 1 at f and 0 at the other free
-        columns, and the pivot rows fix the rest, from the last pivot to the
-        first: at the pivot column c of a row, -(row[f] + the sum of
-        row[c'] kappa_f[c'] over the later pivot columns c') / row[c].  The
-        sum is kept as an int numerator and denominator, so each entry costs
-        one gcd; zero entries stay ``int`` 0.  With ``full`` the sums are
-        empty, and the later pivot columns are not searched: that search
-        reads rank^2 entries, about 7% of ``nullspace`` on small matrices.
+        columns, and the pivot rows fix the rest; zero entries stay ``int`` 0.
+        With ``full``, kappa_f[c] = -row[f] / row[c] at the pivot column c of
+        each row, read off the row's nonzeros: the reduced row is zero at
+        every other pivot column, so only those at free columns are visited.
+        Otherwise, from the last pivot to the first:
+        -(row[f] + the sum of row[c'] kappa_f[c'] over the later pivot columns
+        c') / row[c], the sum kept as an int numerator and denominator, so
+        each entry costs one gcd.
         """
+        if full:
+            basis = [[0] * self.ncols for _ in free]
+            slot = dict(zip(free, basis))  # free column f -> kappa_f
+            for f, vec in slot.items():
+                vec[f] = Fraction(1)
+            for ri, ci in pivots:
+                row = rows[ri]
+                piv = row[ci]
+                for c in compress(range(self.ncols), row):
+                    vec = slot.get(c)
+                    if vec is not None:
+                        vec[ci] = Fraction(-row[c], piv)
+            return basis
+        basis = []
         steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
-        pivot_cols = () if full else [ci for _, ci in pivots]
+        pivot_cols = [ci for _, ci in pivots]
         for ri, ci in reversed(pivots):
             row = rows[ri]
             later = [(c, row[c]) for c in compress(pivot_cols, map(row.__getitem__, pivot_cols)) if c != ci]
             steps.append((row, ci, row[ci], later))
-        basis = []
         for f in free:
             vec = [0] * self.ncols
             vec[f] = Fraction(1)
@@ -466,7 +483,7 @@ class Matrix:
         return self._kernel_vectors(rows, pivots, self.free_columns())
 
     @staticmethod
-    def stacked_nullspace(blocks, ncols: int):
+    def stacked_nullspace(blocks, ncols: int, within=None):
         """``Matrix.stack_rows(blocks, ncols).nullspace()``, without the stack.
 
         The kernel is narrowed one block at a time, K <- K nullspace(B K), so
@@ -482,8 +499,15 @@ class Matrix:
         A block may also be a callable: given the ascending row support of
         the current K, it returns the block with only those columns filled.
         B K reads no other column of B, so the kernel is the same.
+
+        ``within``, ascending columns, starts K from the unit vectors at
+        those columns instead of all (default): the caller vouches that the
+        common kernel lies in their span.  The kernel, and so its canonical
+        basis, is then the same.
         """
-        kernel = Matrix.identity(ncols)
+        if within is None:
+            within = range(ncols)
+        kernel = Matrix._trusted(ncols, len(within), {(c, j): 1 for j, c in enumerate(within)})
         for block in blocks:
             if callable(block):
                 block = block(sorted({i for i, _ in kernel.entries}))

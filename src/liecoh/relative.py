@@ -12,7 +12,8 @@ projected bracket taken with the sign opposite to the ambient convention
 
 Both are the output of one builder, ``_embedded_subcomplex``: a kernel of
 constraint blocks per degree, with the restricted differential, returned
-as one ``EmbeddedSubcomplex``.
+as one ``EmbeddedSubcomplex``.  Each kernel is sought only on the sign
+block of the theta operators that define it (``sign_mask``).
 
 The pullback along minus the projection s: g -> g/h restricts to a chain
 isomorphism from model 2 onto model 1; ``compare_models`` verifies
@@ -42,6 +43,8 @@ from .exterior import (
     endo_action_matrix,
     interior_matrix,
     lie_derivative_matrix,
+    multi_index_masks,
+    multi_indices,
     pullback_matrix,
 )
 from .linalg import Matrix
@@ -61,7 +64,43 @@ class EmbeddedSubcomplex:
         return Form.from_vector(len(self.embeddings) - 1, k, self.embeddings[k].apply(vec))
 
 
-def _embedded_subcomplex(pair, n, differentials, constraints, failure) -> EmbeddedSubcomplex:
+def sign_mask(m: Matrix):
+    """The letters where exp(pi M) is -1, as a bitmask, when exp(pi M) is
+    diagonal with entries +-1; else None.
+
+    If M (M^2 + 1)(M^2 + 4) = 0, M is diagonalizable over C with eigenvalues
+    in {0, +-i, +-2i}, where exp(pi z) and the even polynomial
+    1 + (2/3) z^2 (z^2 + 4) both take the values 1, -1, 1; so exp(pi M), and
+    exp(-pi M), is that polynomial in M.  Both tests are exact.
+    """
+    square = m @ m
+    shifted = square + Matrix.identity(m.nrows).scale(4)  # M^2 + 4
+    if not (m @ (square + Matrix.identity(m.nrows)) @ shifted).is_zero():
+        return None
+    mask = 0
+    for (i, j), v in (square @ shifted).entries.items():  # exp(pi M) - 1, times 3/2
+        if i != j or v != -3:
+            return None
+        mask |= 1 << i
+    return mask
+
+
+def sign_block(n: int, k: int, masks):
+    """Ascending positions of the degree-k multi-indices that meet each mask
+    in an even number of letters.
+
+    A form killed by theta_M is fixed by exp(pi theta_M), the pullback along
+    exp(-pi M); when that is diag(eps), it multiplies theta^I by the product
+    of eps over I.  So every form killed by the theta of each operator with
+    a ``sign_mask`` lies in the span of these basis forms.
+    """
+    return [
+        pos for pos, I in enumerate(multi_index_masks(n, k))
+        if not any((I & mask).bit_count() & 1 for mask in masks)
+    ]
+
+
+def _embedded_subcomplex(pair, n, differentials, constraints, failure, operators=()) -> EmbeddedSubcomplex:
     """The common kernel of ``constraints(k)`` in each Lambda^k (Q^n)*, with
     the restriction of ``differentials``.
 
@@ -69,14 +108,31 @@ def _embedded_subcomplex(pair, n, differentials, constraints, failure) -> Embedd
     embedding columns are its canonical kernel basis, so each d_k restricts by
     one ``coordinates`` call, whose exact check is the d-stability arbiter:
     an image outside the next kernel raises ``failure``.
+
+    ``operators`` are endomorphisms M of Q^n whose theta_M is among the
+    constraints; the kernel is sought on the ``sign_block`` of those with a
+    ``sign_mask`` (all of Lambda^k when none has one).  A differential may
+    be a callable: given the ascending degree-k multi-indices where the
+    embedding is nonzero, it returns d_k on those columns, with all rows.
     """
+    masks = [mask for mask in map(sign_mask, operators) if mask]
     embeddings = tuple(
-        Matrix.from_cols(Matrix.stacked_nullspace(constraints(k), basis_size(n, k)), basis_size(n, k))
+        Matrix.from_cols(
+            Matrix.stacked_nullspace(constraints(k), basis_size(n, k), sign_block(n, k, masks) if masks else None),
+            basis_size(n, k),
+        )
         for k in range(n + 1)
     )
     restricted = []
     for k in range(n):
-        d, outside = embeddings[k + 1].coordinates(differentials[k] @ embeddings[k])
+        dk, e = differentials[k], embeddings[k]
+        if callable(dk):
+            support = sorted({i for i, _ in e.entries})
+            local = {i: j for j, i in enumerate(support)}
+            indices = multi_indices(n, k)
+            dk = dk([indices[i] for i in support])
+            e = Matrix._trusted(len(support), e.ncols, {(local[i], j): v for (i, j), v in e.entries.items()})
+        d, outside = embeddings[k + 1].coordinates(dk @ e)
         if d is None:
             raise failure(f"differential leaves the subspace at degree {k}, vector {outside}")
         restricted.append(d)
@@ -92,9 +148,10 @@ def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
     """Horizontal invariant subcomplex of Lambda g* for x ranging over h.
 
     Per degree, the basis is the kernel of the stacked i_x and theta_x
-    matrices, each built only on the columns where the kernel narrowed so
-    far is nonzero; the differential is the restriction of the ambient one
-    (d-stability is verified exactly and its failure is a hard error).
+    matrices on the sign block of the ad_x, each built only on the columns
+    where the kernel narrowed so far is nonzero; the differential is the
+    restriction of the ambient one (d-stability is verified exactly and its
+    failure is a hard error).
     """
     g = pair.ambient
     n = g.dim
@@ -106,7 +163,8 @@ def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
             yield partial(interior_matrix, x, n, k)
             yield partial(lie_derivative_matrix, g, x, k)
 
-    return _embedded_subcomplex(pair, n, ambient.differentials, constraints, NotDStable)
+    operators = [g.adjoint_matrix(x) for x in pair.sub_basis]
+    return _embedded_subcomplex(pair, n, ambient.differentials, constraints, NotDStable, operators)
 
 
 def quotient_bracket_table(pair):
@@ -125,14 +183,16 @@ def quotient_bracket_table(pair):
     return table
 
 
-def quotient_differential(pair, k: int, table=None) -> Matrix:
-    """d_k on all of Lambda (g/h)*: the alternating sum over the projected
+def quotient_differential(pair, k: int, table=None, columns=None) -> Matrix:
+    """d_k on Lambda (g/h)*: the alternating sum over the projected
     brackets of the lifts (``table``, by default ``quotient_bracket_table``),
-    with the sign opposite to the ambient convention."""
+    with the sign opposite to the ambient convention.  ``columns``, ascending
+    degree-k multi-indices, restricts the columns (default: all), as in
+    ``alternating_differential_matrix``."""
     if table is None:
         table = quotient_bracket_table(pair)
     return alternating_differential_matrix(
-        pair.dim_quotient, lambda i, j: table.get((i, j), {}), k, flip_sign=True
+        pair.dim_quotient, lambda i, j: table.get((i, j), {}), k, flip_sign=True, columns=columns
     )
 
 
@@ -140,18 +200,21 @@ def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     """h-invariant forms on g/h with the opposite-sign differential.
 
     Invariance per degree is the kernel of the Lie-derivative action of
-    every h generator, each built on the kernel's support as in
-    ``basic_subcomplex``; the differential is ``quotient_differential``,
-    restricted to invariants.
+    every h generator, on the sign block of the action and built on the
+    kernel's support as in ``basic_subcomplex``; the differential is
+    ``quotient_differential``, built on the invariants' support and
+    restricted to them.
     """
     q = pair.dim_quotient
     table = quotient_bracket_table(pair)
-    differentials = [quotient_differential(pair, k, table) for k in range(q)]
+    differentials = [partial(quotient_differential, pair, k, table) for k in range(q)]
 
     def constraints(k):
         return [partial(endo_action_matrix, a, q, k) for a in pair.action]
 
-    return _embedded_subcomplex(pair, q, differentials, constraints, InternalInvariantError)
+    return _embedded_subcomplex(
+        pair, q, differentials, constraints, InternalInvariantError, pair.action
+    )
 
 
 class ModelComparison:

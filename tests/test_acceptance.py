@@ -334,6 +334,22 @@ def test_generators_of_gl4_so4_from_the_cli(capsys):
     assert betti == {"0": 1, "1": 1, "4": 1, "5": 2, "6": 1, "9": 1, "10": 1}
 
 
+def test_generators_of_gl5_so5_from_the_cli(capsys):
+    """For odd n = 2m + 1, H(gl(n), so(n)) is the exterior algebra on the
+    trace classes of degrees 1, 5, ..., 4m + 1 (Cartan's theorem, as in
+    ROADMAP item 5; odd n has no Pfaffian class).  For n = 5 that is y1, y3
+    and y5 in degrees 1, 5 and 9, and relative Betti numbers 1 in degrees
+    0, 1, 5, 6, 9, 10, 14 and 15."""
+    assert main(["classes", "--builtin", "gl:5", "--sub", "so:5"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert [(g["degree"], g["label"]) for g in result["generators"]] == [(1, "y1"), (5, "y3"), (9, "y5")]
+    assert result["presentation"] == "exterior-algebra"
+    assert main(["betti", "--builtin", "gl:5", "--relative", "so:5"]) == 0
+    betti = json.loads(capsys.readouterr().out)["result"]["betti"]
+    assert betti == {str(k): b for k, b in _exterior_betti(1, 5, 9).items()}
+    assert set(map(int, betti)) == {0, 1, 5, 6, 9, 10, 14, 15}
+
+
 def _mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 

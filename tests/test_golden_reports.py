@@ -109,6 +109,8 @@ def test_koszul_kernel_and_matrix_of_gl3_so3(capsys):
      "fa2c75de90e670290b7f9e08fd23551687edf55b1cb00be5f31cb8727c87801d"),
     ("betti --builtin gl:4 --relative so:4 --representatives",
      "c6598cb9011a31f9a716495b178f1aa682d9c8d111f092cb296b05cbb8a8cb64"),
+    ("classes --builtin gl:5 --sub so:5",
+     "ce5918ffd953e049fab339ac652d1466e94f9cdd17f60783c75e7d13a0c7c797"),
 ])
 def test_relative_model_and_generator_reports(capsys, argv, digest):
     """Generators, kernel forms and relative representatives, which pass

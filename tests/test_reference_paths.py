@@ -60,6 +60,16 @@ its reference sums ``Fraction``s.  ``bracket`` looks up only the pairs that
 meet the supports of its arguments; its reference loops over the whole
 table, and the Jacobi reference above uses it.
 
+The relative models seek each kernel on the sign block of exp(pi theta_M)
+for the operators M that define it.  Their reference is the path without
+the block (``sign_mask`` patched to find none): embeddings, restricted
+differentials and ranks must agree in value and type over the sweep pairs
+and the invariant quotient model of (gl(4), so(4)), and pairs where no
+generator has a mask must take that path.  ``endo_action_matrix`` and
+``interior_matrix`` sum int numerators; their references sum
+``Fraction``s.  ``wedge_vector`` works on bitmasks; its reference merges
+index tuples with ``merge_sign``.
+
 ``generated_spans`` builds the spans in one ascending pass, and
 ``identify_generators`` calls it once per degree.  Their references are
 the saturation fixpoint and the loop that saturates again after each
@@ -78,8 +88,10 @@ from types import SimpleNamespace
 import sympy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecoh import builtin, subalgebra
+from liecoh import builtin, relative, subalgebra
 from liecoh.classes import canonical_gl_so_pair, identify_generators
 from liecoh.cohomology import (
     CochainComplex,
@@ -106,8 +118,10 @@ from liecoh.exterior import (
     endo_action_matrix,
     interior_matrix,
     lie_derivative_matrix,
+    merge_sign,
     multi_indices,
     pullback_matrix,
+    wedge_vector,
 )
 from liecoh.koszul import PairAnalysis
 from liecoh.liealg import (
@@ -118,11 +132,18 @@ from liecoh.liealg import (
     full_subalgebra,
     so_in_gl_vectors,
     so_in_so_vectors,
+    so_pairs,
     validate_structure,
     zero_subalgebra,
 )
 from liecoh.linalg import ColumnSolver, Matrix, SpanBuilder, row_reduce
-from liecoh.relative import quotient_bracket_table
+from liecoh.relative import (
+    basic_subcomplex,
+    invariant_quotient_complex,
+    quotient_bracket_table,
+    sign_block,
+    sign_mask,
+)
 
 
 def clear_denominators(row):
@@ -1786,3 +1807,245 @@ def test_bracket_matches_full_table_loop():
             for j in range(g.dim):
                 x, y = g.basis_vector(i), g.basis_vector(j)
                 assert g.bracket(x, y) == reference_bracket(g, x, y)
+
+
+# ---------------------------------------------------------------------------
+# relative kernels on the sign block of exp(pi theta)
+# ---------------------------------------------------------------------------
+
+def rational_basis_pair():
+    """(gl(3), so(3)) with so(3) spanned by A_01 + 1/2 A_02, A_02 + 2/3 A_12
+    and A_12 + 3/2 A_01: each generator is a rotation of angular speed
+    sqrt(5)/2, sqrt(13)/3 or sqrt(13)/2, so no exp(pi ad_x) is diagonal."""
+    a01, a02, a12 = so_in_gl_vectors(3, 3)
+
+    def combo(x, c, y):
+        return [u + c * v for u, v in zip(x, y)]
+
+    return subalgebra(builtin("gl", 3), [
+        combo(a01, Fraction(1, 2), a02), combo(a02, Fraction(2, 3), a12), combo(a12, Fraction(3, 2), a01),
+    ])
+
+
+def full_path_pairs():
+    """Pairs where no generator has a sign mask: zero subalgebras, central
+    subalgebras of Heisenberg algebras (ad_z = 0) and a rational basis."""
+    return [
+        zero_subalgebra(builtin("so", 3)),
+        zero_subalgebra(builtin("gl", 2)),
+        subalgebra(builtin("heisenberg", 3), [[0, 0, 1]]),
+        subalgebra(builtin("heisenberg", 5), [[0, 0, 0, 0, 1]]),
+        rational_basis_pair(),
+    ]
+
+
+def expected_sign_mask(letters, a, b):
+    """The letters (c, d) with eps_c eps_d = -1, eps = -1 at a and b: the
+    -1 entries of conjugation by diag(eps) on E_cd, A_cd or E_cd + E_dc."""
+    return sum(1 << i for i, (c, d) in enumerate(letters) if ((c in (a, b)) + (d in (a, b))) % 2)
+
+
+def test_sign_mask_of_each_rotation_in_gl_and_so():
+    """exp(pi ad A_ab) is conjugation by the rotation through pi in the
+    (a, b) plane, diag(eps) with eps = -1 at a and b."""
+    for n in range(2, 6):
+        gl, so = builtin("gl", n), builtin("so", n)
+        so_letters = so_pairs(n)
+        gl_letters = [(c, d) for c in range(n) for d in range(n)]
+        for (a, b), x_gl, x_so in zip(so_letters, so_in_gl_vectors(n, n), so_in_so_vectors(n, n)):
+            assert sign_mask(gl.adjoint_matrix(x_gl)) == expected_sign_mask(gl_letters, a, b)
+            assert sign_mask(so.adjoint_matrix(x_so)) == expected_sign_mask(so_letters, a, b)
+        if n <= 4:
+            pair = canonical_gl_so_pair(n)
+            sym_letters = [(c, d) for c in range(n) for d in range(c, n)]
+            for (a, b), action in zip(so_letters, pair.action):
+                assert sign_mask(action) == expected_sign_mask(sym_letters, a, b)
+
+
+def test_no_sign_mask_without_a_diagonal_exp_pi():
+    rng = random.Random(71)
+    # nilpotent: ad_x on a Heisenberg algebra, strictly triangular matrices
+    for n in (3, 5, 7):
+        g = builtin("heisenberg", n)
+        for i in range(n - 1):
+            assert sign_mask(g.adjoint_matrix(g.basis_vector(i))) is None
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        m = Matrix(n, n, {(i, j): rng.choice((1, -2, Fraction(1, 3))) for i in range(n) for j in range(i + 1, n)})
+        assert sign_mask(m) is None or m.is_zero()
+    assert sign_mask(Matrix.zeros(3, 3)) == 0
+    # semisimple but exp(pi M) not diagonal, or eigenvalues off {0, +-i, +-2i}
+    rotation = Matrix(2, 2, {(0, 1): 1, (1, 0): -1})
+    assert sign_mask(rotation) == 0b11
+    assert sign_mask(rotation.scale(3)) is None
+    assert sign_mask(rotation.scale(Fraction(1, 2))) is None
+    assert sign_mask(Matrix.identity(2)) is None
+    # M^2 = -3: M^2 (M^2 + 4) = -3 is diagonal, but exp(pi M) is not
+    assert sign_mask(Matrix(2, 2, {(0, 1): 3, (1, 0): -1})) is None
+    assert sign_mask(Matrix(3, 3, {(1, 2): 1, (2, 1): -1})) == 0b110
+    for pair in full_path_pairs():
+        g = pair.ambient
+        operators = [g.adjoint_matrix(x) for x in pair.sub_basis] + list(pair.action)
+        assert not any(map(sign_mask, operators))
+
+
+def test_sign_block_is_the_even_multi_indices():
+    masks = [0b0110, 0b1100]
+    for k in range(5):
+        want = [pos for pos, I in enumerate(multi_indices(4, k))
+                if len({1, 2} & set(I)) % 2 == 0 and len({2, 3} & set(I)) % 2 == 0]
+        assert sign_block(4, k, masks) == want
+    assert sign_block(3, 2, []) == [0, 1, 2]
+
+
+def relative_models(pair, ambient=None, quotient_only=False):
+    models = [invariant_quotient_complex(pair)]
+    if not quotient_only:
+        models.append(basic_subcomplex(pair, ambient))
+    return models
+
+
+def assert_models_match(got, want):
+    assert len(got.embeddings) == len(want.embeddings)
+    for e, f in zip(got.embeddings, want.embeddings):
+        assert e == f and entry_types(e) == entry_types(f)
+    for d, c in zip(got.complex.differentials, want.complex.differentials):
+        assert d == c and entry_types(d) == entry_types(c)
+        assert d.rank() == c.rank()
+
+
+def assert_block_matches_full(pair, monkeypatch, quotient_only=False):
+    """Both models with and without the sign block; returns how many
+    kernels were sought on a block."""
+    within = []
+    stacked = Matrix.stacked_nullspace
+
+    def spy(blocks, ncols, within_cols=None):
+        within.append(within_cols)
+        return stacked(blocks, ncols, within_cols)
+
+    ambient = None if quotient_only else ce_complex(pair.ambient)
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "stacked_nullspace", staticmethod(spy))
+        blocked = relative_models(pair, ambient, quotient_only)
+    with monkeypatch.context() as patch:
+        patch.setattr(relative, "sign_mask", lambda m: None)
+        full = relative_models(pair, ambient, quotient_only)
+    for got, want in zip(blocked, full):
+        assert_models_match(got, want)
+    return sum(w is not None for w in within)
+
+
+def test_sign_block_matches_the_full_path_on_sweep_pairs(monkeypatch):
+    for pair in sweep_pairs():
+        blocked = assert_block_matches_full(pair, monkeypatch)
+        if any(map(sign_mask, pair.action)):
+            assert blocked > 0
+
+
+def test_sign_block_matches_the_full_path_on_gl4_so4(monkeypatch):
+    """The invariant quotient model of (gl(4), so(4)): 10 letters, 256 of
+    the 1024 cochains in the block."""
+    pair = canonical_gl_so_pair(4)
+    masks = [sign_mask(a) for a in pair.action]
+    assert sum(len(sign_block(10, k, masks)) for k in range(11)) == 256
+    assert assert_block_matches_full(pair, monkeypatch, quotient_only=True) == 11
+
+
+def test_pairs_without_a_sign_mask_take_the_full_path(monkeypatch):
+    for pair in full_path_pairs():
+        assert assert_block_matches_full(pair, monkeypatch) == 0
+
+
+# ---------------------------------------------------------------------------
+# integer constraint builders and the bitmask wedge
+# ---------------------------------------------------------------------------
+
+def reference_endo_action_matrix(a: Matrix, n: int, k: int) -> Matrix:
+    """theta_A summed in ``Fraction``s over the tuple bases."""
+    rows = {idx: pos for pos, idx in enumerate(multi_indices(n, k))}
+    entries = {}
+    for col, I in enumerate(multi_indices(n, k)):
+        for p, m in enumerate(I):
+            rest = I[:p] + I[p + 1:]
+            for (r, j), v in a.entries.items():
+                if r != m or j in rest:
+                    continue
+                J = tuple(sorted(rest + (j,)))
+                t = J.index(j)
+                key = (rows[J], col)
+                entries[key] = entries.get(key, Fraction(0)) + (-v if (t - p) % 2 == 0 else v)
+    return Matrix(len(rows), len(rows), entries)
+
+
+def reference_interior_matrix(x, n: int, k: int) -> Matrix:
+    rows = {idx: pos for pos, idx in enumerate(multi_indices(n, k - 1))}
+    entries = {}
+    for col, I in enumerate(multi_indices(n, k)):
+        for p, i in enumerate(I):
+            if x[i]:
+                key = (rows[I[:p] + I[p + 1:]], col)
+                entries[key] = entries.get(key, Fraction(0)) + (-1 if p % 2 else 1) * x[i]
+    return Matrix(len(rows), len(multi_indices(n, k)), entries)
+
+
+def assert_integer_builder(got: Matrix, want: Matrix, integral: bool):
+    """Equal values; int entries for integral input, else all ``Fraction``."""
+    assert got == want
+    assert set(entry_types(got).values()) <= ({int} if integral else {Fraction})
+
+
+def test_constraint_builders_match_fraction_sums():
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        rational = rng.random() < 0.5
+        a = random_endomorphism(rng, n, rational)
+        integral = all(type(v) is int or v.denominator == 1 for v in a.entries.values())
+        x = [rng.choice((0, 0, 1, -2, Fraction(1, 3) if rational else 3)) for _ in range(n)]
+        x_integral = all(type(v) is int for v in x)
+        for k in range(n + 1):
+            assert_integer_builder(endo_action_matrix(a, n, k), reference_endo_action_matrix(a, n, k), integral)
+            assert_integer_builder(interior_matrix(x, n, k), reference_interior_matrix(x, n, k), x_integral)
+    pair = canonical_gl_so_pair(3)
+    for a in pair.action:
+        for k in range(pair.dim_quotient + 1):
+            assert_integer_builder(endo_action_matrix(a, 6, k), reference_endo_action_matrix(a, 6, k), True)
+
+
+def reference_wedge_vector(n: int, k: int, v, l: int, w):
+    """The wedge by ``merge_sign`` over index tuples, each pair of nonzeros."""
+    out_positions = {idx: pos for pos, idx in enumerate(multi_indices(n, k + l))}
+    out = [Fraction(0)] * len(out_positions)
+    if not out_positions:
+        return out
+    vk, wl = multi_indices(n, k), multi_indices(n, l)
+    for pa, va in enumerate(v):
+        for pb, vb in enumerate(w):
+            if va and vb:
+                merged = merge_sign(vk[pa], wl[pb])
+                if merged is not None:
+                    sign, idx = merged
+                    out[out_positions[idx]] += sign * va * vb
+    return out
+
+
+@st.composite
+def sparse_vector_pairs(draw):
+    n = draw(st.integers(0, 7))
+    k, l = draw(st.integers(0, n)), draw(st.integers(0, n))
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+    )
+    v = draw(st.lists(entry, min_size=basis_size(n, k), max_size=basis_size(n, k)))
+    w = draw(st.lists(entry, min_size=basis_size(n, l), max_size=basis_size(n, l)))
+    return n, k, v, l, w
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sparse_vector_pairs())
+def test_bitmask_wedge_matches_merge_sign(args):
+    got, want = wedge_vector(*args), reference_wedge_vector(*args)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
