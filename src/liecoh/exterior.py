@@ -294,8 +294,11 @@ def alternating_differential_matrix(
     if columns is None:
         columns = multi_indices(n, k)
     if rows is None:
-        rows = multi_indices(n, k + 1)
-    row_of = {_mask(J): r for r, J in enumerate(rows)}
+        nrows = basis_size(n, k + 1)
+        row_of = multi_mask_positions(n, k + 1)
+    else:
+        nrows = len(rows)
+        row_of = {_mask(J): r for r, J in enumerate(rows)}
     flip = 1 if flip_sign else 0
     entries = {}
     for col, I in enumerate(columns):
@@ -318,9 +321,9 @@ def alternating_differential_matrix(
                 entries[key] = entries.get(key, 0) + (-c if odd else c)
     for key in [key for key, v in entries.items() if not v]:
         del entries[key]
-    d = Matrix._trusted(len(rows), len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
+    d = Matrix._trusted(nrows, len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
     # scale * d, for the elimination and the d o d check
-    d._numerators = Matrix._trusted(len(rows), len(columns), entries)
+    d._numerators = Matrix._trusted(nrows, len(columns), entries)
     return d
 
 
@@ -414,7 +417,13 @@ def _int_terms(items):
 
 def _over_scale(nrows: int, ncols: int, entries: dict, scale: int) -> Matrix:
     """The matrix of int sums ``entries`` divided by ``scale``: int entries
-    when the scale is 1, else ``Fraction``s; zero sums dropped."""
+    when the scale is 1, else ``Fraction``s; zero sums dropped.
+
+    The constraint builders return this.  ``alternating_differential_matrix``
+    does not: its d_k are the differentials of ``CochainComplex``es, which
+    keep ``Fraction`` entries for their chain-level callers and carry the
+    int numerators beside them (``Matrix._numerators``), so the elimination
+    and the d o d check already work on ints."""
     if scale == 1:
         entries = {key: v for key, v in entries.items() if v}
     else:

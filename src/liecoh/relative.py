@@ -100,39 +100,37 @@ def sign_block(n: int, k: int, masks):
     ]
 
 
-def _embedded_subcomplex(pair, n, differentials, constraints, failure, operators=()) -> EmbeddedSubcomplex:
-    """The common kernel of ``constraints(k)`` in each Lambda^k (Q^n)*, with
-    the restriction of ``differentials``.
+def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()) -> EmbeddedSubcomplex:
+    """The forms in each Lambda^k (Q^n)* killed by i_x for every vector x
+    in ``interiors`` and by theta_M for every endomorphism M of
+    ``operators``, with the restriction of ``differential``.
 
-    ``constraints(k)`` are the blocks of ``Matrix.stacked_nullspace``; the
-    embedding columns are its canonical kernel basis, so each d_k restricts by
-    one ``coordinates`` call, whose exact check is the d-stability arbiter:
-    an image outside the next kernel raises ``failure``.
-
-    ``operators`` are endomorphisms M of Q^n whose theta_M is among the
-    constraints; the kernel is sought on the ``sign_block`` of those with a
-    ``sign_mask`` (all of Lambda^k when none has one).  A differential may
-    be a callable: given the ascending degree-k multi-indices where the
-    embedding is nonzero, it returns d_k on those columns, with all rows.
+    ``operators`` holds pairs ``(M, theta)``, ``theta(k, columns)`` the
+    matrix of theta_M on Lambda^k.  Per degree, the i_x and then the theta
+    matrices are the blocks of ``Matrix.stacked_nullspace``, sought on the
+    ``sign_block`` of the M with a ``sign_mask`` (all of Lambda^k when none
+    has one); the embedding columns are its canonical kernel basis.  ``differential(k,
+    support)`` returns d_k on the ascending degree-k basis positions
+    ``support`` where the embedding is nonzero, with all rows, so each d_k
+    restricts by one ``coordinates`` call, whose exact check is the
+    d-stability arbiter: an image outside the next kernel raises ``failure``.
     """
-    masks = [mask for mask in map(sign_mask, operators) if mask]
-    embeddings = tuple(
-        Matrix.from_cols(
-            Matrix.stacked_nullspace(constraints(k), basis_size(n, k), sign_block(n, k, masks) if masks else None),
-            basis_size(n, k),
-        )
-        for k in range(n + 1)
-    )
+    masks = [mask for mask in (sign_mask(m) for m, _ in operators) if mask]
+
+    def kernel(k):
+        blocks = [partial(interior_matrix, x, n, k) for x in interiors]
+        blocks += [partial(theta, k) for _, theta in operators]
+        within = sign_block(n, k, masks) if masks else None
+        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, basis_size(n, k), within), basis_size(n, k))
+
+    embeddings = tuple(kernel(k) for k in range(n + 1))
     restricted = []
     for k in range(n):
-        dk, e = differentials[k], embeddings[k]
-        if callable(dk):
-            support = sorted({i for i, _ in e.entries})
-            local = {i: j for j, i in enumerate(support)}
-            indices = multi_indices(n, k)
-            dk = dk([indices[i] for i in support])
-            e = Matrix._trusted(len(support), e.ncols, {(local[i], j): v for (i, j), v in e.entries.items()})
-        d, outside = embeddings[k + 1].coordinates(dk @ e)
+        e = embeddings[k]
+        support = sorted({i for i, _ in e.entries})
+        local = {i: j for j, i in enumerate(support)}
+        e = Matrix._trusted(len(support), e.ncols, {(local[i], j): v for (i, j), v in e.entries.items()})
+        d, outside = embeddings[k + 1].coordinates(differential(k, support) @ e)
         if d is None:
             raise failure(f"differential leaves the subspace at degree {k}, vector {outside}")
         restricted.append(d)
@@ -142,6 +140,14 @@ def _embedded_subcomplex(pair, n, differentials, constraints, failure, operators
         product=EmbeddedProduct(BasisProduct(n), embeddings),
     )
     return EmbeddedSubcomplex(pair, complex, embeddings)
+
+
+def _columns_of(d: Matrix, columns) -> Matrix:
+    """The columns of ``d`` at the ascending positions ``columns``, in order."""
+    local = {c: j for j, c in enumerate(columns)}
+    return Matrix._trusted(
+        d.nrows, len(columns), {(i, local[c]): v for (i, c), v in d.entries.items() if c in local}
+    )
 
 
 def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
@@ -154,17 +160,16 @@ def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
     failure is a hard error).
     """
     g = pair.ambient
-    n = g.dim
     if ambient is None:
         ambient = ce_complex(g)
-
-    def constraints(k):
-        for x in pair.sub_basis:
-            yield partial(interior_matrix, x, n, k)
-            yield partial(lie_derivative_matrix, g, x, k)
-
-    operators = [g.adjoint_matrix(x) for x in pair.sub_basis]
-    return _embedded_subcomplex(pair, n, ambient.differentials, constraints, NotDStable, operators)
+    return _embedded_subcomplex(
+        pair,
+        g.dim,
+        lambda k, support: _columns_of(ambient.differentials[k], support),
+        [(g.adjoint_matrix(x), partial(lie_derivative_matrix, g, x)) for x in pair.sub_basis],
+        NotDStable,
+        interiors=pair.sub_basis,
+    )
 
 
 def quotient_bracket_table(pair):
@@ -207,14 +212,13 @@ def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     """
     q = pair.dim_quotient
     table = quotient_bracket_table(pair)
-    differentials = [partial(quotient_differential, pair, k, table) for k in range(q)]
 
-    def constraints(k):
-        return [partial(endo_action_matrix, a, q, k) for a in pair.action]
+    def differential(k, support):
+        indices = multi_indices(q, k)
+        return quotient_differential(pair, k, table, [indices[i] for i in support])
 
-    return _embedded_subcomplex(
-        pair, q, differentials, constraints, InternalInvariantError, pair.action
-    )
+    operators = [(a, partial(endo_action_matrix, a, q)) for a in pair.action]
+    return _embedded_subcomplex(pair, q, differential, operators, InternalInvariantError)
 
 
 class ModelComparison:

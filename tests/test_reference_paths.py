@@ -117,6 +117,7 @@ from liecoh.exterior import (
     basis_size,
     endo_action_matrix,
     interior_matrix,
+    lie_derivative,
     lie_derivative_matrix,
     merge_sign,
     multi_indices,
@@ -2011,6 +2012,26 @@ def test_constraint_builders_match_fraction_sums():
     for a in pair.action:
         for k in range(pair.dim_quotient + 1):
             assert_integer_builder(endo_action_matrix(a, 6, k), reference_endo_action_matrix(a, 6, k), True)
+
+
+def test_lie_derivative_returns_fraction_coefficients_under_an_integral_action():
+    """``lie_derivative`` applies ``endo_action_matrix``, whose entries are
+    ints for an integral ad_x, to the form's coordinates; the result is a
+    ``Form``, which holds ``Fraction`` coefficients whatever the entry
+    types, so it is what the ``Fraction`` reference gives, in value and in
+    type, for int and for ``Fraction`` coordinates alike."""
+    rng = random.Random(89)
+    g = builtin("gl", 3)
+    for _ in range(10):
+        x = [rng.choice((0, 1, -2)) for _ in range(g.dim)]
+        k = rng.randint(0, g.dim)
+        a = Form.from_vector(g.dim, k, [rng.choice((0, 0, 1, -3, Fraction(1, 2))) for _ in range(basis_size(g.dim, k))])
+        vec = a.to_vector()
+        assert set(map(type, endo_action_matrix(g.adjoint_matrix(x), g.dim, k).entries.values())) <= {int}
+        want = reference_endo_action_matrix(g.adjoint_matrix(x), g.dim, k).apply(vec)
+        got = lie_derivative(g, x, a)
+        assert got == Form.from_vector(g.dim, k, want)
+        assert {type(c) for c in got.coeffs.values()} <= {Fraction}
 
 
 def reference_wedge_vector(n: int, k: int, v, l: int, w):

@@ -1,14 +1,16 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from liecoh import builtin, subalgebra
 from liecoh.cohomology import ce_complex, compute_cohomology
 from liecoh.errors import NotDStable
-from liecoh.exterior import Form, ce_differential
+from liecoh.exterior import Form, ce_differential, endo_action_matrix
 from liecoh.liealg import full_subalgebra, zero_subalgebra
 from liecoh.linalg import Matrix
 from liecoh.relative import (
+    _columns_of,
     _embedded_subcomplex,
     basic_subcomplex,
     compare_models,
@@ -164,11 +166,13 @@ def test_subcomplex_serialization_shape(gl2_so2):
 
 def test_builder_refuses_a_kernel_that_is_not_d_stable():
     # heisenberg(3): [x, y] = z, so d(z*) is a nonzero multiple of x* ^ y*.
-    # Degree 1 keeps x* and z* (vectors 0 and 1), degree 2 drops x* ^ y*.
+    # theta of m = diag(0, 1, 0) kills the forms without y*: degree 1 keeps x*
+    # and z* (vectors 0 and 1), degree 2 drops x* ^ y*.
     g = builtin("heisenberg", 3)
-    constraints = {1: [Matrix.from_rows([[0, 1, 0]])], 2: [Matrix.from_rows([[1, 0, 0]])]}
+    d = ce_complex(g).differentials
+    m = Matrix(3, 3, {(1, 1): 1})
     with pytest.raises(NotDStable, match="degree 1, vector 1"):
         _embedded_subcomplex(
-            zero_subalgebra(g), 3, ce_complex(g).differentials,
-            lambda k: constraints.get(k, []), NotDStable,
+            zero_subalgebra(g), 3, lambda k, support: _columns_of(d[k], support),
+            [(m, partial(endo_action_matrix, m, 3))], NotDStable,
         )
