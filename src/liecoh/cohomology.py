@@ -56,7 +56,6 @@ from .exterior import (
     alternating_differential_matrix,
     basis_size,
     ce_differential,
-    multi_indices,
     wedge_vector,
 )
 from .linalg import Matrix, SpanBuilder
@@ -178,14 +177,12 @@ def _product_vanishes(a: Matrix, b: Matrix) -> bool:
     return (a @ (b @ y)).is_zero()
 
 
-def ce_complex(g, grading=None, full=None) -> CochainComplex:
+def ce_complex(g, grading=None) -> CochainComplex:
     """The Chevalley-Eilenberg complex of an algebra, with its wedge.
 
     Without a ``grading``, all of Lambda g*.  With one, its weight-zero block
     (see ``liealg.Grading``): d is computed on the block's columns only, and
-    a term outside the block raises InternalInvariantError.  When ``full``,
-    the full complex of g, is given, the block is read off its d_k instead,
-    and a nonzero entry outside the block raises.
+    a term outside the block raises InternalInvariantError.
     """
     n = g.dim
     dims = tuple(basis_size(n, k) for k in range(n + 1))
@@ -193,16 +190,11 @@ def ce_complex(g, grading=None, full=None) -> CochainComplex:
         diffs = tuple(ce_differential(g, k) for k in range(n))
         return CochainComplex(dims=dims, differentials=diffs, product=BasisProduct(n))
     blocks = [grading.block(k) for k in range(n + 1)]
-    if full is None:
-        indices = [[idx for _, idx in b] for b in blocks]
-        diffs = tuple(
-            alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
-            for k in range(n)
-        )
-    else:
-        diffs = tuple(
-            _block_of(full.differentials[k], blocks[k], blocks[k + 1], n, k) for k in range(n)
-        )
+    indices = [[idx for _, idx in b] for b in blocks]
+    diffs = tuple(
+        alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
+        for k in range(n)
+    )
     block = Block(
         positions=tuple(tuple(pos for pos, _ in b) for b in blocks),
         full_dims=dims,
@@ -211,31 +203,6 @@ def ce_complex(g, grading=None, full=None) -> CochainComplex:
     return CochainComplex(
         dims=tuple(map(len, blocks)), differentials=diffs, product=BasisProduct(n), block=block
     )
-
-
-def _block_of(d: Matrix, columns, rows, n: int, k: int) -> Matrix:
-    """The block of a full d_k on n letters on ``columns`` and ``rows``,
-    ascending (position, multi-index) pairs; its entries keep their order and
-    type.
-
-    A nonzero entry in a block column but outside the block rows raises
-    InternalInvariantError, as ``alternating_differential_matrix`` does.
-    """
-    col_of = {pos: c for c, (pos, _) in enumerate(columns)}
-    row_of = {pos: r for r, (pos, _) in enumerate(rows)}
-    entries = {}
-    for (i, j), v in d.entries.items():
-        c = col_of.get(j)
-        if c is None:
-            continue
-        r = row_of.get(i)
-        if r is None:
-            raise InternalInvariantError(
-                f"d of the degree-{k} basis form {columns[c][1]} has a term on "
-                f"{multi_indices(n, k + 1)[i]}, outside the block"
-            )
-        entries[(r, c)] = v
-    return Matrix(len(rows), len(columns), entries)
 
 
 def ce_cohomology(g, full=None) -> "CohomologySpace":
@@ -247,7 +214,7 @@ def ce_cohomology(g, full=None) -> "CohomologySpace":
     """
     if g.grading.trivial:
         return CohomologySpace(full if full is not None else ce_complex(g))
-    return CohomologySpace(ce_complex(g, g.grading, full), full=full)
+    return CohomologySpace(ce_complex(g, g.grading), full=full)
 
 
 class CohomologySpace:
@@ -505,6 +472,12 @@ def induced_map(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyM
     """
     maps = list(maps)
     check_chain_map(maps, src.full_complex, dst.full_complex)
+    return _induced_map_unchecked(maps, src, dst)
+
+
+def _induced_map_unchecked(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyMap:
+    """``induced_map`` of a list of ``maps`` that the caller has already
+    checked against the same two full complexes."""
     matrices = []
     for k in range(src.top_degree + 1):
         f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.full_dim(k), src.full_dim(k))

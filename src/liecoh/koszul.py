@@ -25,6 +25,7 @@ from functools import cached_property
 from .cohomology import (
     CohomologyMap,
     CohomologySpace,
+    _induced_map_unchecked,
     ce_cohomology,
     ce_complex,
     check_chain_map,
@@ -96,9 +97,14 @@ class PairAnalysis:
 
     @cached_property
     def koszul(self) -> KoszulResult:
-        """Induced map H(g, h) -> H(g), injectivity verdict, kernel classes."""
+        """Induced map H(g, h) -> H(g), injectivity verdict, kernel classes.
+
+        ``delta_chain`` checks the chain map against ``invq.complex`` and
+        ``ambient_complex``, the full complexes of the two spaces, so the
+        check is not run a second time.
+        """
         chain = delta_chain(self)
-        mapping = induced_map(chain, self.relative_cohomology, self.ambient_cohomology)
+        mapping = _induced_map_unchecked(chain, self.relative_cohomology, self.ambient_cohomology)
         kernel = []
         for k in range(self.relative_cohomology.top_degree + 1):
             for coords in mapping.kernel_basis(k):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb, lcm
-from operator import or_
 
 from .errors import (
     AntisymmetryViolation,
@@ -39,13 +38,10 @@ class LieAlgebra:
     """Structure constants on a named basis; equal when dim, names and
     brackets are."""
 
-    def __init__(self, dim: int, basis_names: tuple, structure: dict, sign_parities: tuple = None):
+    def __init__(self, dim: int, basis_names: tuple, structure: dict):
         self.dim = dim
         self.basis_names = basis_names
         self.structure = structure  # (i, j) with i < j -> {k: coefficient}, zero rows absent
-        # Builtin so(n) only: per basis element A_ab, the bitmask 2^a + 2^b of the
-        # sign changes diag(eps) that negate it.  Not part of the algebra's identity.
-        self.sign_parities = sign_parities
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -58,12 +54,14 @@ class LieAlgebra:
 
     @cached_property
     def grading(self) -> "Grading":
-        """The torus weights of the basis and, for builtin so(n), its parities.
+        """The torus weights of the basis and its parities under the sign
+        masks of the ad e_j (``sign_mask``, ``sign_parities``).
 
         Found on first use, when the weight-zero block of the CE complex is
         first built.
         """
-        return Grading(torus_weights(self), self.sign_parities or (0,) * self.dim)
+        masks = [sign_mask(self.adjoint_matrix(self.basis_vector(j))) or 0 for j in range(self.dim)]
+        return Grading(torus_weights(self), sign_parities(self.dim, masks))
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse coordinate dict (any index order)."""
@@ -119,26 +117,26 @@ class Grading:
     """A splitting of Lambda g* into subcomplexes, all acyclic but one.
 
     ``weights[j]`` is the torus weight of e_j, packed into one int by
-    ``torus_weights``; ``parities[j]`` is its sign-change parity, a bitmask in
-    (Z/2)^n, and ``full_parity``, their union, the all-ones parity (0 when
-    there are no parities).
+    ``torus_weights``; ``parities[j]`` is its sign parity, the bitmask of the
+    sign masks that contain it (``sign_parities``).
     theta^I lies in the weight-zero block when the weights of I sum to 0 and
-    the parities of I add up to 0 or to all-ones.  Cartan's formula
-    theta_x = d i_x + i_x d makes theta_x zero on cohomology, so every block
-    of nonzero torus weight is acyclic; so is every other parity, because the
-    sign changes with product 1 lie in the connected group SO(n).
+    the parities of I XOR to 0.  Cartan's formula theta_x = d i_x + i_x d
+    makes theta_x zero on cohomology, so every block of nonzero torus weight
+    is acyclic.  So is every other parity: when exp(pi M) = diag(eps) for an M
+    whose theta_M is zero on cohomology, such as ad x, its pullback is a
+    chain map that is the identity on cohomology and multiplies theta^I by
+    the product of eps over I, so its -1 eigenspace is an acyclic subcomplex.
     """
 
     def __init__(self, weights, parities):
         self.weights = tuple(weights)
         self.parities = tuple(parities)
-        self.full_parity = reduce(or_, self.parities, 0)
         self._states = None
 
     @property
     def trivial(self) -> bool:
         """True when the weight-zero block is all of Lambda g*."""
-        return not any(self.weights) and all(p in (0, self.full_parity) for p in self.parities)
+        return not any(self.weights) and not any(self.parities)
 
     def block(self, k: int):
         """The degree-k weight-zero block as ascending (position, multi-index)
@@ -146,12 +144,12 @@ class Grading:
 
         Only the block is visited: a depth-first search over ascending
         letters takes letter v next only when some set of the letters after
-        it completes the multi-index to weight 0 and parity 0 or all-ones,
-        as the table of the (count, weight, parity) that each suffix of the
-        letters reaches says.  The position of i_1 < ... < i_k is
+        it completes the multi-index to weight 0 and parity 0, as the table
+        of the (count, weight, parity) that each suffix of the letters
+        reaches says.  The position of i_1 < ... < i_k is
         C(n, k) - 1 - sum_t C(n - 1 - i_t, k + 1 - t).
         """
-        weights, parities, full = self.weights, self.parities, self.full_parity
+        weights, parities = self.weights, self.parities
         n = len(weights)
         reach = self._suffix_states()
         out = []
@@ -160,13 +158,12 @@ class Grading:
             if left == 1:
                 # the last letter: no suffix table needed
                 for v in range(start, n):
-                    if weights[v] == -weight and parity ^ parities[v] in (0, full):
+                    if weights[v] == -weight and parities[v] == parity:
                         out.append((pos - (n - 1 - v), idx + (v,)))
                 return
             for v in range(start, n - left + 1):
                 w, p = weight + weights[v], parity ^ parities[v]
-                states = reach[v + 1]
-                if (left - 1, -w, p) in states or (left - 1, -w, p ^ full) in states:
+                if (left - 1, -w, p) in reach[v + 1]:
                     visit(v + 1, left - 1, w, p, pos - comb(n - 1 - v, left), idx + (v,))
 
         if k:
@@ -185,6 +182,50 @@ class Grading:
                 states.append(after | {(c + 1, x + w, y ^ p) for c, x, y in after})
             self._states = states[::-1]
         return self._states
+
+
+def sign_mask(m: Matrix):
+    """The letters where exp(pi M) is -1, as a bitmask, when exp(pi M) is
+    diagonal with entries +-1; else None.
+
+    If M (M^2 + 1)(M^2 + 4) = 0, M is diagonalizable over C with eigenvalues
+    in {0, +-i, +-2i}, where exp(pi z) and the even polynomial
+    1 + (2/3) z^2 (z^2 + 4) both take the values 1, -1, 1; so exp(pi M), and
+    exp(-pi M), is that polynomial in M.  Both tests are exact, in ints: with
+    s the lcm of the denominators of M and A = s M, the first reads
+    A (A^2 + s^2)(A^2 + 4 s^2) = 0.  Most operators fail it already on the
+    all-ones vector, by five matrix-vector products, before any matrix
+    product is formed.
+    """
+    n = m.nrows
+    s = reduce(lcm, (v.denominator for v in m.entries.values()), 1)
+    a = Matrix._trusted(n, n, {key: v.numerator * (s // v.denominator) for key, v in m.entries.items()})
+    s2 = s * s
+    powers = [[1] * n]
+    for _ in range(5):
+        powers.append(a.apply(powers[-1]))
+    if any(x + 5 * s2 * y + 4 * s2 * s2 * z for x, y, z in zip(powers[5], powers[3], powers[1])):
+        return None
+    square = a @ a
+    shifted = square + Matrix.identity(n).scale(4 * s2)  # s^2 (M^2 + 4)
+    if not (a @ (square + Matrix.identity(n).scale(s2)) @ shifted).is_zero():
+        return None
+    mask = 0
+    for (i, j), v in (square @ shifted).entries.items():  # s^4 (exp(pi M) - 1), times 3/2
+        if i != j or v != -3 * s2 * s2:
+            return None
+        mask |= 1 << i
+    return mask
+
+
+def sign_parities(n: int, masks) -> tuple:
+    """Per letter v < n, the bitmask of the ``masks`` that contain it: bit t
+    is set when bit v of ``masks[t]`` is.
+
+    A multi-index meets every mask in an even number of letters exactly when
+    the parities of its letters XOR to 0.
+    """
+    return tuple(sum(1 << t for t, mask in enumerate(masks) if mask >> v & 1) for v in range(n))
 
 
 def torus_weights(g: LieAlgebra) -> tuple:
@@ -342,7 +383,7 @@ def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _from_matrix_basis(mats, names, sign_parities=None) -> LieAlgebra:
+def _from_matrix_basis(mats, names) -> LieAlgebra:
     """Structure constants of a bracket-closed list of n x n matrices.
 
     Each commutator is formed over the nonzero entries of the two matrices
@@ -371,7 +412,7 @@ def _from_matrix_basis(mats, names, sign_parities=None) -> LieAlgebra:
             terms = {k: v for k, v in enumerate(coords) if v}
             if terms:
                 structure[(i, j)] = terms
-    return LieAlgebra(dim, tuple(names), structure, sign_parities)
+    return LieAlgebra(dim, tuple(names), structure)
 
 
 def gl_basis_names(n):
@@ -419,8 +460,7 @@ def builtin(name: str, n: int) -> LieAlgebra:
             _mat_sub(_matrix_unit(n, a, b), _matrix_unit(n, b, a)) for a, b in so_pairs(n)
         ]
         names = [f"A{a + 1}{b + 1}" for a, b in so_pairs(n)]
-        parities = tuple((1 << a) | (1 << b) for a, b in so_pairs(n))
-        return _from_matrix_basis(mats, names, sign_parities=parities)
+        return _from_matrix_basis(mats, names)
     if name == "abelian":
         if n < 1:
             raise InvalidParams("abelian(n) needs n >= 1")

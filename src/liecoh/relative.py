@@ -13,7 +13,8 @@ projected bracket taken with the sign opposite to the ambient convention
 Both are the output of one builder, ``_embedded_subcomplex``: a kernel of
 constraint blocks per degree, with the restricted differential, returned
 as one ``EmbeddedSubcomplex``.  Each kernel is sought only on the sign
-block of the theta operators that define it (``sign_mask``).
+block of the theta operators that define it (``liealg.sign_mask``), as
+``liealg.Grading.block`` lists it.
 
 The pullback along minus the projection s: g -> g/h restricts to a chain
 isomorphism from model 2 onto model 1; ``compare_models`` verifies
@@ -43,10 +44,10 @@ from .exterior import (
     endo_action_matrix,
     interior_matrix,
     lie_derivative_matrix,
-    multi_index_masks,
     multi_indices,
     pullback_matrix,
 )
+from .liealg import Grading, sign_mask, sign_parities
 from .linalg import Matrix
 
 
@@ -64,42 +65,6 @@ class EmbeddedSubcomplex:
         return Form.from_vector(len(self.embeddings) - 1, k, self.embeddings[k].apply(vec))
 
 
-def sign_mask(m: Matrix):
-    """The letters where exp(pi M) is -1, as a bitmask, when exp(pi M) is
-    diagonal with entries +-1; else None.
-
-    If M (M^2 + 1)(M^2 + 4) = 0, M is diagonalizable over C with eigenvalues
-    in {0, +-i, +-2i}, where exp(pi z) and the even polynomial
-    1 + (2/3) z^2 (z^2 + 4) both take the values 1, -1, 1; so exp(pi M), and
-    exp(-pi M), is that polynomial in M.  Both tests are exact.
-    """
-    square = m @ m
-    shifted = square + Matrix.identity(m.nrows).scale(4)  # M^2 + 4
-    if not (m @ (square + Matrix.identity(m.nrows)) @ shifted).is_zero():
-        return None
-    mask = 0
-    for (i, j), v in (square @ shifted).entries.items():  # exp(pi M) - 1, times 3/2
-        if i != j or v != -3:
-            return None
-        mask |= 1 << i
-    return mask
-
-
-def sign_block(n: int, k: int, masks):
-    """Ascending positions of the degree-k multi-indices that meet each mask
-    in an even number of letters.
-
-    A form killed by theta_M is fixed by exp(pi theta_M), the pullback along
-    exp(-pi M); when that is diag(eps), it multiplies theta^I by the product
-    of eps over I.  So every form killed by the theta of each operator with
-    a ``sign_mask`` lies in the span of these basis forms.
-    """
-    return [
-        pos for pos, I in enumerate(multi_index_masks(n, k))
-        if not any((I & mask).bit_count() & 1 for mask in masks)
-    ]
-
-
 def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()) -> EmbeddedSubcomplex:
     """The forms in each Lambda^k (Q^n)* killed by i_x for every vector x
     in ``interiors`` and by theta_M for every endomorphism M of
@@ -108,19 +73,23 @@ def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()
     ``operators`` holds pairs ``(M, theta)``, ``theta(k, columns)`` the
     matrix of theta_M on Lambda^k.  Per degree, the i_x and then the theta
     matrices are the blocks of ``Matrix.stacked_nullspace``, sought on the
-    ``sign_block`` of the M with a ``sign_mask`` (all of Lambda^k when none
-    has one); the embedding columns are its canonical kernel basis.  ``differential(k,
+    block of the grading by the parities of the M with a ``sign_mask`` (all
+    of Lambda^k when none has one): a form killed by theta_M is fixed by
+    exp(pi theta_M), the pullback along exp(-pi M), which multiplies theta^I
+    by the product of eps over I when exp(pi M) = diag(eps).  The embedding
+    columns are the canonical kernel basis.  ``differential(k,
     support)`` returns d_k on the ascending degree-k basis positions
     ``support`` where the embedding is nonzero, with all rows, so each d_k
     restricts by one ``coordinates`` call, whose exact check is the
     d-stability arbiter: an image outside the next kernel raises ``failure``.
     """
     masks = [mask for mask in (sign_mask(m) for m, _ in operators) if mask]
+    grading = Grading((0,) * n, sign_parities(n, masks))
 
     def kernel(k):
         blocks = [partial(interior_matrix, x, n, k) for x in interiors]
         blocks += [partial(theta, k) for _, theta in operators]
-        within = sign_block(n, k, masks) if masks else None
+        within = [pos for pos, _ in grading.block(k)] if masks else None
         return Matrix.from_cols(Matrix.stacked_nullspace(blocks, basis_size(n, k), within), basis_size(n, k))
 
     embeddings = tuple(kernel(k) for k in range(n + 1))

@@ -55,6 +55,17 @@ def test_export_round_trip(capsys, tmp_path):
     assert by_builtin["result"] == by_file["result"]
 
 
+def test_exported_so6_gives_the_builtin_report(capsys, tmp_path):
+    """A file carries no grading: the sign block is found from the brackets,
+    so the report, representatives included, is the builtin's."""
+    path = tmp_path / "so6.json"
+    code, _ = run_cli(capsys, "export", "--builtin", "so:6", "-o", str(path))
+    assert code == 0
+    _, by_builtin = run_cli(capsys, "betti", "--builtin", "so:6", "--representatives")
+    _, by_file = run_cli(capsys, "betti", "--file", str(path), "--representatives")
+    assert json.dumps(by_file["result"]) == json.dumps(by_builtin["result"])
+
+
 def test_export_to_stdout_is_bare_algebra(capsys):
     code, payload = run_cli(capsys, "export", "--builtin", "so:3")
     assert code == 0

@@ -1,6 +1,9 @@
-from liecoh import builtin, subalgebra
-from liecoh.cohomology import odd_generated
-from liecoh.exterior import Form
+import pytest
+
+from liecoh import builtin, cohomology, koszul, subalgebra
+from liecoh.cohomology import check_chain_map, odd_generated
+from liecoh.errors import ChainMapViolation
+from liecoh.exterior import Form, pullback_matrix
 from liecoh.koszul import (
     PairAnalysis,
     delta_chain,
@@ -17,6 +20,7 @@ from liecoh.liealg import (
     gl_block_inclusion,
     identity_morphism,
     pair_morphism,
+    so_in_so_vectors,
     zero_subalgebra,
 )
 from liecoh.linalg import Matrix
@@ -27,6 +31,27 @@ def test_delta_chain_of_zero_pair_is_signed_identity():
     maps = delta_chain(zero_subalgebra(g))
     for k, m in enumerate(maps):
         assert m == Matrix.identity(m.nrows).scale((-1) ** k)
+
+
+def test_the_koszul_map_checks_its_chain_map_once(monkeypatch):
+    """One exact check per Koszul map; without the sign (-1)^k the pullback
+    is no chain map, and the Koszul map raises ChainMapViolation."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_chain_map(*args)
+
+    monkeypatch.setattr(koszul, "check_chain_map", counted)
+    monkeypatch.setattr(cohomology, "check_chain_map", counted)
+    for pair in (zero_subalgebra(builtin("so", 3)), subalgebra(builtin("so", 4), so_in_so_vectors(3, 4))):
+        calls.clear()
+        assert PairAnalysis(pair).koszul.injective is not None
+        assert len(calls) == 1
+    monkeypatch.setattr(koszul, "pullback_matrix", lambda f, k: pullback_matrix(f, k).scale((-1) ** k))
+    with pytest.raises(ChainMapViolation) as exc:
+        PairAnalysis(zero_subalgebra(builtin("so", 3))).koszul
+    assert exc.value.degree == 1
 
 
 def test_delta_chain_of_full_pair_is_unit_only():

@@ -64,11 +64,18 @@ def test_file_inputs_keep_their_sha256_digest(capsys, tmp_path):
     )
 
 
-def test_lie_algebras_compare_without_sign_parities():
+def test_lie_algebras_compare_by_value_and_grade_from_their_brackets():
+    """The grading is read off the structure constants, so an algebra and
+    its round trip through a file are equal and graded alike."""
+    algebras = [builtin("so", n) for n in range(2, 7)]
+    algebras += [builtin("gl", 3), builtin("sl", 3), builtin("heisenberg", 5)]
+    for g in algebras:
+        from_file = algebra_from_json(algebra_to_json(g))
+        assert g == from_file and not g != from_file
+        assert g.grading.weights == from_file.grading.weights
+        assert g.grading.parities == from_file.grading.parities
     so4 = builtin("so", 4)
-    from_file = algebra_from_json(algebra_to_json(so4))
-    assert so4.sign_parities is not None and from_file.sign_parities is None
-    assert so4 == from_file and not so4 != from_file
+    assert any(so4.grading.parities) and not any(builtin("gl", 3).grading.parities)
     assert so4 != builtin("gl", 2)
     assert LieAlgebra(1, ("x",), {}) != LieAlgebra(1, ("y",), {})
     with pytest.raises(TypeError):
