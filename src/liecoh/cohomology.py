@@ -321,7 +321,7 @@ class CohomologySpace:
         vanish off the block.
         """
         self._kept[k] = kept
-        vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept, full=False)
+        vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept)
         place = self._place(k)
         reps = {(place[i], j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
         self._representatives[k] = Matrix(self.full_dim(k), len(kept), reps)
@@ -337,10 +337,11 @@ class CohomologySpace:
         A cocycle z has kernel coordinates z[f_1], ..., z[f_r], its entries
         at the free columns of d_k.  The columns of d_(k-1) at its pivot
         columns are a basis of the coboundaries; their kernel coordinates,
-        in reversed order, are brought to reduced echelon form.  Subtracting
-        echelon rows clears a cocycle's pivot positions; what is left at the
-        non-pivot positions are its coordinates.  Those positions must be
-        the kept free columns of the top-down elimination, or
+        in reversed order, form the rows of a matrix E.  Subtracting
+        coboundaries clears a cocycle's coordinates at the pivot columns of
+        E; what is left at each free column q of E is its coordinate, read
+        by the canonical kernel vector of E at q.  Those free columns must
+        be the kept free columns of the top-down elimination, or
         InternalInvariantError is raised.
 
         On a block the reducer reads only the block's coordinates of a
@@ -358,22 +359,19 @@ class CohomologySpace:
         for (i, j), v in image.entries.items():
             if j in basis_cols and i in position:
                 entries[(basis_cols[j], position[i])] = v
-        rows, pivots = Matrix(len(basis_cols), r, entries)._eliminate()
-        taken = {p for _, p in pivots}
-        kept = [i for i in range(r) if r - 1 - i not in taken]
-        if [free[i] for i in kept] != self._kept[k]:
+        coboundaries = Matrix(len(basis_cols), r, entries)
+        # kernel vectors by descending q, that is by ascending free column of d_k
+        kernel = coboundaries.nullspace()[::-1]
+        if [free[r - 1 - q] for q in reversed(coboundaries.free_columns())] != self._kept[k]:
             raise InternalInvariantError(
                 f"the coboundary elimination keeps other free columns than the "
                 f"top-down elimination in degree {k}"
             )
-        column = {r - 1 - i: j for j, i in enumerate(kept)}
         place = self._place(k)
-        reducer = {(j, place[free[i]]): 1 for j, i in enumerate(kept)}
-        for ri, p in pivots:
-            for q, j in column.items():
-                if rows[ri][q]:
-                    reducer[(j, place[free[r - 1 - p]])] = Fraction(-rows[ri][q], rows[ri][p])
-        return Matrix(len(kept), self.full_dim(k), reducer)
+        reducer = {
+            (j, place[free[r - 1 - q]]): x for j, vec in enumerate(kernel) for q, x in enumerate(vec) if x
+        }
+        return Matrix(len(kernel), self.full_dim(k), reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:

@@ -276,8 +276,8 @@ def alternating_differential_matrix(
     never produces one, so for the weight-zero block of a grading this check
     proves that d preserves the block.
 
-    Entries are summed as int numerators over one common denominator; the
-    returned matrix keeps those numerators (``Matrix._numerators``).
+    Entries are summed as int numerators over one common denominator
+    (``_over_scale``).
     """
     # m -> (mask of {u, v}, masks of the letters below u and below v, c * scale)
     # for each term c e_m of [e_u, e_v], u < v; scale is the lcm of the
@@ -319,12 +319,7 @@ def alternating_differential_matrix(
                 odd = (flip + p + 1 + (rest & below_u).bit_count() + (rest & below_v).bit_count()) & 1
                 key = (row, col)
                 entries[key] = entries.get(key, 0) + (-c if odd else c)
-    for key in [key for key, v in entries.items() if not v]:
-        del entries[key]
-    d = Matrix._trusted(nrows, len(columns), {key: Fraction(v, scale) for key, v in entries.items()})
-    # scale * d, for the elimination and the d o d check
-    d._numerators = Matrix._trusted(nrows, len(columns), entries)
-    return d
+    return _over_scale(nrows, len(columns), entries, scale)
 
 
 def _mask(idx) -> int:
@@ -416,19 +411,17 @@ def _int_terms(items):
 
 
 def _over_scale(nrows: int, ncols: int, entries: dict, scale: int) -> Matrix:
-    """The matrix of int sums ``entries`` divided by ``scale``: int entries
-    when the scale is 1, else ``Fraction``s; zero sums dropped.
-
-    The constraint builders return this.  ``alternating_differential_matrix``
-    does not: its d_k are the differentials of ``CochainComplex``es, which
-    keep ``Fraction`` entries for their chain-level callers and carry the
-    int numerators beside them (``Matrix._numerators``), so the elimination
-    and the d o d check already work on ints."""
+    """The matrix of int sums ``entries`` divided by ``scale``, zero sums
+    dropped: int entries when the scale is 1, else ``Fraction``s that keep
+    the int sums beside them (``Matrix._numerators``), so the elimination
+    and the d o d check work on ints either way.  Every operator builder
+    returns this."""
+    entries = {key: v for key, v in entries.items() if v}
     if scale == 1:
-        entries = {key: v for key, v in entries.items() if v}
-    else:
-        entries = {key: Fraction(v, scale) for key, v in entries.items() if v}
-    return Matrix._trusted(nrows, ncols, entries)
+        return Matrix._trusted(nrows, ncols, entries)
+    m = Matrix._trusted(nrows, ncols, {key: Fraction(v, scale) for key, v in entries.items()})
+    m._numerators = Matrix._trusted(nrows, ncols, entries)
+    return m
 
 
 def pullback_matrix(f: Matrix, k: int) -> Matrix:

@@ -4,9 +4,11 @@ All ranks, kernels and solutions are computed by integer-preserving Gaussian
 elimination with a fixed pivot rule (first nonzero by row-major scan), so
 results are reproducible bit for bit.  Rows are cleared of denominators and
 reduced with cross-multiplication updates followed by gcd stripping; no
-floating point appears anywhere.  Kernels are read off the integer echelon
-rows, reduced or forward only (then by back-substitution); minors are built
-in ``exterior`` by the wedge recursion.
+floating point appears anywhere.  Every rank, pivot set and kernel comes
+from one forward elimination, and kernels are read off its integer echelon
+rows by back-substitution; only ``ColumnSolver`` and ``SpanBuilder.insert``
+reduce to a reduced echelon form, which they need.  Minors are built in
+``exterior`` by the wedge recursion.
 
 The elimination inner loop, ``row_reduce``, is the hot kernel of the whole
 library; it is plain Python over lists of ints.
@@ -130,9 +132,10 @@ class Matrix:
                     clean[(i, j)] = v
         self.entries = clean
         self._rank = None
-        # The int matrix ``scale * self`` for one positive int scale, kept by
-        # the builder that summed it (``exterior.alternating_differential_matrix``)
-        # and dropped by ``CohomologySpace`` once its elimination has read it.
+        # The int matrix ``scale * self`` for one int scale above 1, kept by
+        # the operator builder that summed it (``exterior._over_scale``); a
+        # ``CohomologySpace`` drops its differentials' once its elimination
+        # has read them.
         self._numerators = None
         self._pivot_cols = None
         self._free_cols = None
@@ -365,36 +368,43 @@ class Matrix:
         A positive factor on a row changes no row that ``row_reduce``
         returns: every row it reduces is made primitive by its gcd.
         """
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        if order is None:
+            order = range(self.nrows)
+        slot = {i: p for p, i in enumerate(order)}
+        rows = [[0] * self.ncols for _ in slot]
         for (i, j), v in self._integral(0).entries.items():
-            rows[i][j] = v
-        return rows if order is None else [rows[i] for i in order]
+            p = slot.get(i)
+            if p is not None:
+                rows[p][j] = v
+        return rows
 
     def _eliminate(self, order=None):
-        """Integer rows and pivots from ``row_reduce``; only the rank and the
-        pivot columns are kept.
+        """Integer rows and pivots from ``row_reduce`` to a forward echelon
+        form (``full=False``): each pivot row is zero at the pivot columns
+        found before it, and ``_kernel_vectors`` back-substitutes through
+        them.  Only the rank and the pivot columns are kept; every caller
+        reads only what the row space fixes (the rank, the set of pivot
+        columns and the canonical kernel basis), whatever the row order.
 
-        Without ``order`` every row is reduced, sparsest first (a stable
-        sort by nonzero count), to a reduced echelon form; sparsest first
-        makes fewer and shorter combines than the given order.  Every such
-        caller reads only what the row space fixes: the rank, the set of
-        pivot columns, and each pivot row divided by its pivot (the reduced
-        echelon form, whose primitive integer rows are the same in any
-        order).
+        Without ``order`` the rows that hold a nonzero entry are reduced,
+        sparsest first (by nonzero count, ties by index): a zero row is
+        never a pivot and changes no other row, and sparsest first makes
+        fewer and shorter combines than the given order.
 
         With ``order``, a list of row indices, only those rows are reduced,
-        in that order, to a forward echelon form (``full=False``): nothing
-        clears a pivot row at the pivot columns found after it, and
-        ``_kernel_vectors`` back-substitutes instead.  The caller vouches
-        that the rows span the row space (``CohomologySpace`` passes the rows
-        of d_k at the free columns of d_(k+1)).  Rows are never swapped, so
-        a row that is not a pivot row reduces to zero exactly when it
-        depends on the rows before it.  ``pivots`` indexes the returned rows.
+        in that order.  The caller vouches that the rows span the row space
+        (``CohomologySpace`` passes the rows of d_k at the free columns of
+        d_(k+1)).  Rows are never swapped, so a row that is not a pivot row
+        reduces to zero exactly when it depends on the rows before it.
+        ``pivots`` indexes the returned rows.
         """
-        rows = self._int_rows(order)
         if order is None:
-            rows.sort(key=lambda row: row.count(0), reverse=True)
-        pivots = row_reduce(rows, self.ncols, order is None)
+            nonzeros = {}
+            for i, _ in self.entries:
+                nonzeros[i] = nonzeros.get(i, 0) + 1
+            order = sorted(nonzeros, key=lambda i: (nonzeros[i], i))
+        rows = self._int_rows(order)
+        pivots = row_reduce(rows, self.ncols, False)
         self._rank = len(pivots)
         self._pivot_cols = sorted(ci for _, ci in pivots)
         return rows, pivots
@@ -415,35 +425,18 @@ class Matrix:
         pivot_cols = set(self.pivot_columns())
         return [f for f in range(self.ncols) if f not in pivot_cols]
 
-    def _kernel_vectors(self, rows, pivots, free, full=True):
+    def _kernel_vectors(self, rows, pivots, free):
         """The canonical kernel vector kappa_f of each free column f in ``free``.
 
         ``rows`` and ``pivots`` are an echelon form of this matrix from
-        ``row_reduce(..., full)``: each pivot row is zero at the pivot
-        columns found before it, and with ``full`` at every other pivot
-        column too.  kappa_f is ``Fraction`` 1 at f and 0 at the other free
-        columns, and the pivot rows fix the rest; zero entries stay ``int`` 0.
-        With ``full``, kappa_f[c] = -row[f] / row[c] at the pivot column c of
-        each row, read off the row's nonzeros: the reduced row is zero at
-        every other pivot column, so only those at free columns are visited.
-        Otherwise, from the last pivot to the first:
-        -(row[f] + the sum of row[c'] kappa_f[c'] over the later pivot columns
-        c') / row[c], the sum kept as an int numerator and denominator, so
-        each entry costs one gcd.
+        ``row_reduce``: each pivot row is zero at the pivot columns found
+        before it.  kappa_f is ``Fraction`` 1 at f and 0 at the other free
+        columns, and the pivot rows fix the rest, from the last pivot to the
+        first: kappa_f[c] = -(row[f] + the sum of row[c'] kappa_f[c'] over
+        the later pivot columns c') / row[c], the sum kept as an int
+        numerator and denominator, so each entry costs one gcd.  Zero
+        entries stay ``int`` 0.
         """
-        if full:
-            basis = [[0] * self.ncols for _ in free]
-            slot = dict(zip(free, basis))  # free column f -> kappa_f
-            for f, vec in slot.items():
-                vec[f] = Fraction(1)
-            for ri, ci in pivots:
-                row = rows[ri]
-                piv = row[ci]
-                for c in compress(range(self.ncols), row):
-                    vec = slot.get(c)
-                    if vec is not None:
-                        vec[ci] = Fraction(-row[c], piv)
-            return basis
         basis = []
         steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
         pivot_cols = [ci for _, ci in pivots]
@@ -476,8 +469,8 @@ class Matrix:
     def nullspace(self):
         """Canonical kernel basis (one vector per free column, ascending).
 
-        Read off the reduced integer rows; zero entries stay ``int`` 0.  The
-        elimination also fixes the rank and the pivot columns.
+        Back-substituted through the forward integer rows; zero entries stay
+        ``int`` 0.  The elimination also fixes the rank and the pivot columns.
         """
         rows, pivots = self._eliminate()
         return self._kernel_vectors(rows, pivots, self.free_columns())
@@ -489,12 +482,17 @@ class Matrix:
         The kernel is narrowed one block at a time, K <- K nullspace(B K), so
         each elimination is only as wide as the kernel left so far.  Scaling
         the rows of B and the columns of each nullspace N to integers changes
-        no span, and keeps K, B K and K N in int arithmetic.  The columns of
-        K span the common kernel; the canonical basis is the reduced echelon
-        form of that span on reversed coordinates (its free columns are the
-        last nonzeros of the kernel vectors), each row divided by its pivot,
-        in ascending order of free column.  Entries and their types equal
-        those of ``nullspace``.
+        no span, and keeps K, B K and K N in int arithmetic.  No final
+        elimination is needed.  The columns of K start as the unit vectors,
+        the canonical basis of their span, and stay positive multiples of a
+        canonical basis (each vector's last nonzero at its own free column,
+        zero at the other free columns, ascending): column j of N is a
+        positive multiple of 1 at j, 0 at the other free columns of B K, and
+        nonzero elsewhere only before j, so column j of K N is column j of K
+        times that multiple plus earlier columns of K, which vanish at its
+        last nonzero and at every other free column.  The canonical basis is
+        each column of K divided by its last nonzero entry.  Entries and
+        their types equal those of ``nullspace``.
 
         A block may also be a callable: given the ascending row support of
         the current K, it returns the block with only those columns filled.
@@ -515,13 +513,10 @@ class Matrix:
             if not image.is_zero():
                 narrow = Matrix.from_cols(image.nullspace(), kernel.ncols).col_scaled()[0]
                 kernel = kernel @ narrow
-        last = ncols - 1
-        flipped = Matrix._trusted(kernel.ncols, ncols, {(j, last - i): v for (i, j), v in kernel.entries.items()})
-        rows, pivots = flipped._eliminate()
         basis = []
-        for ri, ci in sorted(pivots, key=lambda p: -p[1]):
-            piv = rows[ri][ci]
-            basis.append([Fraction(x, piv) if x else 0 for x in reversed(rows[ri])])
+        for col in kernel.cols_dense():
+            last = next(x for x in reversed(col) if x)
+            basis.append([Fraction(x, last) if x else 0 for x in col])
         return basis
 
     def coordinates(self, v: "Matrix"):

@@ -36,7 +36,7 @@ from .cohomology import (
     ce_complex,
     check_chain_map,
 )
-from .errors import InternalInvariantError, ModelMismatch, NotDStable
+from .errors import InternalInvariantError, ModelMismatch, NotAChainMap, NotDStable
 from .exterior import (
     Form,
     alternating_differential_matrix,
@@ -230,14 +230,12 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
         if phi.rank() != b_dim:
             raise ModelMismatch(f"comparison is not bijective in degree {k}")
         matrices.append(phi)
-    for k in range(q):
-        lhs = basic.complex.differential(k) @ matrices[k]
-        rhs = matrices[k + 1] @ invq.complex.differential(k)
-        if lhs != rhs:
-            column = min(j for (_, j) in (lhs - rhs).entries)
-            raise ModelMismatch(
-                f"differentials do not intertwine at degree {k}, vector {column}"
-            )
+    try:
+        check_chain_map(matrices, invq.complex, basic.complex)
+    except NotAChainMap as exc:
+        raise ModelMismatch(
+            f"differentials do not intertwine at degree {exc.degree}, vector {exc.column}"
+        ) from exc
     return ModelComparison(
         pair=pair,
         matrices=tuple(matrices),

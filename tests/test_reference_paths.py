@@ -337,6 +337,30 @@ def test_nullspace_matches_fraction_elimination_on_random_matrices():
         assert a.nullspace() == reference_nullspace(a), a.entries
 
 
+def test_elimination_with_zero_and_repeated_rows_matches_fraction_elimination():
+    """Zero rows and copies of other rows mixed in at random places: the
+    elimination reduces only the nonzero rows, sparsest first, and rank,
+    pivot columns and kernel, in value and entry type (``Fraction`` where
+    nonzero, ``int`` 0 elsewhere), are those of the Fraction Gauss-Jordan
+    reference."""
+    rng = random.Random(48)
+    for _ in range(120):
+        rows = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7)).rows_dense()
+        width = len(rows[0]) if rows else rng.randint(0, 7)
+        for _ in range(rng.randint(1, 4)):
+            extra = list(rng.choice(rows)) if rows and rng.random() < 0.5 else [0] * width
+            rows.insert(rng.randint(0, len(rows)), extra)
+        a = Matrix.from_rows(rows, width)
+        want = reference_nullspace(a)
+        free = [max(j for j, x in enumerate(v) if x) for v in want]
+        basis = a.nullspace()
+        assert basis == want, rows
+        assert [[type(x) for x in v] for v in basis] == [[Fraction if x else int for x in v] for v in want], rows
+        fresh = Matrix.from_rows(rows, width)
+        assert fresh.rank() == a.rank() == width - len(want), rows
+        assert fresh.pivot_columns() == a.pivot_columns() == [c for c in range(width) if c not in free], rows
+
+
 def test_nullspace_matches_fraction_elimination_on_sweep_pairs():
     for pair in sweep_pairs():
         for f in (pair.projection_matrix, pair.sub_matrix):
@@ -1423,7 +1447,7 @@ def test_sorted_elimination_matches_given_order_on_random_matrices(monkeypatch):
         mats.append(a)
     mats += [d for g in rational_conjugates() for d in ce_complex(g).differentials]
     sorted_facts = [kernel_facts(copied(a)) for a in mats]
-    sorted_forms = [reduced_echelon(*copied(a)._eliminate()) for a in mats]
+    sorted_forms = [reduced_from_forward(*copied(a)._eliminate()) for a in mats]
     with monkeypatch.context() as mp:
         mp.setattr(Matrix, "_eliminate", eliminate_in_given_order)
         given_facts = [kernel_facts(copied(a)) for a in mats]
@@ -1529,7 +1553,8 @@ class BottomUpCohomologySpace(CohomologySpace):
         for (i, j), v in image.entries.items():
             if j in basis_cols and i in position:
                 entries[(basis_cols[j], position[i])] = v
-        rows, pivots = Matrix(len(basis_cols), r, entries)._eliminate()
+        rows = Matrix(len(basis_cols), r, entries)._int_rows()
+        pivots = row_reduce(rows, r, True)
         taken = {p for _, p in pivots}
         kept = [i for i in range(r) if r - 1 - i not in taken]
         column = {r - 1 - i: j for j, i in enumerate(kept)}
@@ -1604,7 +1629,8 @@ def test_rows_at_the_free_columns_above_span_each_differential():
             d = complex.differential(k)
             above = copied(complex.differential(k + 1)).free_columns()
             order = above[::-1]
-            all_rows, all_pivots = copied(d)._eliminate()
+            all_rows = d._int_rows()
+            all_pivots = row_reduce(all_rows, d.ncols, True)
             rows, pivots = copied(d)._eliminate(order)
             assert len(pivots) == len(all_pivots), (index, k)
             assert sorted(c for _, c in pivots) == sorted(c for _, c in all_pivots), (index, k)
@@ -1616,6 +1642,21 @@ def test_rows_at_the_free_columns_above_span_each_differential():
                 assert vanishing == kept[k + 1], (index, k)
             else:
                 assert vanishing == [], index
+
+
+def kernel_from_reduced(ncols, rows, pivots, free):
+    """kappa_f of each free column f read off reduced echelon rows:
+    ``Fraction`` 1 at f and -row[f] / row[c] at the pivot column c of each
+    row, ``int`` 0 elsewhere."""
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = Fraction(1)
+        for ri, ci in pivots:
+            if rows[ri][f]:
+                vec[ci] = Fraction(-rows[ri][f], rows[ri][ci])
+        basis.append(vec)
+    return basis
 
 
 def reduced_top_down(complex: CochainComplex):
@@ -1631,14 +1672,7 @@ def reduced_top_down(complex: CochainComplex):
 
     def pick(k, rows, pivots, free):
         kept[k] = free
-        vectors[k] = []
-        for f in free:
-            vec = [0] * diffs[k].ncols
-            vec[f] = Fraction(1)
-            for ri, ci in pivots:
-                if rows[ri][f]:
-                    vec[ci] = Fraction(-rows[ri][f], rows[ri][ci])
-            vectors[k].append(vec)
+        vectors[k] = kernel_from_reduced(diffs[k].ncols, rows, pivots, free)
 
     order, above = [], None
     for k in range(top, -1, -1):
@@ -1676,9 +1710,9 @@ def test_forward_pass_matches_the_reduced_pass():
 
 
 def test_kernel_vectors_by_back_substitution_match_the_reduced_form():
-    """``_kernel_vectors`` on forward rows (``full=False``) against the same
-    reader on the reduced rows of the same rows, over random matrices and
-    the differentials of the rational conjugates, every free column."""
+    """``_kernel_vectors`` on forward rows against the kernel vectors read
+    off the reduced rows of the same rows, over random matrices and the
+    differentials of the rational conjugates, every free column."""
     rng = random.Random(47)
     mats = [random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(150)]
     mats += [d for g in rational_conjugates() for d in ce_complex(g).differentials]
@@ -1686,9 +1720,9 @@ def test_kernel_vectors_by_back_substitution_match_the_reduced_form():
         order = list(range(m.nrows))[::-1]
         forward = copied(m)
         rows, pivots = forward._eliminate(order)
-        basis = forward._kernel_vectors(rows, pivots, forward.free_columns(), full=False)
+        basis = forward._kernel_vectors(rows, pivots, forward.free_columns())
         rows = m._int_rows(order)
-        want = m._kernel_vectors(rows, row_reduce(rows, m.ncols, True), forward.free_columns())
+        want = kernel_from_reduced(m.ncols, rows, row_reduce(rows, m.ncols, True), forward.free_columns())
         assert basis == want, index
         assert [[type(x) for x in v] for v in basis] == [[type(x) for x in v] for v in want], index
         assert all(not any(m.apply(v)) for v in basis), index
@@ -1728,8 +1762,13 @@ def reference_alternating_differential_matrix(n, bracket_fn, k, flip_sign=False,
 
 
 def assert_builder_matches_reference(n, bracket_fn, block=lambda k: {}):
-    """Equal entries, in order, value and type, for both signs; ``block(k)``
-    gives the ``columns`` and ``rows`` of degree k, if any."""
+    """Equal entries, in order and value, for both signs, as ``int``s when
+    every structure constant is integral and as ``Fraction``s otherwise
+    (``assert_integer_builder``); ``block(k)`` gives the ``columns`` and
+    ``rows`` of degree k, if any."""
+    integral = all(
+        Fraction(c).denominator == 1 for u in range(n) for v in range(u + 1, n) for c in bracket_fn(u, v).values()
+    )
     for k in range(n + 1):
         for flip_sign in (False, True):
             args = (n, bracket_fn, k, flip_sign)
@@ -1737,7 +1776,7 @@ def assert_builder_matches_reference(n, bracket_fn, block=lambda k: {}):
             want = reference_alternating_differential_matrix(*args, **block(k))
             assert got.shape == want.shape
             assert list(got.entries.items()) == list(want.entries.items()), (n, k, flip_sign)
-            assert entry_types(got) == entry_types(want)
+            assert_integer_builder(got, want, integral)
 
 
 def test_integer_builder_matches_fraction_builder():

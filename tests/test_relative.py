@@ -4,12 +4,13 @@ from functools import partial
 import pytest
 
 from liecoh import builtin, subalgebra
-from liecoh.cohomology import ce_complex, compute_cohomology
-from liecoh.errors import NotDStable
+from liecoh.cohomology import CochainComplex, ce_complex, compute_cohomology
+from liecoh.errors import ModelMismatch, NotDStable
 from liecoh.exterior import Form, ce_differential, endo_action_matrix
 from liecoh.liealg import full_subalgebra, zero_subalgebra
 from liecoh.linalg import Matrix
 from liecoh.relative import (
+    EmbeddedSubcomplex,
     _columns_of,
     _embedded_subcomplex,
     basic_subcomplex,
@@ -89,6 +90,18 @@ def test_models_agree_across_sweep():
         for k in range(q + 1):
             assert basic.complex.dim(k) == invq.complex.dim(k)
         assert len(comparison.matrices) == q + 1
+
+
+def test_comparison_refuses_differentials_that_do_not_intertwine():
+    # heisenberg(3) over the zero subalgebra: both models are all of Lambda,
+    # and d is first nonzero on z* (vector 2 of degree 1).  Doubling the
+    # quotient differential keeps d o d = 0 but breaks the intertwining there.
+    pair = zero_subalgebra(builtin("heisenberg", 3))
+    invq = invariant_quotient_complex(pair)
+    c = invq.complex
+    doubled = CochainComplex(c.dims, tuple(d.scale(2) for d in c.differentials), c.product)
+    with pytest.raises(ModelMismatch, match="^differentials do not intertwine at degree 1, vector 2$"):
+        compare_models(pair, basic_subcomplex(pair), EmbeddedSubcomplex(pair, doubled, invq.embeddings))
 
 
 def test_h0_is_one_dimensional_for_every_pair():
