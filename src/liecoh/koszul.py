@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exterior import basis_size, pullback_matrix
 from .liealg import LieAlgebra, PairMorphism, SubalgebraPair, direct_sum, subalgebra
-from .linalg import Matrix
+from .linalg import ColumnSolver, Matrix
 from .relative import (
     basic_subcomplex,
     compare_models,
@@ -258,12 +258,9 @@ def ncz_report(pair) -> NczReport:
         if rank < betti_sub:
             surjective = False
             continue
-        solver = m.solver()
-        found = []
-        for i in range(betti_sub):
-            unit = [Fraction(0)] * betti_sub
-            unit[i] = Fraction(1)
-            pre = solver.solve(unit)
+        units = [[Fraction(int(i == j)) for j in range(betti_sub)] for i in range(betti_sub)]
+        found = ColumnSolver(m, units).solutions
+        for unit, pre in zip(units, found):
             if pre is None:
                 raise InternalInvariantError(
                     f"full-rank map has no preimage in degree {k}"
@@ -275,7 +272,6 @@ def ncz_report(pair) -> NczReport:
                 raise InternalInvariantError(
                     f"preimage witness fails re-verification in degree {k}"
                 )
-            found.append(pre)
         witnesses[k] = found
     return NczReport(pair=ana.pair, ncz=surjective, degrees=degrees, witnesses=witnesses)
 
@@ -349,7 +345,8 @@ def invariant_complement(pair) -> ReductiveWitness:
         len(rows), r * n,
         {(idx, col): v for idx, row in enumerate(rows) for col, v in row.items()},
     )
-    solution, certificate = system.solver().solve_with_certificate(rhs)
+    solver = ColumnSolver(system, [rhs])
+    solution, certificate = solver.solutions[0], solver.certificates[0]
     if solution is None:
         return ReductiveWitness(pair, False, None, None, tuple(certificate))
     projection = Matrix(

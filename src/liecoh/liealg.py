@@ -30,7 +30,7 @@ from .errors import (
     SubalgebraNotPreserved,
     UnknownBuiltin,
 )
-from .linalg import Matrix
+from .linalg import ColumnSolver, Matrix
 from .rationals import format_rational, parse_rational
 
 
@@ -96,16 +96,28 @@ class LieAlgebra:
         return out
 
     def adjoint_matrix(self, x) -> Matrix:
-        """ad_x as a dim x dim matrix acting on coordinate columns."""
-        entries = {}
-        for (i, j), terms in self.structure.items():
-            if x[i]:
-                for k, v in terms.items():
-                    entries[(k, j)] = entries.get((k, j), 0) + x[i] * v
-            if x[j]:
-                for k, v in terms.items():
-                    entries[(k, i)] = entries.get((k, i), 0) - x[j] * v
-        return Matrix(self.dim, self.dim, entries)
+        """ad_x as a dim x dim matrix acting on coordinate columns.
+
+        Column j is [x, e_j], the sum of x_i [e_i, e_j] over the support of
+        x, so only the brackets that meet it are read; x_i multiplies only
+        when it is not 1.
+        """
+        structure = self.structure
+        sums = {}
+        for i, c in enumerate(x):
+            if not c:
+                continue
+            for j in range(self.dim):
+                terms = structure.get((i, j) if i < j else (j, i)) if i != j else None
+                if terms:
+                    for k, v in terms.items():
+                        if c != 1:
+                            v = c * v
+                        if j < i:
+                            v = -v
+                        s = sums.get((k, j))
+                        sums[(k, j)] = v if s is None else s + v
+        return Matrix._trusted(self.dim, self.dim, {key: v for key, v in sums.items() if v})
 
     def basis_vector(self, i: int):
         vec = [0] * self.dim
@@ -387,31 +399,33 @@ def _from_matrix_basis(mats, names) -> LieAlgebra:
     """Structure constants of a bracket-closed list of n x n matrices.
 
     Each commutator is formed over the nonzero entries of the two matrices
-    only, and flattened row-major into an int vector for the solve.
+    only, and flattened row-major into an int vector; one solve reads the
+    coordinates of all of them.
     """
     dim = len(mats)
     n = len(mats[0]) if mats else 0
     flat = Matrix.from_cols([[x for row in m for x in row] for m in mats])
-    solver = flat.solver()
     # per matrix m: row a -> [(b, m[a][b])] and column b -> [(a, m[a][b])], nonzeros only
     rows = [[[(b, x) for b, x in enumerate(row) if x] for row in m] for m in mats]
     cols = [[[(a, m[a][b]) for a in range(n) if m[a][b]] for b in range(n)] for m in mats]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    commutators = []
+    for i, j in pairs:
+        comm = [0] * (n * n)
+        for p, q, sign in ((i, j, 1), (j, i, -1)):
+            # [m_i, m_j] = m_i m_j - m_j m_i; entry (a, c) of m_p m_q sums m_p[a][b] m_q[b][c]
+            for b in range(n):
+                for a, u in cols[p][b]:
+                    for c, v in rows[q][b]:
+                        comm[a * n + c] += sign * u * v
+        commutators.append(comm)
     structure = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = [0] * (n * n)
-            for p, q, sign in ((i, j, 1), (j, i, -1)):
-                # [m_i, m_j] = m_i m_j - m_j m_i; entry (a, c) of m_p m_q sums m_p[a][b] m_q[b][c]
-                for b in range(n):
-                    for a, u in cols[p][b]:
-                        for c, v in rows[q][b]:
-                            comm[a * n + c] += sign * u * v
-            coords = solver.solve(comm)
-            if coords is None:
-                raise NotClosedUnderBracket(i, j)
-            terms = {k: v for k, v in enumerate(coords) if v}
-            if terms:
-                structure[(i, j)] = terms
+    for (i, j), coords in zip(pairs, ColumnSolver(flat, commutators).solutions):
+        if coords is None:
+            raise NotClosedUnderBracket(i, j)
+        terms = {k: v for k, v in enumerate(coords) if v}
+        if terms:
+            structure[(i, j)] = terms
     return LieAlgebra(dim, tuple(names), structure)
 
 
@@ -511,7 +525,7 @@ class SubalgebraPair:
         self.quotient_basis = quotient_basis  # complement vectors representing g/h
         self.action = action                  # per h generator, the induced matrix on g/h
         self.sub = sub                        # h with its own structure constants
-        self.sub_matrix = sub_matrix          # the h generators as columns; solver() is cached on it
+        self.sub_matrix = sub_matrix          # the h generators as columns
         # g -> g/h in coordinates (rows = quotient coordinate functionals)
         self.projection_matrix = projection_matrix
 
@@ -556,16 +570,15 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
         raise DependentVectors("subalgebra generators are linearly dependent")
 
     sub_matrix = Matrix.from_cols(vectors, g.dim)
-    solver = sub_matrix.solver()
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    closure = ColumnSolver(sub_matrix, [g.bracket(vectors[a], vectors[b]) for a, b in pairs])
     h_structure = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            coords = solver.solve(g.bracket(vectors[a], vectors[b]))
-            if coords is None:
-                raise NotClosedUnderBracket(a, b)
-            terms = {k: v for k, v in enumerate(coords) if v}
-            if terms:
-                h_structure[(a, b)] = terms
+    for (a, b), coords in zip(pairs, closure.solutions):
+        if coords is None:
+            raise NotClosedUnderBracket(a, b)
+        terms = {k: v for k, v in enumerate(coords) if v}
+        if terms:
+            h_structure[(a, b)] = terms
 
     if quotient is None:
         pivot_cols = set(rows.pivot_columns())
@@ -573,15 +586,16 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
     quotient = [tuple(Fraction(parse_rational(x)) for x in v) for v in quotient]
     if len(quotient) != g.dim - r:
         raise DependentVectors("complement size must equal dim g - dim h")
-    full_solver = Matrix.from_cols(list(vectors) + list(quotient), g.dim).solver()
-    if full_solver.rank != g.dim:
+    full = Matrix.from_cols(list(vectors) + list(quotient), g.dim)
+    if full.rank() != g.dim:
         raise DependentVectors("complement does not complete the subalgebra basis")
 
-    action = []
-    for a in range(r):
-        cols = [full_solver.solve(g.bracket(vectors[a], q))[r:] for q in quotient]
-        action.append(Matrix.from_cols(cols, len(quotient)))
-    projection = [full_solver.solve(_unit(g.dim, j))[r:] for j in range(g.dim)]
+    # [S | Q] x = [h_a, q] for every a and q, then = e_j for every j; the Q part of x
+    q = len(quotient)
+    rhs = [g.bracket(v, w) for v in vectors for w in quotient] + [_unit(g.dim, j) for j in range(g.dim)]
+    coords = [x[r:] for x in ColumnSolver(full, rhs).solutions]
+    action = [Matrix.from_cols(coords[a * q:(a + 1) * q], q) for a in range(r)]
+    projection = coords[r * q:]
 
     return SubalgebraPair(
         ambient=g,
@@ -652,9 +666,9 @@ def pair_morphism(source: SubalgebraPair, target: SubalgebraPair, matrix) -> Pai
             rhs = gt.bracket(cols[i], cols[j])
             if any(a != b for a, b in zip(lhs, rhs)):
                 raise NotAHomomorphism(i, j)
-    sub_solver = target.sub_matrix.solver()
-    for a, v in enumerate(source.sub_basis):
-        if sub_solver.solve(matrix.apply(v)) is None:
+    images = ColumnSolver(target.sub_matrix, [matrix.apply(v) for v in source.sub_basis])
+    for a, x in enumerate(images.solutions):
+        if x is None:
             raise SubalgebraNotPreserved(a)
     return PairMorphism(source=source, target=target, matrix=matrix)
 

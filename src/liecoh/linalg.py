@@ -4,11 +4,12 @@ All ranks, kernels and solutions are computed by integer-preserving Gaussian
 elimination with a fixed pivot rule (first nonzero by row-major scan), so
 results are reproducible bit for bit.  Rows are cleared of denominators and
 reduced with cross-multiplication updates followed by gcd stripping; no
-floating point appears anywhere.  Every rank, pivot set and kernel comes
-from one forward elimination, and kernels are read off its integer echelon
-rows by back-substitution; only ``ColumnSolver`` and ``SpanBuilder.insert``
-reduce to a reduced echelon form, which they need.  Minors are built in
-``exterior`` by the wedge recursion.
+floating point appears anywhere.  Every rank, pivot set, kernel and solution
+comes from one forward elimination (``row_reduce``), and kernels and
+solutions are read off its integer echelon rows by one back-substitution
+(``Matrix._kernel_vectors``); ``ColumnSolver`` reduces [A | B] for a whole
+batch of right-hand sides at once.  Minors are built in ``exterior`` by the
+wedge recursion.
 
 The elimination inner loop, ``row_reduce``, is the hot kernel of the whole
 library; it is plain Python over lists of ints.
@@ -42,45 +43,39 @@ def _combine(row, prow, a, b):
         row[:] = [x // g for x in row]
 
 
-def row_reduce(rows, lead, full):
-    """Reduce integer rows in place; return pivots as (row, col) pairs.
+def row_reduce(rows, lead):
+    """Reduce integer rows in place to a forward echelon form; return pivots
+    as (row, col) pairs.
 
     ``rows`` is a list of equal-length lists of ints.  Pivots are searched in
-    columns [0, lead) only; trailing columns (augmented right-hand sides or a
-    transform block) are carried along.  Rows are processed top to bottom:
-    each row is reduced against the pivots found so far, and if a nonzero
-    entry survives in the lead block, its leftmost one becomes a new pivot
-    ("first nonzero by row-major scan").  Rows are never swapped.
+    columns [0, lead) only; trailing columns (augmented right-hand sides) are
+    carried along.  Rows are processed top to bottom: each row is reduced
+    against the pivots found so far, and if a nonzero entry survives in the
+    lead block, its leftmost one becomes a new pivot ("first nonzero by
+    row-major scan").  Rows are never swapped.
 
     All updates are integer cross-multiplications
     ``r_i <- (a * r_i - b * r_p)`` with a > 0, followed by division of the
     row by the gcd of its entries, so every row stays a positive rational
     multiple of a row in the span of the originals.  Pivot entries end up
-    positive.  With ``full=False`` the result is a forward echelon form: each
-    pivot row is zero at the pivot columns found before it, and may be
-    nonzero at later ones.  With ``full=True`` earlier pivot rows are also
-    cleared at each new pivot column, giving a (row-permuted,
-    integer-scaled) reduced echelon form: every pivot column has a single
-    nonzero entry.  A row reduced against the pivots is the unique vector of
-    its coset that is zero at every earlier pivot column, so the rank, the
-    pivot columns and the rows that vanish do not depend on ``full``.
+    positive.  Each pivot row is zero at the pivot columns found before it,
+    and may be nonzero at later ones.  A row reduced against the pivots is
+    the unique vector of its coset that is zero at every earlier pivot
+    column, so the rank, the pivot columns and the rows that vanish are
+    those of any echelon form reached in this row order.
     """
     pivots = []
     if lead < 0:
         return pivots
     for i, row in enumerate(rows):
-        lc = _reduce_row(rows, pivots, row, lead, full)
+        lc = _reduce_row(rows, pivots, row, lead)
         if lc >= 0:
             pivots.append((i, lc))
     return pivots
 
 
-def _reduce_row(rows, pivots, row, lead, full):
-    """One row of ``row_reduce``: its new pivot column, or -1 if it has none.
-
-    With ``full=True`` a row that has one clears the pivot rows at that
-    column, so the caller must make it a pivot.
-    """
+def _reduce_row(rows, pivots, row, lead):
+    """One row of ``row_reduce``: its new pivot column, or -1 if it has none."""
     for pr, pc in pivots:
         x = row[pc]
         if x:
@@ -96,14 +91,6 @@ def _reduce_row(rows, pivots, row, lead, full):
         rg = -rg
     if rg != 1:
         row[:] = [x // rg for x in row]
-    if full:
-        piv = row[lc]
-        for pr, pc in pivots:
-            prow = rows[pr]
-            x = prow[lc]
-            if x:
-                g = gcd(piv, x)
-                _combine(prow, row, piv // g, x // g)
     return lc
 
 
@@ -117,7 +104,7 @@ class Matrix:
     """
 
     __slots__ = (
-        "nrows", "ncols", "entries", "_rank", "_numerators", "_pivot_cols", "_free_cols", "_solver"
+        "nrows", "ncols", "entries", "_rank", "_numerators", "_pivot_cols", "_free_cols"
     )
 
     def __init__(self, nrows: int, ncols: int, entries=None):
@@ -139,7 +126,6 @@ class Matrix:
         self._numerators = None
         self._pivot_cols = None
         self._free_cols = None
-        self._solver = None
 
     @staticmethod
     def _trusted(nrows: int, ncols: int, entries) -> "Matrix":
@@ -351,14 +337,6 @@ class Matrix:
             return self._numerators
         return self._scaled(axis)[0]
 
-    def _scaled_int_rows(self, width: int):
-        """Dense rows of ``row_scaled``, zero-padded to ``width``, and the scales."""
-        scaled, scales = self.row_scaled()
-        rows = [[0] * width for _ in range(self.nrows)]
-        for (i, j), v in scaled.entries.items():
-            rows[i][j] = v
-        return rows, scales
-
     def _int_rows(self, order=None):
         """Dense int rows, each a positive multiple of its row: the builder's
         numerators when it kept them, else the row times the lcm of its
@@ -380,11 +358,11 @@ class Matrix:
 
     def _eliminate(self, order=None):
         """Integer rows and pivots from ``row_reduce`` to a forward echelon
-        form (``full=False``): each pivot row is zero at the pivot columns
-        found before it, and ``_kernel_vectors`` back-substitutes through
-        them.  Only the rank and the pivot columns are kept; every caller
-        reads only what the row space fixes (the rank, the set of pivot
-        columns and the canonical kernel basis), whatever the row order.
+        form: each pivot row is zero at the pivot columns found before it,
+        and ``_kernel_vectors`` back-substitutes through them.  Only the
+        rank and the pivot columns are kept; every caller reads only what
+        the row space fixes (the rank, the set of pivot columns and the
+        canonical kernel basis), whatever the row order.
 
         Without ``order`` the rows that hold a nonzero entry are reduced,
         sparsest first (by nonzero count, ties by index): a zero row is
@@ -404,7 +382,7 @@ class Matrix:
                 nonzeros[i] = nonzeros.get(i, 0) + 1
             order = sorted(nonzeros, key=lambda i: (nonzeros[i], i))
         rows = self._int_rows(order)
-        pivots = row_reduce(rows, self.ncols, False)
+        pivots = row_reduce(rows, self.ncols)
         self._rank = len(pivots)
         self._pivot_cols = sorted(ci for _, ci in pivots)
         return rows, pivots
@@ -436,6 +414,11 @@ class Matrix:
         the later pivot columns c') / row[c], the sum kept as an int
         numerator and denominator, so each entry costs one gcd.  Zero
         entries stay ``int`` 0.
+
+        The rows may carry right-hand sides b past this matrix's columns
+        (reduced with lead ``ncols``).  For such a column f the vector is
+        kappa_f of [A | b] without its entry at f: the solution of A x = -b
+        whose free variables are zero.
         """
         basis = []
         steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
@@ -446,7 +429,6 @@ class Matrix:
             steps.append((row, ci, row[ci], later))
         for f in free:
             vec = [0] * self.ncols
-            vec[f] = Fraction(1)
             for row, ci, piv, later in steps:
                 num = row[f]
                 if later:
@@ -463,6 +445,8 @@ class Matrix:
                     piv *= den
                 if num:
                     vec[ci] = Fraction(-num, piv)
+            if f < self.ncols:
+                vec[f] = Fraction(1)
             basis.append(vec)
         return basis
 
@@ -550,86 +534,64 @@ class Matrix:
         keys = image.entries.keys() | v.entries.keys()
         return None, min(j for i, j in keys if image.entries.get((i, j)) != v.entries.get((i, j)))
 
-    def solver(self) -> "ColumnSolver":
-        if self._solver is None:
-            self._solver = ColumnSolver(self)
-        return self._solver
-
     def solve(self, b):
         """One solution of A x = b, or None if inconsistent."""
-        return self.solver().solve(b)
+        return ColumnSolver(self, [b]).solutions[0]
+
+
+_ZERO = Fraction(0)
 
 
 class ColumnSolver:
-    """Solve A x = b repeatedly for a fixed matrix A, exactly.
+    """Solve A x = b_j exactly for a batch of right-hand sides b_j.
 
-    The constructor reduces the tableau [A | I] once and keeps its transform
-    block T (the row operations, to be applied to b) as sparse integer
-    columns: one list of (tableau row, value) per entry of b.  A solve forms
-    T b from the columns that the nonzero entries of b pick out, and no
-    others.  The particular solution returned sets all free variables to
-    zero, so it is deterministic.  When the system is inconsistent,
-    ``solve_with_certificate`` returns a rational row vector lam with
-    lam @ A = 0 and lam @ b != 0: the transform row of the first non-pivot
-    tableau row whose image is nonzero.
+    The integer rows of [A | B] are reduced forward once, in index order,
+    with pivots searched in A's columns only.  A row without a pivot is then
+    zero in A and holds a multiple of lam b_j at column n + j, where the
+    vectors lam with lam A = 0 that these rows carry span the left kernel;
+    so b_j is consistent exactly when every such row is zero at n + j.
+    ``solutions[j]`` is then the solution whose free variables are zero:
+    minus the canonical kernel vector of [A | B] at column n + j, read by
+    ``Matrix._kernel_vectors``, with every entry a ``Fraction``.  Otherwise
+    it is None, and ``certificates[j]`` is a row lam with lam A = 0 and
+    lam b_j != 0: the first canonical left-kernel vector of A (by ascending
+    free row) that b_j does not annihilate, scaled to a primitive integer
+    row.  That is the unique primitive dependency of its row on the pivot
+    rows above it, with a positive entry at its own row.
     """
 
-    def __init__(self, a: Matrix):
-        self.nrows = a.nrows
-        self.ncols = a.ncols
+    def __init__(self, a: Matrix, rhs):
+        for b in rhs:
+            if len(b) != a.nrows:
+                raise ValueError(f"rhs length {len(b)} != nrows {a.nrows}")
         n = a.ncols
-        rows, scales = a._scaled_int_rows(n + a.nrows)
-        for i, s in enumerate(scales):
-            rows[i][n + i] = s
-        self.pivots = row_reduce(rows, n, True)
-        # tableau row -> (pivot column, pivot entry)
-        self._pivot_at = {ri: (ci, rows[ri][ci]) for ri, ci in self.pivots}
-        self._tcols = [[] for _ in range(a.nrows)]
-        for ri, row in enumerate(rows):
-            for j, t in enumerate(row[n:]):
-                if t:
-                    self._tcols[j].append((ri, t))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def solve_with_certificate(self, b):
-        if len(b) != self.nrows:
-            raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
-        image = {}
-        for j, x in enumerate(b):
-            if x:
-                for ri, t in self._tcols[j]:
-                    image[ri] = image.get(ri, 0) + t * x
-        pivot_at = self._pivot_at
-        bad = [ri for ri, t in image.items() if t and ri not in pivot_at]
-        if bad:
-            ri = min(bad)
-            cert = [Fraction(0)] * self.nrows
-            for j, col in enumerate(self._tcols):
-                for r, t in col:
-                    if r == ri:
-                        cert[j] = Fraction(t)
-            return None, cert
-        x = [Fraction(0)] * self.ncols
-        for ri, t in image.items():
-            if t:
-                ci, piv = pivot_at[ri]
-                x[ci] = Fraction(t, 1) / piv
-        return x, None
-
-    def solve(self, b):
-        x, _ = self.solve_with_certificate(b)
-        return x
+        rows = a.hstack(Matrix.from_cols(rhs, a.nrows))._int_rows()
+        self.pivots = row_reduce(rows, n)
+        pivot_rows = {ri for ri, _ in self.pivots}
+        free_rows = [row for ri, row in enumerate(rows) if ri not in pivot_rows]
+        consistent = [j for j in range(len(rhs)) if not any(row[n + j] for row in free_rows)]
+        self.solutions = [None] * len(rhs)
+        self.certificates = [None] * len(rhs)
+        vectors = a._kernel_vectors(rows, self.pivots, [n + j for j in consistent])
+        for j, vec in zip(consistent, vectors):
+            self.solutions[j] = [-x if x else _ZERO for x in vec]
+        if len(consistent) < len(rhs):
+            left = a.transpose().nullspace()
+            for j, b in enumerate(rhs):
+                if self.solutions[j] is None:
+                    lam = next(v for v in left if sum(x * y for x, y in zip(v, b) if x))
+                    scale = lcm(*(x.denominator for x in lam if x))
+                    ints = [int(x * scale) for x in lam]
+                    g = gcd(*ints)
+                    self.certificates[j] = [Fraction(x // g) if x else _ZERO for x in ints]
 
 
 class SpanBuilder:
     """Incremental membership test for a growing subspace of Q^dim.
 
-    Keeps the span as reduced integer rows, each new vector reduced by the
-    step of ``row_reduce`` (``full=True``), so the rows stay a reduced
-    echelon form; ``basis`` divides each row by its pivot.
+    Keeps the span as integer rows in forward echelon form, each new vector
+    reduced by the step of ``row_reduce``; ``basis`` reduces them further
+    when it is read.
     """
 
     def __init__(self, dim: int):
@@ -646,12 +608,12 @@ class SpanBuilder:
 
     def contains(self, vec) -> bool:
         row = self._int_row(vec)
-        return _reduce_row(self.rows, self.pivots, row, self.dim, False) < 0
+        return _reduce_row(self.rows, self.pivots, row, self.dim) < 0
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True if the span grew."""
         row = self._int_row(vec)
-        lead = _reduce_row(self.rows, self.pivots, row, self.dim, True)
+        lead = _reduce_row(self.rows, self.pivots, row, self.dim)
         if lead < 0:
             return False
         self.pivots.append((len(self.rows), lead))
@@ -659,9 +621,13 @@ class SpanBuilder:
         return True
 
     def basis(self):
-        """The reduced echelon basis, pivot entries 1, by ascending pivot column."""
-        out = []
-        for ri, lead in sorted(self.pivots, key=lambda p: p[1]):
-            piv = self.rows[ri][lead]
-            out.append([Fraction(x, piv) for x in self.rows[ri]])
-        return out
+        """The reduced echelon basis, pivot entries 1, by ascending pivot column.
+
+        The rows are reduced again, last inserted first: each is then cleared
+        at the pivot columns of the rows inserted after it, and it was
+        already zero at those of the rows before it, so every pivot column
+        has one nonzero entry.
+        """
+        rows = [list(row) for row in reversed(self.rows)]
+        pivots = sorted(row_reduce(rows, self.dim), key=lambda p: p[1])
+        return [[Fraction(x, rows[ri][lead]) for x in rows[ri]] for ri, lead in pivots]

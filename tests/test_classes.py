@@ -39,7 +39,7 @@ def test_trace_form_3_2_is_nonzero_and_generates_degree_five(ana_gl3_so3):
     assert form.degree == 5
     assert not form.is_zero()
     ana = ana_gl3_so3
-    coords = ana.quotient_model.embeddings[5].solver().solve(form.to_vector())
+    coords = ana.quotient_model.embeddings[5].solve(form.to_vector())
     assert coords is not None  # the form is invariant, hence in the model
     cls = ana.relative_cohomology.reduce(5, coords)
     assert any(cls)  # nonzero class in the one-dimensional degree 5
@@ -120,7 +120,7 @@ def test_pfaffian_class_spans_the_kernel_with_its_products(ana_gl2_so2):
     for k, form in result.kernel_basis:
         if k == 2:
             coords = space.reduce(
-                2, ana_gl2_so2.quotient_model.embeddings[2].solver().solve(form.to_vector())
+                2, ana_gl2_so2.quotient_model.embeddings[2].solve(form.to_vector())
             )
             span2.insert(coords)
     assert span2.contains(list(cls.coords))
@@ -131,7 +131,7 @@ def test_pfaffian_class_spans_the_kernel_with_its_products(ana_gl2_so2):
     for k, form in result.kernel_basis:
         if k == 3:
             coords = space.reduce(
-                3, ana_gl2_so2.quotient_model.embeddings[3].solver().solve(form.to_vector())
+                3, ana_gl2_so2.quotient_model.embeddings[3].solve(form.to_vector())
             )
             span3.insert(coords)
     assert span3.contains(prod)

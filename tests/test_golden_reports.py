@@ -132,6 +132,38 @@ def test_largest_blocks_and_a_nonzero_kernel(capsys, argv, digest):
     assert report_digest(capsys, argv.split()) == digest
 
 
+def _units(dim, positions):
+    return [[int(i == p) for i in range(dim)] for p in positions]
+
+
+@pytest.mark.parametrize("algebra, vectors, digest", [
+    # the Borel {H1, E12} of sl(2)
+    ("sl:2", _units(3, (0, 1)),
+     "4c3e73a05951b66d593daea0b5b1c9cbd37bbd2275336f37a5a3e13ac9931ec4"),
+    # the upper-triangular Borel {E11, E12, E13, E22, E23, E33} of gl(3)
+    ("gl:3", _units(9, (0, 1, 2, 4, 5, 8)),
+     "63c7f99510f35315c19ea7b47194b6b2175742f70fb6d8e9d6a0045e1ee235ba"),
+])
+def test_reductive_certificates_of_borel_subalgebras(capsys, tmp_path, algebra, vectors, digest):
+    """No h-equivariant projection exists, so the report carries the
+    certificate of infeasibility that the exact solve returns."""
+    path = tmp_path / "borel.json"
+    path.write_text(json.dumps({"vectors": vectors}) + "\n", encoding="utf-8")
+    assert report_digest(capsys, ["reductive", "--builtin", algebra, "--sub-file", str(path)]) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("reductive --builtin gl:3 --sub so:3",
+     "c5976299fd04d2ef1e4978309cc8b351116fcbf8b84619564b8000bd1249d97e"),
+    ("ncz --builtin so:5 --sub so:3",
+     "7048204a6a56e6574531a1c89a953253115c40d5ef32a68bcb742bdf57c1dc35"),
+])
+def test_invariant_complement_and_ncz_preimages(capsys, argv, digest):
+    """An invariant complement and the preimages of H(h) in H(g), both read
+    off exact solves."""
+    assert report_digest(capsys, argv.split()) == digest
+
+
 if __name__ == "__main__":
     with open(sys.argv[2], "w", encoding="utf-8") as fh:
         fh.write(json.dumps(gl3_conjugate_document(int(sys.argv[1])), indent=1) + "\n")

@@ -3,7 +3,9 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+import pytest
 import sympy
+from test_reference_paths import reference_row_reduce
 
 from liecoh.exterior import pullback_matrix
 from liecoh.linalg import (
@@ -56,14 +58,16 @@ def _rational_rank(rows):
 
 
 def test_row_reduce_contract():
-    """Pivots, primitive rows, row space and reducedness against sympy."""
+    """Pivots, primitive rows, row space and reducedness against sympy:
+    ``row_reduce`` to a forward echelon form, and the Gauss-Jordan reference
+    that the tests' solvers and reduced passes run."""
     for rows, lead in _row_reduce_cases():
         expected = set()
         if rows and lead:
             expected = set(sympy.Matrix([r[:lead] for r in rows]).rref()[1])
         for full in (False, True):
             out = [list(r) for r in rows]
-            pivots = row_reduce(out, lead, full)
+            pivots = reference_row_reduce(out, lead, True) if full else row_reduce(out, lead)
             assert [i for i, _ in pivots] == sorted({i for i, _ in pivots})
             assert {c for _, c in pivots} == expected
             assert len(pivots) == len(expected)
@@ -108,16 +112,15 @@ def test_solver_solutions_and_certificates():
     for _ in range(40):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n, density=0.6)
-        solver = ColumnSolver(a)
         x_true = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         b = a.apply(x_true)
-        x, cert = solver.solve_with_certificate(b)
-        assert cert is None
-        assert a.apply(x) == b
         # perturb into (likely) inconsistency and check the Farkas certificate
         b2 = list(b)
         b2[rng.randrange(m)] += 1
-        x2, cert2 = solver.solve_with_certificate(b2)
+        solver = ColumnSolver(a, [b, b2])
+        (x, x2), (cert, cert2) = solver.solutions, solver.certificates
+        assert cert is None
+        assert a.apply(x) == b
         if x2 is None:
             lam = Matrix.from_rows([cert2])
             assert (lam @ a).is_zero()
@@ -132,6 +135,15 @@ def test_solver_degenerate_shapes():
     empty_cols = Matrix.zeros(3, 0)
     assert empty_cols.solve([0, 0, 0]) == []
     assert empty_cols.solve([0, 1, 0]) is None
+
+
+def test_solver_refuses_a_rhs_of_the_wrong_length():
+    a = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    for rhs in ([[1, 2]], [[1, 2, 3], [1, 2, 3, 4]], [[]]):
+        with pytest.raises(ValueError, match="rhs length"):
+            ColumnSolver(a, rhs)
+    with pytest.raises(ValueError, match="rhs length"):
+        a.solve([1, 2])
 
 
 def test_matmul_and_stacking():

@@ -9,11 +9,12 @@ on random rational matrices (zero rows, non-square shapes, k = 0 and
 k > min(shape) included) and on the projection and inclusion matrices of
 the builtin pairs up to dimension 10.
 
-``ColumnSolver`` keeps the transform block of its reduced tableau as sparse
-columns and solves over the support of the right-hand side.  The reference
-solver keeps the dense tableau and scans every transform row on every solve;
-solutions and certificates must be equal, entry for entry, on random
-systems and on the embedding and reducer solvers of the same pairs.
+``ColumnSolver`` reduces [A | B] forward for a whole batch of right-hand
+sides, reads each solution off the echelon rows by back-substitution and
+each certificate off the canonical left kernel of A.  The reference solver
+keeps the Gauss-Jordan tableau [A | I] and scans every transform row on
+every solve; solutions and certificates must be equal, entry for entry, on
+random systems and on the embedding and reducer systems of the same pairs.
 
 ``ce_cohomology`` eliminates only the weight-zero block of an algebra's
 grading and reports in full cochain coordinates.  Its reference is the
@@ -37,8 +38,8 @@ integer-scaled matrices; and the relative models narrow their kernels one
 constraint block at a time and read coordinates off the free columns of
 their embeddings.  The references keep the earlier forms: a separate
 ``full=False`` rank, the greedy scan of [coboundaries ; kernel basis] over
-the full cochain space, a ``ColumnSolver`` over [representatives | d_(k-1)]
-for reduction and over each embedding for coordinates, the ``Fraction``
+the full cochain space, the reference solver over [representatives |
+d_(k-1)] for reduction and over each embedding for coordinates, the ``Fraction``
 product d_(k+1) d_k, the nullspace of the stacked constraints, the
 ``Fraction`` Gauss-Jordan span builder and the ``full=False`` scan of the
 subalgebra generators for the complement.
@@ -58,7 +59,9 @@ sparsest first; its reference is the given order, and every reader of it
 give the same answer.  The Chevalley-Eilenberg builder sums int numerators;
 its reference sums ``Fraction``s.  ``bracket`` looks up only the pairs that
 meet the supports of its arguments; its reference loops over the whole
-table, and the Jacobi reference above uses it.
+table, and the Jacobi reference above uses it.  ``adjoint_matrix`` reads
+only the brackets that meet the support of x; its reference is the same
+loop over the whole table, with equal values and entry types.
 
 The relative models seek each kernel on the sign block of exp(pi theta_M)
 for the operators M that define it.  Their reference is the path without
@@ -242,7 +245,7 @@ class ReferenceSolver:
             ext = row + [0] * a.nrows
             ext[a.ncols + i] = 1
             rows[i] = clear_denominators(ext)
-        self.pivots = row_reduce(rows, a.ncols, True)
+        self.pivots = reference_row_reduce(rows, a.ncols, True)
         self.rows = rows
         self.pivot_rows = {ri for ri, _ in self.pivots}
 
@@ -274,6 +277,9 @@ class ReferenceSolver:
             if t:
                 x[ci] = Fraction(t, 1) / self.rows[ri][ci]
         return x, None
+
+    def solve(self, b):
+        return self.solve_with_certificate(b)[0]
 
 
 def random_matrix(rng, m, n):
@@ -411,11 +417,11 @@ def random_rhs(rng, a: Matrix):
 
 
 def assert_solver_matches_reference(a: Matrix, rhs):
-    fast, ref = ColumnSolver(a), ReferenceSolver(a)
+    """The batch solve of ``rhs`` against the reference, one right-hand side at a time."""
+    fast, ref = ColumnSolver(a, rhs), ReferenceSolver(a)
     assert fast.pivots == ref.pivots
     inconsistent = 0
-    for b in rhs:
-        x, cert = fast.solve_with_certificate(b)
+    for b, x, cert in zip(rhs, fast.solutions, fast.certificates, strict=True):
         x_ref, cert_ref = ref.solve_with_certificate(b)
         assert (x, cert) == (x_ref, cert_ref), (a.entries, b)
         for got, want in ((x, x_ref), (cert, cert_ref)):
@@ -463,6 +469,28 @@ def test_solver_matches_reference_on_degenerate_shapes():
         assert_solver_matches_reference(Matrix.zeros(0, n), [[]])
 
 
+def test_solver_batch_mixes_consistent_and_inconsistent_rhs():
+    """One batch that interleaves right-hand sides inside and outside the
+    column span gives each one what the reference gives it, and what a batch
+    of that one alone gives."""
+    rng = random.Random(18)
+    mixed = 0
+    for _ in range(80):
+        m = rng.randint(2, 7)
+        a = random_matrix(rng, m, rng.randint(1, m - 1))
+        rhs = []
+        for _ in range(4):
+            rhs.append(a.apply([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.ncols)]))
+            rhs.append([rng.randint(-3, 3) for _ in range(m)])
+        inconsistent = assert_solver_matches_reference(a, rhs)
+        mixed += 0 < inconsistent < len(rhs)
+        batch = ColumnSolver(a, rhs)
+        for j, b in enumerate(rhs):
+            alone = ColumnSolver(a, [b])
+            assert (alone.solutions[0], alone.certificates[0]) == (batch.solutions[j], batch.certificates[j])
+    assert mixed > 40
+
+
 def test_solver_matches_reference_on_sweep_pairs():
     rng = random.Random(17)
     inconsistent = 0
@@ -484,8 +512,8 @@ def test_solver_matches_reference_on_sweep_pairs():
 # ---------------------------------------------------------------------------
 
 def reference_rank(d: Matrix) -> int:
-    """The rank by its own ``full=False`` elimination."""
-    return len(row_reduce(d._int_rows(), d.ncols, False))
+    """The rank by its own elimination."""
+    return len(row_reduce(d._int_rows(), d.ncols))
 
 
 def reference_representatives(space, k) -> Matrix:
@@ -496,7 +524,7 @@ def reference_representatives(space, k) -> Matrix:
     image_rows = complex.differential(k - 1).cols_dense()
     rows = [clear_denominators(r) for r in image_rows]
     rows += [clear_denominators(list(v)) for v in kernel]
-    pivots = row_reduce(rows, n, False)
+    pivots = row_reduce(rows, n)
     offset = len(image_rows)
     chosen = [kernel[ri - offset] for ri, _ in pivots if ri >= offset]
     return Matrix.from_cols(chosen, n)
@@ -561,9 +589,9 @@ def random_cocycles(rng, space, k):
 
 
 def assert_reduce_matches_reference(space, rng):
-    """``reduce`` against the [representatives | d_(k-1)] ColumnSolver."""
+    """``reduce`` against the [representatives | d_(k-1)] reference solver."""
     for k in range(space.top_degree + 1):
-        reducer = ColumnSolver(space.representative_matrix(k).hstack(space.complex.differential(k - 1)))
+        reducer = ReferenceSolver(space.representative_matrix(k).hstack(space.complex.differential(k - 1)))
         for z in random_cocycles(rng, space, k):
             want = reducer.solve(z)[:space.betti(k)]
             got = space.reduce(k, z)
@@ -913,9 +941,9 @@ def test_operator_columns_match_full_matrices():
 
 def assert_coordinates_match_solver(e: Matrix, rhs):
     """``coordinates`` of the block of right-hand sides equals
-    ``ColumnSolver.solve`` column by column: the solutions when every column
+    the reference solver column by column: the solutions when every column
     is in the span, and otherwise the first column that the solver refuses."""
-    solver = ColumnSolver(e)
+    solver = ReferenceSolver(e)
     want = [solver.solve(b) for b in rhs]
     refused = [j for j, x in enumerate(want) if x is None]
     got, outside = e.coordinates(Matrix.from_cols(rhs, e.nrows))
@@ -1042,7 +1070,7 @@ def test_rank_and_pivot_columns_match_full_false_scan():
     for _ in range(150):
         a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
         # pivot_columns() is ascending; the scan finds them in row order
-        want = sorted(c for _, c in row_reduce(a._int_rows(), a.ncols, False))
+        want = sorted(c for _, c in row_reduce(a._int_rows(), a.ncols))
         fresh = Matrix(a.nrows, a.ncols, a.entries)
         assert fresh.rank() == len(want)
         assert fresh.pivot_columns() == want
@@ -1054,7 +1082,7 @@ def test_rank_and_pivot_columns_match_full_false_scan():
 def test_subalgebra_complement_matches_generator_scan():
     for pair in sweep_pairs():
         rows = [clear_denominators(list(v)) for v in pair.sub_basis]
-        pivot_cols = {c for _, c in row_reduce(rows, pair.ambient.dim, False)}
+        pivot_cols = {c for _, c in row_reduce(rows, pair.ambient.dim)}
         n = pair.ambient.dim
         want = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n) if j not in pivot_cols)
         got = subalgebra(pair.ambient, pair.sub_basis).quotient_basis
@@ -1334,11 +1362,10 @@ def reference_reduce_row(rows, pivots, row, lead, width, full):
 
 
 def assert_kernel_matches_reference(rows, lead):
-    """Equal pivots and equal rows, entry for entry, for both values of ``full``."""
-    for full in (False, True):
-        got, want = [list(r) for r in rows], [list(r) for r in rows]
-        assert row_reduce(got, lead, full) == reference_row_reduce(want, lead, full), (rows, lead, full)
-        assert got == want, (rows, lead, full)
+    """Equal pivots and equal rows, entry for entry, against the forward loop kernel."""
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert row_reduce(got, lead) == reference_row_reduce(want, lead, False), (rows, lead)
+    assert got == want, (rows, lead)
 
 
 def random_int_rows(rng):
@@ -1376,24 +1403,22 @@ def test_row_reduce_matches_loop_kernel_on_differentials():
             assert_kernel_matches_reference(d._int_rows(), d.ncols)
 
 
-def solver_tableau(a: Matrix):
-    """The [A | I] rows that ``ColumnSolver`` reduces."""
-    rows, scales = a._scaled_int_rows(a.ncols + a.nrows)
-    for i, s in enumerate(scales):
-        rows[i][a.ncols + i] = s
-    return rows
+def solver_tableau(a: Matrix, rhs):
+    """The [A | B] rows that ``ColumnSolver`` reduces."""
+    return a.hstack(Matrix.from_cols(rhs, a.nrows))._int_rows()
 
 
 def test_row_reduce_matches_loop_kernel_on_solver_tableaux():
     rng = random.Random(42)
     for _ in range(150):
         a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
-        assert_kernel_matches_reference(solver_tableau(a), a.ncols)
+        assert_kernel_matches_reference(solver_tableau(a, random_rhs(rng, a)), a.ncols)
     for pair in sweep_pairs():
         ana = PairAnalysis(pair)
         for e in ana.quotient_model.embeddings + ana.basic_model.embeddings:
-            assert_kernel_matches_reference(solver_tableau(e), e.ncols)
-        assert_kernel_matches_reference(solver_tableau(pair.projection_matrix), pair.projection_matrix.ncols)
+            assert_kernel_matches_reference(solver_tableau(e, random_rhs(rng, e)), e.ncols)
+        p = pair.projection_matrix
+        assert_kernel_matches_reference(solver_tableau(p, random_rhs(rng, p)), p.ncols)
 
 
 def eliminate_in_given_order(m: Matrix, order=None):
@@ -1401,7 +1426,7 @@ def eliminate_in_given_order(m: Matrix, order=None):
     rows, or the rows ``order`` lists, in that order), and the pivot columns
     in the order found."""
     rows = m._int_rows(order)
-    pivots = row_reduce(rows, m.ncols, True)
+    pivots = reference_row_reduce(rows, m.ncols, True)
     m._rank = len(pivots)
     m._pivot_cols = [ci for _, ci in pivots]
     return rows, pivots
@@ -1554,7 +1579,7 @@ class BottomUpCohomologySpace(CohomologySpace):
             if j in basis_cols and i in position:
                 entries[(basis_cols[j], position[i])] = v
         rows = Matrix(len(basis_cols), r, entries)._int_rows()
-        pivots = row_reduce(rows, r, True)
+        pivots = reference_row_reduce(rows, r, True)
         taken = {p for _, p in pivots}
         kept = [i for i in range(r) if r - 1 - i not in taken]
         column = {r - 1 - i: j for j, i in enumerate(kept)}
@@ -1630,7 +1655,7 @@ def test_rows_at_the_free_columns_above_span_each_differential():
             above = copied(complex.differential(k + 1)).free_columns()
             order = above[::-1]
             all_rows = d._int_rows()
-            all_pivots = row_reduce(all_rows, d.ncols, True)
+            all_pivots = reference_row_reduce(all_rows, d.ncols, True)
             rows, pivots = copied(d)._eliminate(order)
             assert len(pivots) == len(all_pivots), (index, k)
             assert sorted(c for _, c in pivots) == sorted(c for _, c in all_pivots), (index, k)
@@ -1678,7 +1703,7 @@ def reduced_top_down(complex: CochainComplex):
     for k in range(top, -1, -1):
         d = diffs[k]
         rows = d._int_rows(order)
-        pivots = row_reduce(rows, d.ncols, True)
+        pivots = reference_row_reduce(rows, d.ncols, True)
         ranks[k] = len(pivots)
         if above is not None:
             pivot_rows = {ri for ri, _ in pivots}
@@ -1722,7 +1747,7 @@ def test_kernel_vectors_by_back_substitution_match_the_reduced_form():
         rows, pivots = forward._eliminate(order)
         basis = forward._kernel_vectors(rows, pivots, forward.free_columns())
         rows = m._int_rows(order)
-        want = kernel_from_reduced(m.ncols, rows, row_reduce(rows, m.ncols, True), forward.free_columns())
+        want = kernel_from_reduced(m.ncols, rows, reference_row_reduce(rows, m.ncols, True), forward.free_columns())
         assert basis == want, index
         assert [[type(x) for x in v] for v in basis] == [[type(x) for x in v] for v in want], index
         assert all(not any(m.apply(v)) for v in basis), index
@@ -1834,6 +1859,37 @@ def test_bracket_matches_full_table_loop():
                 assert g.bracket(x, y) == reference_bracket(g, x, y)
 
 
+def reference_adjoint_matrix(g, x) -> Matrix:
+    """ad_x by a loop over every entry of the structure table."""
+    entries = {}
+    for (i, j), terms in g.structure.items():
+        if x[i]:
+            for k, v in terms.items():
+                entries[(k, j)] = entries.get((k, j), 0) + x[i] * v
+        if x[j]:
+            for k, v in terms.items():
+                entries[(k, i)] = entries.get((k, i), 0) - x[j] * v
+    return Matrix(g.dim, g.dim, entries)
+
+
+def test_adjoint_matrix_matches_full_table_loop():
+    """ad_x over the support of x against the loop over the whole table, in
+    value and entry type: every basis vector, the generators of the sweep
+    pairs, and random int and ``Fraction`` vectors, some with entries 1."""
+    rng = random.Random(46)
+    cases = [(g, g.basis_vector(i)) for g in builtin_sweep() + rational_conjugates() for i in range(g.dim)]
+    cases += [(pair.ambient, list(x)) for pair in sweep_pairs() for x in pair.sub_basis]
+    for g in builtin_sweep() + rational_conjugates():
+        for _ in range(20):
+            density = rng.choice((0.1, 0.3, 1.0))
+            cases.append((g, [rng.choice((1, Fraction(1), -1, 3, Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+                              if rng.random() < density else 0 for _ in range(g.dim)]))
+    for g, x in cases:
+        got, want = g.adjoint_matrix(x), reference_adjoint_matrix(g, x)
+        assert got == want, (g.basis_names, x)
+        assert entry_types(got) == entry_types(want), (g.basis_names, x)
+
+
 # ---------------------------------------------------------------------------
 # relative kernels on the sign block of exp(pi theta)
 # ---------------------------------------------------------------------------
@@ -1932,8 +1988,8 @@ def reference_sign_mask(m: Matrix):
 
 def conjugated(m: Matrix, p: Matrix) -> Matrix:
     """P M P^-1, with P^-1 by ``ColumnSolver``."""
-    solver = p.solver()
-    inverse = Matrix.from_cols([solver.solve([int(i == j) for i in range(p.nrows)]) for j in range(p.ncols)], p.nrows)
+    units = [[int(i == j) for i in range(p.nrows)] for j in range(p.ncols)]
+    inverse = Matrix.from_cols(ColumnSolver(p, units).solutions, p.nrows)
     return p @ m @ inverse
 
 
