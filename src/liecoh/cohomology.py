@@ -323,8 +323,8 @@ class CohomologySpace:
         self._kept[k] = kept
         vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept)
         place = self._place(k)
-        reps = {(place[i], j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
-        self._representatives[k] = Matrix(self.full_dim(k), len(kept), reps)
+        reps = {(place[i], j): v for (i, j), v in vectors.entries.items()}
+        self._representatives[k] = Matrix._trusted(self.full_dim(k), len(kept), reps)
 
     def _place(self, k: int):
         """Full position of each degree-k basis vector of the eliminated complex."""
@@ -360,18 +360,18 @@ class CohomologySpace:
             if j in basis_cols and i in position:
                 entries[(basis_cols[j], position[i])] = v
         coboundaries = Matrix(len(basis_cols), r, entries)
-        # kernel vectors by descending q, that is by ascending free column of d_k
-        kernel = coboundaries.nullspace()[::-1]
+        kernel = coboundaries.nullspace()
         if [free[r - 1 - q] for q in reversed(coboundaries.free_columns())] != self._kept[k]:
             raise InternalInvariantError(
                 f"the coboundary elimination keeps other free columns than the "
                 f"top-down elimination in degree {k}"
             )
+        # row j of the reducer is kernel column m - 1 - j: by descending q,
+        # that is by ascending free column of d_k
+        m = kernel.ncols
         place = self._place(k)
-        reducer = {
-            (j, place[free[r - 1 - q]]): x for j, vec in enumerate(kernel) for q, x in enumerate(vec) if x
-        }
-        return Matrix(len(kernel), self.full_dim(k), reducer)
+        reducer = {(m - 1 - j, place[free[r - 1 - q]]): x for (q, j), x in kernel.entries.items()}
+        return Matrix._trusted(m, self.full_dim(k), reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:
@@ -429,7 +429,7 @@ class CohomologyMap:
 
     def kernel_basis(self, k: int):
         """Kernel classes in degree k, as coordinates in source representatives."""
-        return self.degree(k).nullspace()
+        return self.degree(k).nullspace().cols_dense()
 
     def total_kernel_dimension(self) -> int:
         return sum(

@@ -59,8 +59,8 @@ class PairAnalysis:
 
     @cached_property
     def ambient_complex(self):
-        """All of Lambda g*: the basic model, ``delta_chain``, the chain-map
-        checks and the restriction map need the full differential."""
+        """All of Lambda g*: ``delta_chain``, the chain-map checks and the
+        restriction map need the full differential."""
         return ce_complex(self.pair.ambient)
 
     @cached_property
@@ -77,7 +77,7 @@ class PairAnalysis:
 
     @cached_property
     def basic_model(self):
-        return basic_subcomplex(self.pair, ambient=self.ambient_complex)
+        return basic_subcomplex(self.pair)
 
     @cached_property
     def basic_cohomology(self) -> CohomologySpace:
@@ -252,14 +252,14 @@ def ncz_report(pair) -> NczReport:
         betti_sub = sub.betti(k)
         if betti_sub == 0:
             continue
-        m = mapping.degree(k)
-        rank = m.rank()
+        units = [[Fraction(int(i == j)) for j in range(betti_sub)] for i in range(betti_sub)]
+        solver = ColumnSolver(mapping.degree(k), units)
+        rank = len(solver.pivots)
         degrees[k] = {"rank": rank, "betti_sub": betti_sub}
         if rank < betti_sub:
             surjective = False
             continue
-        units = [[Fraction(int(i == j)) for j in range(betti_sub)] for i in range(betti_sub)]
-        found = ColumnSolver(m, units).solutions
+        found = solver.solutions
         for unit, pre in zip(units, found):
             if pre is None:
                 raise InternalInvariantError(
@@ -352,7 +352,7 @@ def invariant_complement(pair) -> ReductiveWitness:
     projection = Matrix(
         r, n, {(i, k): solution[var(i, k)] for i in range(r) for k in range(n) if solution[var(i, k)]}
     )
-    complement = tuple(tuple(vec) for vec in projection.nullspace())
+    complement = tuple(tuple(vec) for vec in projection.nullspace().cols_dense())
     for a in range(r):
         ad_g = g.adjoint_matrix(pair.sub_basis[a])
         for w in complement:

@@ -264,9 +264,8 @@ def torus_weights(g: LieAlgebra) -> tuple:
     system = Matrix(
         len(off), n, {(r, x): v for r, coeffs in enumerate(off.values()) for x, v in coeffs.items()}
     )
-    lam = Matrix.from_cols(
-        [[sum(t[x] * v for x, v in diagonal[j].items()) for j in range(n)] for t in system.nullspace()], n
-    ).col_scaled()[0]
+    on_diagonal = Matrix(n, n, {(j, x): v for j in range(n) for x, v in diagonal[j].items()})
+    lam = (on_diagonal @ system.nullspace())._integral(1)
     base = 2 * n * max((abs(v) for v in lam.entries.values()), default=0) + 1
     packed = [0] * n
     for (j, s), v in lam.entries.items():

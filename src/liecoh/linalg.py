@@ -7,7 +7,8 @@ reduced with cross-multiplication updates followed by gcd stripping; no
 floating point appears anywhere.  Every rank, pivot set, kernel and solution
 comes from one forward elimination (``row_reduce``), and kernels and
 solutions are read off its integer echelon rows by one back-substitution
-(``Matrix._kernel_vectors``); ``ColumnSolver`` reduces [A | B] for a whole
+(``Matrix._kernel_vectors``), a kernel basis as the sparse columns of a
+``Matrix``; ``ColumnSolver`` reduces [A | B] for a whole
 batch of right-hand sides at once.  Minors are built in ``exterior`` by the
 wedge recursion.
 
@@ -302,24 +303,12 @@ class Matrix:
 
     # -- elimination-backed operations --------------------------------
 
-    def row_scaled(self):
-        """``(S, scales)`` with ``S = diag(scales) @ self`` and every entry an int.
-
-        ``scales[i]`` is the lcm of the denominators of row i; no common
-        factor is divided out, so ``[2, 4]`` stays ``[2, 4]``.
-        """
-        return self._scaled(0)
-
-    def col_scaled(self):
-        """``(S, scales)`` with ``S = self @ diag(scales)``: the row scaling of the transpose."""
-        return self._scaled(1)
-
     def _scaled(self, axis):
         """Each row (axis 0) or column (axis 1) times the lcm of its
         denominators; an int matrix is returned as it is (it is immutable)."""
-        scales = [1] * self.shape[axis]
         if all(type(v) is int for v in self.entries.values()):
-            return self, scales
+            return self
+        scales = [1] * self.shape[axis]
         for key, v in self.entries.items():
             if type(v) is not int and v.denominator != 1:
                 scales[key[axis]] = lcm(scales[key[axis]], v.denominator)
@@ -327,7 +316,7 @@ class Matrix:
         for key, v in self.entries.items():
             s = scales[key[axis]]
             entries[key] = v * s if type(v) is int else v.numerator * (s // v.denominator)
-        return Matrix._trusted(self.nrows, self.ncols, entries), scales
+        return Matrix._trusted(self.nrows, self.ncols, entries)
 
     def _integral(self, axis):
         """An int matrix that is this one with each row (axis 0) or column
@@ -335,7 +324,7 @@ class Matrix:
         them, which scale every row and column alike, else ``_scaled``."""
         if self._numerators is not None:
             return self._numerators
-        return self._scaled(axis)[0]
+        return self._scaled(axis)
 
     def _int_rows(self, order=None):
         """Dense int rows, each a positive multiple of its row: the builder's
@@ -404,7 +393,8 @@ class Matrix:
         return [f for f in range(self.ncols) if f not in pivot_cols]
 
     def _kernel_vectors(self, rows, pivots, free):
-        """The canonical kernel vector kappa_f of each free column f in ``free``.
+        """The canonical kernel vector kappa_f of each free column f in
+        ``free``, as column j of a sparse matrix for the j-th f.
 
         ``rows`` and ``pivots`` are an echelon form of this matrix from
         ``row_reduce``: each pivot row is zero at the pivot columns found
@@ -412,30 +402,31 @@ class Matrix:
         columns, and the pivot rows fix the rest, from the last pivot to the
         first: kappa_f[c] = -(row[f] + the sum of row[c'] kappa_f[c'] over
         the later pivot columns c') / row[c], the sum kept as an int
-        numerator and denominator, so each entry costs one gcd.  Zero
-        entries stay ``int`` 0.
+        numerator and denominator, so each entry costs one gcd.  Nonzero
+        entries are ``Fraction``s; zero entries are absent, so ``cols_dense``
+        reads them as ``int`` 0.
 
         The rows may carry right-hand sides b past this matrix's columns
         (reduced with lead ``ncols``).  For such a column f the vector is
         kappa_f of [A | b] without its entry at f: the solution of A x = -b
         whose free variables are zero.
         """
-        basis = []
         steps = []  # (row, pivot column, pivot, the row at later pivot columns), last pivot first
         pivot_cols = [ci for _, ci in pivots]
         for ri, ci in reversed(pivots):
             row = rows[ri]
             later = [(c, row[c]) for c in compress(pivot_cols, map(row.__getitem__, pivot_cols)) if c != ci]
             steps.append((row, ci, row[ci], later))
-        for f in free:
-            vec = [0] * self.ncols
+        entries = {}
+        for j, f in enumerate(free):
+            vec = {}
             for row, ci, piv, later in steps:
                 num = row[f]
                 if later:
                     den = 1
                     for c, a in later:
-                        x = vec[c]
-                        if x:
+                        x = vec.get(c)
+                        if x is not None:
                             n, d = x.numerator, x.denominator
                             if d == den:
                                 num += a * n
@@ -447,21 +438,24 @@ class Matrix:
                     vec[ci] = Fraction(-num, piv)
             if f < self.ncols:
                 vec[f] = Fraction(1)
-            basis.append(vec)
-        return basis
+            for i, x in vec.items():
+                entries[(i, j)] = x
+        return Matrix._trusted(self.ncols, len(free), entries)
 
-    def nullspace(self):
-        """Canonical kernel basis (one vector per free column, ascending).
+    def nullspace(self) -> "Matrix":
+        """Canonical kernel basis: column j is the kernel vector of the j-th
+        free column, ascending (see ``_kernel_vectors``).
 
-        Back-substituted through the forward integer rows; zero entries stay
-        ``int`` 0.  The elimination also fixes the rank and the pivot columns.
+        Back-substituted through the forward integer rows; zero entries are
+        absent.  The elimination also fixes the rank and the pivot columns.
         """
         rows, pivots = self._eliminate()
         return self._kernel_vectors(rows, pivots, self.free_columns())
 
     @staticmethod
-    def stacked_nullspace(blocks, ncols: int, within=None):
-        """``Matrix.stack_rows(blocks, ncols).nullspace()``, without the stack.
+    def stacked_nullspace(builders, ncols: int, within=None) -> "Matrix":
+        """``Matrix.stack_rows(blocks, ncols).nullspace()`` for the blocks
+        that ``builders`` build, without the stack.
 
         The kernel is narrowed one block at a time, K <- K nullspace(B K), so
         each elimination is only as wide as the kernel left so far.  Scaling
@@ -478,9 +472,9 @@ class Matrix:
         each column of K divided by its last nonzero entry.  Entries and
         their types equal those of ``nullspace``.
 
-        A block may also be a callable: given the ascending row support of
-        the current K, it returns the block with only those columns filled.
-        B K reads no other column of B, so the kernel is the same.
+        Each builder, given the ascending row support of the current K,
+        returns its block with only those columns filled.  B K reads no
+        other column of B, so the kernel is the same.
 
         ``within``, ascending columns, starts K from the unit vectors at
         those columns instead of all (default): the caller vouches that the
@@ -490,18 +484,17 @@ class Matrix:
         if within is None:
             within = range(ncols)
         kernel = Matrix._trusted(ncols, len(within), {(c, j): 1 for j, c in enumerate(within)})
-        for block in blocks:
-            if callable(block):
-                block = block(sorted({i for i, _ in kernel.entries}))
-            image = block.row_scaled()[0] @ kernel
+        for build in builders:
+            image = build(sorted({i for i, _ in kernel.entries}))._integral(0) @ kernel
             if not image.is_zero():
-                narrow = Matrix.from_cols(image.nullspace(), kernel.ncols).col_scaled()[0]
-                kernel = kernel @ narrow
-        basis = []
-        for col in kernel.cols_dense():
-            last = next(x for x in reversed(col) if x)
-            basis.append([Fraction(x, last) if x else 0 for x in col])
-        return basis
+                kernel = kernel @ image.nullspace()._integral(1)
+        last = {}  # column -> (row, entry) of its last nonzero
+        for (i, j), x in kernel.entries.items():
+            if i > last.get(j, (-1,))[0]:
+                last[j] = (i, x)
+        return Matrix._trusted(
+            ncols, kernel.ncols, {(i, j): Fraction(x, last[j][1]) for (i, j), x in kernel.entries.items()}
+        )
 
     def coordinates(self, v: "Matrix"):
         """Solve ``self @ C == v`` for a matrix whose columns are a canonical kernel basis.
@@ -572,11 +565,11 @@ class ColumnSolver:
         consistent = [j for j in range(len(rhs)) if not any(row[n + j] for row in free_rows)]
         self.solutions = [None] * len(rhs)
         self.certificates = [None] * len(rhs)
-        vectors = a._kernel_vectors(rows, self.pivots, [n + j for j in consistent])
+        vectors = a._kernel_vectors(rows, self.pivots, [n + j for j in consistent]).cols_dense()
         for j, vec in zip(consistent, vectors):
             self.solutions[j] = [-x if x else _ZERO for x in vec]
         if len(consistent) < len(rhs):
-            left = a.transpose().nullspace()
+            left = a.transpose().nullspace().cols_dense()
             for j, b in enumerate(rhs):
                 if self.solutions[j] is None:
                     lam = next(v for v in left if sum(x * y for x, y in zip(v, b) if x))

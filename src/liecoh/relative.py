@@ -11,8 +11,9 @@ projected bracket taken with the sign opposite to the ambient convention
 (see ``exterior``).
 
 Both are the output of one builder, ``_embedded_subcomplex``: a kernel of
-constraint blocks per degree, with the restricted differential, returned
-as one ``EmbeddedSubcomplex``.  Each kernel is sought only on the sign
+constraint blocks per degree, with the differential built on the kernel's
+support from a bracket and a sign and restricted to it, returned as one
+``EmbeddedSubcomplex``.  Each kernel is sought only on the sign
 block of the theta operators that define it (``liealg.sign_mask``), as
 ``liealg.Grading.block`` lists it.
 
@@ -65,32 +66,33 @@ class EmbeddedSubcomplex:
         return Form.from_vector(len(self.embeddings) - 1, k, self.embeddings[k].apply(vec))
 
 
-def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()) -> EmbeddedSubcomplex:
+def _embedded_subcomplex(pair, n, bracket, flip_sign, operators, failure, interiors=()) -> EmbeddedSubcomplex:
     """The forms in each Lambda^k (Q^n)* killed by i_x for every vector x
     in ``interiors`` and by theta_M for every endomorphism M of
-    ``operators``, with the restriction of ``differential``.
+    ``operators``, with the restriction of the alternating-sum differential
+    of ``bracket`` (``alternating_differential_matrix`` with ``flip_sign``).
 
     ``operators`` holds pairs ``(M, theta)``, ``theta(k, columns)`` the
     matrix of theta_M on Lambda^k.  Per degree, the i_x and then the theta
-    matrices are the blocks of ``Matrix.stacked_nullspace``, sought on the
+    matrices are the builders of ``Matrix.stacked_nullspace``, sought on the
     block of the grading by the parities of the M with a ``sign_mask`` (all
     of Lambda^k when none has one): a form killed by theta_M is fixed by
     exp(pi theta_M), the pullback along exp(-pi M), which multiplies theta^I
     by the product of eps over I when exp(pi M) = diag(eps).  The embedding
-    columns are the canonical kernel basis.  ``differential(k,
-    support)`` returns d_k on the ascending degree-k basis positions
-    ``support`` where the embedding is nonzero, with all rows, so each d_k
-    restricts by one ``coordinates`` call, whose exact check is the
-    d-stability arbiter: an image outside the next kernel raises ``failure``.
+    columns are the canonical kernel basis.  d_k is built on the ascending
+    degree-k basis positions where the embedding is nonzero, with all rows,
+    so each d_k restricts by one ``coordinates`` call, whose exact check is
+    the d-stability arbiter: an image outside the next kernel raises
+    ``failure``.
     """
     masks = [mask for mask in (sign_mask(m) for m, _ in operators) if mask]
     grading = Grading((0,) * n, sign_parities(n, masks))
 
     def kernel(k):
-        blocks = [partial(interior_matrix, x, n, k) for x in interiors]
-        blocks += [partial(theta, k) for _, theta in operators]
+        builders = [partial(interior_matrix, x, n, k) for x in interiors]
+        builders += [partial(theta, k) for _, theta in operators]
         within = [pos for pos, _ in grading.block(k)] if masks else None
-        return Matrix.from_cols(Matrix.stacked_nullspace(blocks, basis_size(n, k), within), basis_size(n, k))
+        return Matrix.stacked_nullspace(builders, basis_size(n, k), within)
 
     embeddings = tuple(kernel(k) for k in range(n + 1))
     restricted = []
@@ -99,7 +101,11 @@ def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()
         support = sorted({i for i, _ in e.entries})
         local = {i: j for j, i in enumerate(support)}
         e = Matrix._trusted(len(support), e.ncols, {(local[i], j): v for (i, j), v in e.entries.items()})
-        d, outside = embeddings[k + 1].coordinates(differential(k, support) @ e)
+        indices = multi_indices(n, k)
+        d_k = alternating_differential_matrix(
+            n, bracket, k, flip_sign=flip_sign, columns=[indices[i] for i in support]
+        )
+        d, outside = embeddings[k + 1].coordinates(d_k @ e)
         if d is None:
             raise failure(f"differential leaves the subspace at degree {k}, vector {outside}")
         restricted.append(d)
@@ -111,30 +117,21 @@ def _embedded_subcomplex(pair, n, differential, operators, failure, interiors=()
     return EmbeddedSubcomplex(pair, complex, embeddings)
 
 
-def _columns_of(d: Matrix, columns) -> Matrix:
-    """The columns of ``d`` at the ascending positions ``columns``, in order."""
-    local = {c: j for j, c in enumerate(columns)}
-    return Matrix._trusted(
-        d.nrows, len(columns), {(i, local[c]): v for (i, c), v in d.entries.items() if c in local}
-    )
-
-
-def basic_subcomplex(pair, ambient=None) -> EmbeddedSubcomplex:
+def basic_subcomplex(pair) -> EmbeddedSubcomplex:
     """Horizontal invariant subcomplex of Lambda g* for x ranging over h.
 
     Per degree, the basis is the kernel of the stacked i_x and theta_x
     matrices on the sign block of the ad_x, each built only on the columns
     where the kernel narrowed so far is nonzero; the differential is the
-    restriction of the ambient one (d-stability is verified exactly and its
-    failure is a hard error).
+    ambient one, built on the basis's support and restricted to it
+    (d-stability is verified exactly and its failure is a hard error).
     """
     g = pair.ambient
-    if ambient is None:
-        ambient = ce_complex(g)
     return _embedded_subcomplex(
         pair,
         g.dim,
-        lambda k, support: _columns_of(ambient.differentials[k], support),
+        g.bracket_basis,
+        False,
         [(g.adjoint_matrix(x), partial(lie_derivative_matrix, g, x)) for x in pair.sub_basis],
         NotDStable,
         interiors=pair.sub_basis,
@@ -157,17 +154,16 @@ def quotient_bracket_table(pair):
     return table
 
 
-def quotient_differential(pair, k: int, table=None, columns=None) -> Matrix:
+def _quotient_bracket(pair):
+    """The bracket function of ``quotient_bracket_table`` (i < j)."""
+    table = quotient_bracket_table(pair)
+    return lambda i, j: table.get((i, j), {})
+
+
+def quotient_differential(pair, k: int) -> Matrix:
     """d_k on Lambda (g/h)*: the alternating sum over the projected
-    brackets of the lifts (``table``, by default ``quotient_bracket_table``),
-    with the sign opposite to the ambient convention.  ``columns``, ascending
-    degree-k multi-indices, restricts the columns (default: all), as in
-    ``alternating_differential_matrix``."""
-    if table is None:
-        table = quotient_bracket_table(pair)
-    return alternating_differential_matrix(
-        pair.dim_quotient, lambda i, j: table.get((i, j), {}), k, flip_sign=True, columns=columns
-    )
+    brackets of the lifts, with the sign opposite to the ambient convention."""
+    return alternating_differential_matrix(pair.dim_quotient, _quotient_bracket(pair), k, flip_sign=True)
 
 
 def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
@@ -175,19 +171,13 @@ def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
 
     Invariance per degree is the kernel of the Lie-derivative action of
     every h generator, on the sign block of the action and built on the
-    kernel's support as in ``basic_subcomplex``; the differential is
-    ``quotient_differential``, built on the invariants' support and
+    kernel's support as in ``basic_subcomplex``; the differential is that
+    of ``quotient_differential``, built on the invariants' support and
     restricted to them.
     """
     q = pair.dim_quotient
-    table = quotient_bracket_table(pair)
-
-    def differential(k, support):
-        indices = multi_indices(q, k)
-        return quotient_differential(pair, k, table, [indices[i] for i in support])
-
     operators = [(a, partial(endo_action_matrix, a, q)) for a in pair.action]
-    return _embedded_subcomplex(pair, q, differential, operators, InternalInvariantError)
+    return _embedded_subcomplex(pair, q, _quotient_bracket(pair), True, operators, InternalInvariantError)
 
 
 class ModelComparison:

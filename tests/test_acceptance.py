@@ -100,7 +100,7 @@ def _brute_force_kernel_dimension(ana):
     ce = ana.ambient_complex
     total = 0
     for k in range(invq.complex.top_degree + 1):
-        cocycles = invq.complex.differential(k).nullspace()
+        cocycles = invq.complex.differential(k).nullspace().cols_dense()
         betti_src = len(cocycles) - invq.complex.differential(k - 1).rank()
         image_cols = [chain[k].apply(z) for z in cocycles]
         boundary = ce.differential(k - 1)
