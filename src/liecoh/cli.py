@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -439,23 +440,25 @@ def run(argv=None):
 def main(argv=None) -> int:
     try:
         report, code = run(argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 3
-    except MathValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
+        document = json.dumps(report, indent=2)
     except LiecohError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        if isinstance(exc, InternalInvariantError):
+            code, label = 3, "internal invariant violation"
+        elif isinstance(exc, MathValidationError):
+            code, label = 2, "validation failure"
+        else:
+            code, label = 1, "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        document = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    try:
+        print(document)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull, so that the
+        # interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2))
     return code
 
 

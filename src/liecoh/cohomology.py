@@ -35,6 +35,10 @@ the block only, while its representatives, ``reduce`` and induced maps speak
 full cochain coordinates.  Every other block is acyclic, so nothing
 observable changes: the canonical kernel basis of a full d_k is the union of
 its blocks' bases, and the pick never keeps a vector of another block.
+The full complex of a block is never built: ``reduce`` and ``check_chain_map`` build
+the full d_k only at the columns they read (``full_differential``).  d o d
+is checked where the complexes are eliminated; on the image of a chain map
+f it follows from the checks that stay, d d f = d f d = f d d = 0.
 
 Complexes that carry a graded product (all complexes in this library do)
 also support cup products and the odd-generation test on their cohomology.
@@ -43,7 +47,6 @@ also support cup products and the odd-generation test on their cohomology.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .errors import (
     DimensionMismatch,
@@ -56,6 +59,7 @@ from .exterior import (
     alternating_differential_matrix,
     basis_size,
     ce_differential,
+    multi_indices,
     wedge_vector,
 )
 from .linalg import Matrix, SpanBuilder
@@ -104,14 +108,23 @@ class Block:
     """Where a complex sits as a block of the full cochains of a graded one.
 
     ``positions[k]`` are the ascending full positions of the block's degree-k
-    basis, ``full_dims`` the full dimensions, and ``build_full()`` builds the
-    full complex, for the chain-level checks.
+    basis and ``full_dims`` the full dimensions.  The full complex is never
+    built: ``differential`` builds the full d_k at the columns a chain-level
+    check reads.
     """
 
-    def __init__(self, positions, full_dims, build_full):
+    def __init__(self, positions, full_dims, n, bracket):
         self.positions = positions
         self.full_dims = full_dims
-        self.build_full = build_full
+        self.n = n
+        self.bracket = bracket
+
+    def differential(self, k: int, columns) -> Matrix:
+        """The CE d_k at the ascending full positions ``columns``, with all
+        full rows, and zero at the other full columns."""
+        indices = multi_indices(self.n, k)
+        d = alternating_differential_matrix(self.n, self.bracket, k, columns=[indices[c] for c in columns])
+        return Matrix._trusted(d.nrows, len(indices), {(i, columns[j]): v for (i, j), v in d.entries.items()})
 
 
 class CochainComplex:
@@ -155,6 +168,17 @@ class CochainComplex:
             return self.differentials[k]
         return Matrix.zeros(self.dim(k + 1), self.dim(k))
 
+    def full_dim(self, k: int) -> int:
+        """Dimension of the full degree-k cochains."""
+        if self.block is None or not 0 <= k <= self.top_degree:
+            return self.dim(k)
+        return self.block.full_dims[k]
+
+    def full_differential(self, k: int, columns) -> Matrix:
+        """The full d_k at least at the ascending full positions ``columns``:
+        ``differential(k)`` itself unless this complex is a block."""
+        return self.differential(k) if self.block is None else self.block.differential(k, columns)
+
 
 def _product_vanishes(a: Matrix, b: Matrix) -> bool:
     """Whether the product of two int matrices is zero, by two
@@ -195,39 +219,26 @@ def ce_complex(g, grading=None) -> CochainComplex:
         alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
         for k in range(n)
     )
-    block = Block(
-        positions=tuple(tuple(pos for pos, _ in b) for b in blocks),
-        full_dims=dims,
-        build_full=partial(ce_complex, g),
-    )
+    block = Block(tuple(tuple(pos for pos, _ in b) for b in blocks), dims, n, g.bracket_basis)
     return CochainComplex(
         dims=tuple(map(len, blocks)), differentials=diffs, product=BasisProduct(n), block=block
     )
 
 
-def ce_cohomology(g, full=None) -> "CohomologySpace":
-    """H(g), eliminated on the weight-zero block of ``g.grading`` only.
-
-    ``full`` is the full complex of g when the caller has built it already;
-    otherwise a graded space builds it on first use by ``reduce`` or
-    ``induced_map``.
-    """
-    if g.grading.trivial:
-        return CohomologySpace(full if full is not None else ce_complex(g))
-    return CohomologySpace(ce_complex(g, g.grading), full=full)
+def ce_cohomology(g) -> "CohomologySpace":
+    """H(g), eliminated on the weight-zero block of ``g.grading`` only."""
+    return CohomologySpace(ce_complex(g, None if g.grading.trivial else g.grading))
 
 
 class CohomologySpace:
     """Betti numbers, chosen representatives and reduction data per degree.
 
     ``complex`` is the complex that is eliminated, possibly one block of a
-    graded complex; ``full``, for a block, is the full complex if already
-    built.
+    graded complex.
     """
 
-    def __init__(self, complex: CochainComplex, full: CochainComplex = None):
+    def __init__(self, complex: CochainComplex):
         self.complex = complex
-        self._full = full
         self._cups = {}  # cup_product memo: (ka, ca, kb, cb) -> class coordinates
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
@@ -288,23 +299,6 @@ class CohomologySpace:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_numbers))
 
-    @property
-    def full_complex(self) -> CochainComplex:
-        """The complex on all cochains, where the chain-level checks run:
-        ``complex`` itself unless that is a block."""
-        if self.complex.block is None:
-            return self.complex
-        if self._full is None:
-            self._full = self.complex.block.build_full()
-        return self._full
-
-    def full_dim(self, k: int) -> int:
-        """Dimension of the full degree-k cochains."""
-        block = self.complex.block
-        if block is None or not 0 <= k <= self.top_degree:
-            return self.complex.dim(k)
-        return block.full_dims[k]
-
     def _pick_representatives(self, k: int, rows, pivots, kept):
         """Record the representatives of degree k: the canonical kernel
         vectors kappa_f of d_k at the ``kept`` free columns f, back-substituted
@@ -324,7 +318,7 @@ class CohomologySpace:
         vectors = self.complex.differential(k)._kernel_vectors(rows, pivots, kept)
         place = self._place(k)
         reps = {(place[i], j): v for (i, j), v in vectors.entries.items()}
-        self._representatives[k] = Matrix._trusted(self.full_dim(k), len(kept), reps)
+        self._representatives[k] = Matrix._trusted(self.complex.full_dim(k), len(kept), reps)
 
     def _place(self, k: int):
         """Full position of each degree-k basis vector of the eliminated complex."""
@@ -371,7 +365,7 @@ class CohomologySpace:
         m = kernel.ncols
         place = self._place(k)
         reducer = {(m - 1 - j, place[free[r - 1 - q]]): x for (q, j), x in kernel.entries.items()}
-        return Matrix._trusted(m, self.full_dim(k), reducer)
+        return Matrix._trusted(m, self.complex.full_dim(k), reducer)
 
     def representative_matrix(self, k: int) -> Matrix:
         if 0 <= k <= self.top_degree:
@@ -389,9 +383,10 @@ class CohomologySpace:
         ``vec`` is in full coordinates.  Returns the unique coords, as
         ``Fraction``s, with vec - representatives @ coords a coboundary.
         Raises NotACocycle with the exact residual when d(vec) != 0 in the
-        full complex.
+        full complex; the full d_k is read on the support of ``vec`` only.
         """
-        residual = self.full_complex.differential(k).apply(vec)
+        support = [j for j, x in enumerate(vec) if x]
+        residual = self.complex.full_differential(k, support).apply(vec)
         if any(residual):
             raise NotACocycle(k, residual)
         if not self.betti(k):
@@ -439,22 +434,24 @@ class CohomologyMap:
 
 
 def check_chain_map(maps, src: CochainComplex, dst: CochainComplex):
-    """Exact commutation with the differentials; raises NotAChainMap."""
+    """Exact commutation with the full differentials; raises NotAChainMap.
+
+    ``maps[k]`` runs between the full degree-k cochains.  f_(k+1) d_src is
+    formed on every full source cochain; d_dst f_k reads d_dst only at the
+    rows where f_k is nonzero, so d_dst is built at those columns only.
+    """
     for k, f in enumerate(maps):
-        if f.shape != (dst.dim(k), src.dim(k)):
+        if f.shape != (dst.full_dim(k), src.full_dim(k)):
             raise DimensionMismatch(
                 f"chain map degree {k} has shape {f.shape}, expected "
-                f"({dst.dim(k)}, {src.dim(k)})"
+                f"({dst.full_dim(k)}, {src.full_dim(k)})"
             )
     top = max(src.top_degree, dst.top_degree)
     for k in range(top + 1):
-        f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.dim(k), src.dim(k))
-        f_k1 = (
-            maps[k + 1]
-            if k + 1 < len(maps)
-            else Matrix.zeros(dst.dim(k + 1), src.dim(k + 1))
-        )
-        mismatch = f_k1 @ src.differential(k) - dst.differential(k) @ f_k
+        f_k, f_k1 = (maps[i] if i < len(maps) else Matrix.zeros(dst.full_dim(i), src.full_dim(i)) for i in (k, k + 1))
+        d_src = src.full_differential(k, range(src.full_dim(k)))
+        d_dst = dst.full_differential(k, sorted({i for i, _ in f_k.entries}))
+        mismatch = f_k1 @ d_src - d_dst @ f_k
         if not mismatch.is_zero():
             column = min(j for (_, j) in mismatch.entries)
             raise NotAChainMap(k, column)
@@ -464,21 +461,21 @@ def induced_map(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyM
     """Cohomology map of a chain map, via representative reduction.
 
     ``maps[k]`` is the degree-k chain matrix between the full source and
-    target complexes; missing degrees are treated as zero.  Commutation with
+    target cochains; missing degrees are treated as zero.  Commutation with
     the full differentials is checked exactly first.  The images need not
     lie in the target's block: ``reduce`` projects them onto it.
     """
     maps = list(maps)
-    check_chain_map(maps, src.full_complex, dst.full_complex)
+    check_chain_map(maps, src.complex, dst.complex)
     return _induced_map_unchecked(maps, src, dst)
 
 
 def _induced_map_unchecked(maps, src: CohomologySpace, dst: CohomologySpace) -> CohomologyMap:
     """``induced_map`` of a list of ``maps`` that the caller has already
-    checked against the same two full complexes."""
+    checked against the same two complexes."""
     matrices = []
     for k in range(src.top_degree + 1):
-        f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.full_dim(k), src.full_dim(k))
+        f_k = maps[k] if k < len(maps) else Matrix.zeros(dst.complex.full_dim(k), src.complex.full_dim(k))
         cols = []
         for rep in src.representative_vectors(k):
             cols.append(dst.reduce(k, f_k.apply(rep)))

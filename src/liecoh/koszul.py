@@ -27,7 +27,6 @@ from .cohomology import (
     CohomologySpace,
     _induced_map_unchecked,
     ce_cohomology,
-    ce_complex,
     check_chain_map,
     compute_cohomology,
     induced_map,
@@ -58,14 +57,8 @@ class PairAnalysis:
         self.pair = pair
 
     @cached_property
-    def ambient_complex(self):
-        """All of Lambda g*: ``delta_chain``, the chain-map checks and the
-        restriction map need the full differential."""
-        return ce_complex(self.pair.ambient)
-
-    @cached_property
     def ambient_cohomology(self) -> CohomologySpace:
-        return ce_cohomology(self.pair.ambient, full=self.ambient_complex)
+        return ce_cohomology(self.pair.ambient)
 
     @cached_property
     def quotient_model(self):
@@ -89,7 +82,7 @@ class PairAnalysis:
 
     @cached_property
     def restriction(self):
-        return restriction_map(self.pair, ambient=self.ambient_complex)
+        return restriction_map(self.pair, ambient=self.ambient_cohomology.complex)
 
     @cached_property
     def sub_cohomology(self) -> CohomologySpace:
@@ -99,9 +92,8 @@ class PairAnalysis:
     def koszul(self) -> KoszulResult:
         """Induced map H(g, h) -> H(g), injectivity verdict, kernel classes.
 
-        ``delta_chain`` checks the chain map against ``invq.complex`` and
-        ``ambient_complex``, the full complexes of the two spaces, so the
-        check is not run a second time.
+        ``delta_chain`` checks the chain map against the complexes of the
+        two spaces, so the check is not run a second time.
         """
         chain = delta_chain(self)
         mapping = _induced_map_unchecked(chain, self.relative_cohomology, self.ambient_cohomology)
@@ -146,7 +138,7 @@ def delta_chain(pair):
         for k in range(q + 1)
     ]
     try:
-        check_chain_map(maps, invq.complex, ana.ambient_complex)
+        check_chain_map(maps, invq.complex, ana.ambient_cohomology.complex)
     except NotAChainMap as exc:
         raise ChainMapViolation(exc.degree, exc.column) from exc
     return maps
@@ -243,7 +235,8 @@ def ncz_report(pair) -> NczReport:
     re-verified by mapping it back through the chain-level restriction.
     """
     ana = _analysis(pair)
-    mapping = induced_map(ana.restriction.maps, ana.ambient_cohomology, ana.sub_cohomology)
+    # restriction_map has checked the chain map against the same two complexes
+    mapping = _induced_map_unchecked(ana.restriction.maps, ana.ambient_cohomology, ana.sub_cohomology)
     sub = ana.sub_cohomology
     degrees = {}
     witnesses = {}

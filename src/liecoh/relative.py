@@ -237,10 +237,9 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
 class RestrictionMap:
     """Pullback Lambda g* -> Lambda h* along the inclusion of the subalgebra."""
 
-    def __init__(self, pair, maps: tuple, source: CochainComplex, target: CochainComplex):
+    def __init__(self, pair, maps: tuple, target: CochainComplex):
         self.pair = pair
         self.maps = maps      # per degree k, shape (C(dim h, k), C(dim g, k))
-        self.source = source  # full complex of g
         self.target = target  # full complex of h
 
 
@@ -252,7 +251,7 @@ def restriction_map(pair, ambient=None) -> RestrictionMap:
     incl = pair.sub_matrix
     maps = tuple(pullback_matrix(incl, k) for k in range(g.dim + 1))
     check_chain_map(maps, ambient, sub_complex)
-    return RestrictionMap(pair=pair, maps=maps, source=ambient, target=sub_complex)
+    return RestrictionMap(pair=pair, maps=maps, target=sub_complex)
 
 
 def subcomplex_to_json(model) -> dict:

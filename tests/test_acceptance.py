@@ -97,7 +97,7 @@ def _brute_force_kernel_dimension(ana):
     """
     chain = delta_chain(ana)
     invq = ana.quotient_model
-    ce = ana.ambient_complex
+    ce = ce_complex(ana.pair.ambient)
     total = 0
     for k in range(invq.complex.top_degree + 1):
         cocycles = invq.complex.differential(k).nullspace().cols_dense()

@@ -251,6 +251,59 @@ def test_sub_file_input(capsys, tmp_path):
 
 
 
+SO6_BETTI = {"0": 1, "3": 1, "5": 1, "7": 1, "8": 1, "10": 1, "12": 1, "15": 1}
+GL4_BETTI = {
+    "0": 1, "1": 1, "3": 1, "4": 1, "5": 1, "6": 1, "7": 1, "8": 2,
+    "9": 1, "10": 1, "11": 1, "12": 1, "13": 1, "15": 1, "16": 1,
+}
+
+
+def test_catalogue_so6_so5_is_the_five_sphere(capsys):
+    """H(so(6), so(5)) is the cohomology of S^5 = SO(6)/SO(5), and its
+    characteristic map is injective."""
+    code, report = run_cli(capsys, "koszul", "--builtin", "so:6", "--sub", "so:5", "--kernel")
+    assert code == 0
+    result = report["result"]
+    assert result["betti_source"] == {"0": 1, "5": 1}
+    assert result["betti_target"] == SO6_BETTI
+    assert result["injective"] is True and result["kernel"] == []
+
+
+def sp4_in_gl4_vectors():
+    """sp(4) = {X : X^T J + J X = 0}, J = [[0, I], [-I, 0]] in 2 x 2 blocks:
+    the matrices [[A, B], [C, -A^T]] with B and C symmetric, as integer
+    vectors in the row-major E_ab basis of gl(4)."""
+    def unit(*cells):
+        x = [[0] * 4 for _ in range(4)]
+        for a, b, c in cells:
+            x[a][b] += c
+        return x
+
+    mats = [unit((a, b, 1), (2 + b, 2 + a, -1)) for a in range(2) for b in range(2)]
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        mats.append(unit((a, 2 + b, 1), (b, 2 + a, 1)) if a != b else unit((a, 2 + a, 1)))
+        mats.append(unit((2 + a, b, 1), (2 + b, a, 1)) if a != b else unit((2 + a, a, 1)))
+    j = unit((0, 2, 1), (1, 3, 1), (2, 0, -1), (3, 1, -1))
+    for x in mats:
+        xt_j = [[sum(x[m][r] * j[m][c] for m in range(4)) for c in range(4)] for r in range(4)]
+        j_x = [[sum(j[r][m] * x[m][c] for m in range(4)) for c in range(4)] for r in range(4)]
+        assert all(xt_j[r][c] + j_x[r][c] == 0 for r in range(4) for c in range(4))
+    return [[x[a][b] for a in range(4) for b in range(4)] for x in mats]
+
+
+def test_catalogue_gl4_sp4_from_a_sub_file(capsys, tmp_path):
+    """H(gl(4), sp(4)) = Lambda(y1, y5), the rational cohomology of
+    U(4)/Sp(2), that of S^1 x S^5, maps injectively into H(gl(4))."""
+    path = tmp_path / "sp4.json"
+    path.write_text(json.dumps({"vectors": [[str(c) for c in v] for v in sp4_in_gl4_vectors()]}))
+    code, report = run_cli(capsys, "koszul", "--builtin", "gl:4", "--sub-file", str(path), "--kernel")
+    assert code == 0
+    result = report["result"]
+    assert result["betti_source"] == {"0": 1, "1": 1, "5": 1, "6": 1}
+    assert result["betti_target"] == GL4_BETTI
+    assert result["injective"] is True and result["kernel"] == []
+
+
 def test_export_to_unwritable_path_exit_1(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, report = run_cli(capsys, "export", "--builtin", "so:3", "-o", str(target))

@@ -17,6 +17,8 @@ time.
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -212,3 +214,21 @@ def test_format_rational_past_the_digit_limit():
         assert format_rational(Fraction(-7, 10 ** digits)) == "-7/1" + "0" * digits
     # a chunk boundary inside the number keeps its zeros
     assert format_rational(3 * 10 ** 2500 + 42) == "3" + "0" * 2498 + "42"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes stdout before the report is written: exit 1 and
+    one line on stderr, no traceback."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liecoh", "betti", "--builtin", "so:5", "--representatives"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
+    assert err.strip() == "error: stdout was closed before the report was written"

@@ -390,7 +390,7 @@ def test_one_elimination_per_degree_and_reducers_on_first_use(monkeypatch, ana_g
         assert len(calls) <= space.top_degree + 1
         for k in range(space.top_degree + 1):
             reps = space.representative_vectors(k)
-            cocycle = reps[0] if reps else [0] * space.full_dim(k)
+            cocycle = reps[0] if reps else [0] * complex.full_dim(k)
             before = len(calls)
             space.reduce(k, cocycle)
             first = len(calls) - before

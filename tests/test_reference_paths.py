@@ -49,7 +49,11 @@ where the kernel narrowed so far is nonzero, and ``cup_product`` computes
 each product once per space; their references are the full operator
 matrices and the stacked nullspace of the full blocks.  Both models build
 d on the support of their embeddings; the basic model must come out the
-same when ``ce_complex`` refuses to run.  Kernels are sparse matrices whose
+same when ``ce_complex`` refuses to run.  The chain-level checks on the
+weight-zero block of g build the full d only at the columns they read;
+their reference is the full complex of g, which must give the same
+verdict, degree and column on perturbed chain maps, and a pair analysis
+must come out the same when ``ce_differential`` refuses to run.  Kernels are sparse matrices whose
 columns, read by ``cols_dense``, are compared with the dense references.  ``validate_structure``
 sums the Jacobi identity in integers straight from the table; its reference
 is three dense ``bracket`` calls per triple in ``Fraction`` arithmetic.
@@ -99,13 +103,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import builtin, relative, subalgebra
+from liecoh import builtin, cohomology, relative, subalgebra
 from liecoh.classes import canonical_gl_so_pair, identify_generators
 from liecoh.cohomology import (
     CochainComplex,
     CohomologySpace,
     ce_cohomology,
     ce_complex,
+    check_chain_map,
     cohomology_to_json,
     compute_cohomology,
     cup_product,
@@ -117,6 +122,7 @@ from liecoh.errors import (
     InvalidComplex,
     InvalidStructure,
     JacobiViolation,
+    NotAChainMap,
     NotACocycle,
 )
 from liecoh.exterior import (
@@ -132,7 +138,7 @@ from liecoh.exterior import (
     pullback_matrix,
     wedge_vector,
 )
-from liecoh.koszul import PairAnalysis
+from liecoh.koszul import PairAnalysis, delta_chain, delta_cohom, factorization_check
 from liecoh.liealg import (
     Grading,
     LieAlgebra,
@@ -703,7 +709,10 @@ def assert_graded_matches_full(g, rng):
         for z in random_cocycles(rng, full, k):
             got, want = graded.reduce(k, z), full.reduce(k, z)
             assert got == want and [type(x) for x in got] == [type(x) for x in want], (k, z)
-    assert graded.full_complex.differentials == full.complex.differentials
+    assert all(
+        block_complex.full_differential(k, range(full.complex.dim(k))) == full.complex.differential(k)
+        for k in range(g.dim)
+    )
     return block_complex.dims != full.complex.dims
 
 
@@ -725,7 +734,7 @@ def test_graded_cohomology_matches_full_on_a_partly_mixed_conjugate():
 
 def test_trivial_gradings_and_the_cli_space():
     """Heisenberg, abelian, so(2) and rational conjugates are one block; a
-    graded space that is handed the full complex uses it."""
+    graded space reads the differential of the full complex."""
     for g in [builtin("heisenberg", n) for n in (3, 5)] + [builtin("abelian", 3), builtin("so", 2)]:
         assert g.grading.trivial and ce_cohomology(g).complex.block is None
     rng = random.Random(30)
@@ -733,8 +742,10 @@ def test_trivial_gradings_and_the_cli_space():
         assert conjugate(builtin("gl", 3), rng, positions).grading.trivial
     g = builtin("so", 4)
     full = ce_complex(g)
-    space = ce_cohomology(g, full=full)
-    assert space.complex.block is not None and space.full_complex is full
+    space = ce_cohomology(g)
+    assert space.complex.block is not None and all(
+        space.complex.full_differential(k, range(full.dim(k))) == full.differential(k) for k in range(g.dim + 1)
+    )
 
 
 def reference_block(grading: Grading, k: int):
@@ -1555,7 +1566,7 @@ class BottomUpCohomologySpace(CohomologySpace):
 
     def __init__(self, complex: CochainComplex, full: CochainComplex = None):
         self.complex = complex
-        self._full = full
+        self.full = full if full is not None else complex
         self._cups = {}
         top = complex.top_degree
         diffs = [complex.differential(k) for k in range(top + 1)]
@@ -1593,11 +1604,11 @@ class BottomUpCohomologySpace(CohomologySpace):
                 if rows[ri][q]:
                     reducer[(j, place[free[r - 1 - p]])] = Fraction(-rows[ri][q], rows[ri][p])
         reps = {(place[i], j): v for j, c in enumerate(kept) for i, v in enumerate(kernel[c]) if v}
-        dim = self.full_dim(k)
+        dim = self.complex.full_dim(k)
         return Matrix(dim, len(kept), reps), Matrix(len(kept), dim, reducer), [free[i] for i in kept]
 
     def reduce(self, k, vec):
-        residual = self.full_complex.differential(k).apply(vec)
+        residual = self.full.differential(k).apply(vec)
         if any(residual):
             raise NotACocycle(k, residual)
         if not self.betti(k):
@@ -1627,14 +1638,14 @@ def test_top_down_pass_matches_bottom_up_pass():
     ``reduce`` on random cocycles of the full complex."""
     rng = random.Random(46)
     for index, (complex, full) in enumerate(top_down_sweep()):
-        got = CohomologySpace(copied_complex(complex), full)
+        got = CohomologySpace(copied_complex(complex))
         want = BottomUpCohomologySpace(copied_complex(complex), full)
         assert got.ranks == want.ranks, index
         assert got.betti_numbers == want.betti_numbers, index
         for k in range(complex.top_degree + 1):
             reps, ref = got.representative_matrix(k), want.representative_matrix(k)
             assert reps == ref and entry_types(reps) == entry_types(ref), (index, k)
-        cochains = SimpleNamespace(complex=got.full_complex)
+        cochains = SimpleNamespace(complex=want.full)
         for k in range(complex.top_degree + 1):
             for z in random_cocycles(rng, cochains, k):
                 coords, ref = got.reduce(k, z), want.reduce(k, z)
@@ -1723,15 +1734,15 @@ def test_forward_pass_matches_the_reduced_pass():
     of the forward elimination with back-substitution (on the builder's
     numerators where it kept them) against the reduced top-down pass (on
     row-scaled rows)."""
-    for index, (complex, full) in enumerate(top_down_sweep()):
-        space = CohomologySpace(complex, full)
+    for index, (complex, _) in enumerate(top_down_sweep()):
+        space = CohomologySpace(complex)
         ranks, kept, vectors = reduced_top_down(complex)
         assert space.ranks == tuple(ranks), index
         assert space._kept == kept, index
         for k in range(complex.top_degree + 1):
             place = space._place(k)
             entries = {(place[i], j): v for j, vec in enumerate(vectors[k]) for i, v in enumerate(vec) if v}
-            want = Matrix(space.full_dim(k), len(vectors[k]), entries)
+            want = Matrix(complex.full_dim(k), len(vectors[k]), entries)
             got = space.representative_matrix(k)
             assert got == want and entry_types(got) == entry_types(want), (index, k)
 
@@ -2118,6 +2129,90 @@ def test_basic_model_builds_no_ambient_complex(monkeypatch):
             patch.setattr(relative, "ce_complex", refuse)
             got = basic_subcomplex(pair)
         assert_models_match(got, want)
+
+
+def chain_check_outcome(maps, src, dst):
+    """(degree, column) of the first NotAChainMap, or None when ``maps`` pass."""
+    try:
+        check_chain_map(maps, src, dst)
+    except NotAChainMap as exc:
+        return exc.degree, exc.column
+    return None
+
+
+def test_chain_checks_on_a_block_decide_on_the_full_complex():
+    """``check_chain_map`` on the weight-zero block of g builds the full d
+    only at the columns it reads.  Against the full complex of g as the
+    reference, over the sweep pairs: the ``delta_chain`` maps (block as
+    target) and the restriction maps (block as source) pass both, and with
+    1 added at a seeded entry of one degree both checks give the same
+    verdict, degree and column."""
+    rng = random.Random(103)
+    refused = tried = 0
+    for pair in sweep_pairs():
+        ana = PairAnalysis(pair)
+        block, full = ana.ambient_cohomology.complex, ce_complex(pair.ambient)
+        cases = [
+            (delta_chain(ana), lambda ambient: (ana.quotient_model.complex, ambient)),
+            (ana.restriction.maps, lambda ambient: (ambient, ana.restriction.target)),
+        ]
+        for maps, ends in cases:
+            assert chain_check_outcome(maps, *ends(block)) is None
+            assert chain_check_outcome(maps, *ends(full)) is None
+            for k, f in enumerate(maps):
+                if not f.nrows or not f.ncols:
+                    continue
+                key = (rng.randrange(f.nrows), rng.randrange(f.ncols))
+                entries = dict(f.entries)
+                entries[key] = entries.get(key, 0) + 1
+                perturbed = list(maps)
+                perturbed[k] = Matrix(f.nrows, f.ncols, entries)
+                want = chain_check_outcome(perturbed, *ends(full))
+                assert chain_check_outcome(perturbed, *ends(block)) == want, (pair.ambient.basis_names, k, key)
+                refused += want is not None
+                tried += 1
+    assert tried > 80 and refused > 40
+
+
+def pair_results(pair, basic_model=None):
+    """The Koszul map's matrices, verdict and kernel forms, the
+    factorization degrees and the generators of H(g, h); the basic model is
+    taken from ``basic_model`` when given."""
+    ana = PairAnalysis(pair)
+    if basic_model is not None:
+        ana.basic_model = basic_model
+    result = delta_cohom(ana)
+    generators = identify_generators(ana)
+    return (
+        result.cohomology_map.matrices,
+        [entry_types(m) for m in result.cohomology_map.matrices],
+        result.injective,
+        result.kernel_basis,
+        factorization_check(ana).degrees,
+        generators.generators,
+        generators.presentation,
+    ), ana
+
+
+def test_pair_analysis_builds_no_ambient_complex(monkeypatch):
+    """The Koszul map, its factorization and the generators of H(g, h) build
+    the full d of g only at the columns a check reads: with
+    ``ce_differential`` refusing to run, they give what they gave before,
+    over the sweep pairs with a graded ambient algebra and (gl(4), so(4)).
+    The basic model of (gl(4), so(4)) is reused from the first run: it never
+    reads the ambient complex (``test_basic_model_builds_no_ambient_complex``)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full ambient complex was built")
+
+    pairs = [pair for pair in sweep_pairs() if not pair.ambient.grading.trivial]
+    assert len(pairs) >= 8
+    for pair in pairs + [canonical_gl_so_pair(4)]:
+        want, ana = pair_results(pair)
+        basic = ana.basic_model if pair.ambient.dim > 10 else None
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "ce_differential", refuse)
+            got, _ = pair_results(pair, basic)
+        assert got == want, pair.ambient.basis_names
 
 
 # ---------------------------------------------------------------------------
