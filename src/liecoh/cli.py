@@ -348,13 +348,6 @@ def cmd_direct_product(args, started):
 def _add_algebra_args(p):
     p.add_argument("--builtin", help="builtin algebra, e.g. gl:3, so:5, heisenberg:3")
     p.add_argument("--file", help="algebra JSON file")
-    _add_threads_arg(p)
-
-
-def _add_threads_arg(p):
-    # Kept so existing scripts still parse.
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored, as is KOSZUL_THREADS: computation is sequential")
 
 
 def _add_sub_args(p):
@@ -404,14 +397,12 @@ def build_parser():
 
     p = sub.add_parser("functoriality", help="naturality square for a morphism file")
     p.add_argument("--morphism", required=True, help="morphism JSON file")
-    _add_threads_arg(p)
 
     p = sub.add_parser("direct-product-check", help="characteristic map of (g+h, h)")
     p.add_argument("--left-builtin", dest="left_builtin", help="first factor, e.g. so:3")
     p.add_argument("--left-file", dest="left_file")
     p.add_argument("--right-builtin", dest="right_builtin", help="second factor, e.g. abelian:2")
     p.add_argument("--right-file", dest="right_file")
-    _add_threads_arg(p)
 
     return parser
 

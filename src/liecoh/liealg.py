@@ -559,7 +559,7 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
     generators in ambient coordinates, unless an explicit ``quotient`` basis
     is supplied (it must complete the generators to a basis of g).
     """
-    vectors = [tuple(Fraction(parse_rational(x)) for x in v) for v in vectors]
+    vectors = [tuple(map(_scalar, v)) for v in vectors]
     for v in vectors:
         if len(v) != g.dim:
             raise InputError(f"subalgebra vector length {len(v)} != dim {g.dim}")
@@ -582,17 +582,18 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
     if quotient is None:
         pivot_cols = set(rows.pivot_columns())
         quotient = [_unit(g.dim, j) for j in range(g.dim) if j not in pivot_cols]
-    quotient = [tuple(Fraction(parse_rational(x)) for x in v) for v in quotient]
+    quotient = [tuple(map(_scalar, v)) for v in quotient]
     if len(quotient) != g.dim - r:
         raise DependentVectors("complement size must equal dim g - dim h")
     full = Matrix.from_cols(list(vectors) + list(quotient), g.dim)
-    if full.rank() != g.dim:
-        raise DependentVectors("complement does not complete the subalgebra basis")
 
     # [S | Q] x = [h_a, q] for every a and q, then = e_j for every j; the Q part of x
     q = len(quotient)
     rhs = [g.bracket(v, w) for v in vectors for w in quotient] + [_unit(g.dim, j) for j in range(g.dim)]
-    coords = [x[r:] for x in ColumnSolver(full, rhs).solutions]
+    completion = ColumnSolver(full, rhs)
+    if len(completion.pivots) != g.dim:
+        raise DependentVectors("complement does not complete the subalgebra basis")
+    coords = [x[r:] for x in completion.solutions]
     action = [Matrix.from_cols(coords[a * q:(a + 1) * q], q) for a in range(r)]
     projection = coords[r * q:]
 
@@ -605,6 +606,12 @@ def subalgebra(g: LieAlgebra, vectors, quotient=None) -> SubalgebraPair:
         sub_matrix=sub_matrix,
         projection_matrix=Matrix.from_cols(projection, len(quotient)),
     )
+
+
+def _scalar(x):
+    """A parsed rational, as an int when its denominator is 1."""
+    x = parse_rational(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _sub_names(g, vectors):

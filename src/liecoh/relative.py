@@ -34,7 +34,6 @@ from .cohomology import (
     BasisProduct,
     CochainComplex,
     EmbeddedProduct,
-    ce_complex,
     check_chain_map,
 )
 from .errors import InternalInvariantError, ModelMismatch, NotAChainMap, NotDStable
@@ -190,17 +189,13 @@ class ModelComparison:
         self.dimensions = dimensions  # per degree, the common dimension of both models
 
 
-def compare_models(pair, basic=None, invq=None) -> ModelComparison:
+def compare_models(pair, basic, invq) -> ModelComparison:
     """Verify the two relative models agree through (-s)^* exactly.
 
     Checks per degree: equal dimensions, the pullback of invariant forms
     along the projection lands in the basic subspace, bijectivity, and the
     intertwining of the two differentials.  Any failure is a hard error.
     """
-    if basic is None:
-        basic = basic_subcomplex(pair)
-    if invq is None:
-        invq = invariant_quotient_complex(pair)
     q = pair.dim_quotient
     proj = pair.projection_matrix
     matrices = []
@@ -234,24 +229,17 @@ def compare_models(pair, basic=None, invq=None) -> ModelComparison:
     )
 
 
-class RestrictionMap:
-    """Pullback Lambda g* -> Lambda h* along the inclusion of the subalgebra."""
+def restriction_map(pair, ambient: CochainComplex, sub: CochainComplex) -> tuple:
+    """Pullback Lambda g* -> Lambda h* along the inclusion of the subalgebra.
 
-    def __init__(self, pair, maps: tuple, target: CochainComplex):
-        self.pair = pair
-        self.maps = maps      # per degree k, shape (C(dim h, k), C(dim g, k))
-        self.target = target  # full complex of h
-
-
-def restriction_map(pair, ambient=None) -> RestrictionMap:
-    g = pair.ambient
-    if ambient is None:
-        ambient = ce_complex(g)
-    sub_complex = ce_complex(pair.sub)
+    Degree k has shape (C(dim h, k), C(dim g, k)).  The maps are checked
+    against ``ambient`` and ``sub``, the complexes of g and h (either may be
+    a block), and a failure raises NotAChainMap.
+    """
     incl = pair.sub_matrix
-    maps = tuple(pullback_matrix(incl, k) for k in range(g.dim + 1))
-    check_chain_map(maps, ambient, sub_complex)
-    return RestrictionMap(pair=pair, maps=maps, target=sub_complex)
+    maps = tuple(pullback_matrix(incl, k) for k in range(pair.ambient.dim + 1))
+    check_chain_map(maps, ambient, sub)
+    return maps
 
 
 def subcomplex_to_json(model) -> dict:

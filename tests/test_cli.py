@@ -219,24 +219,25 @@ def test_reports_are_deterministic_except_timing(capsys):
     assert reports[0] == reports[1]
 
 
-def test_threads_flag_accepted(capsys, monkeypatch):
-    # --threads and KOSZUL_THREADS are accepted and ignored
+def test_threads_flag_rejected_and_env_ignored(capsys, monkeypatch):
+    # --threads is an unknown flag like any other; KOSZUL_THREADS changes no result
     args = ("betti", "--builtin", "gl:3", "--relative", "so:3")
     code, single = run_cli(capsys, *args)
     assert code == 0
-    for threads in ("4", "0", "-5"):
+    for threads in ("2", "abc"):
         code, report = run_cli(capsys, *args, "--threads", threads)
-        assert (code, report["result"]) == (0, single["result"])
+        assert (code, report["error"]["type"]) == (1, "InputError")
+        assert "--threads" in report["error"]["message"]
+    product = ("direct-product-check", "--left-builtin", "so:3", "--right-builtin", "abelian:2")
+    code, plain = run_cli(capsys, *product)
+    assert code == 0
+    assert run_cli(capsys, *product, "--threads", "2")[0] == 1
     for env in ("4", "abc"):
         monkeypatch.setenv("KOSZUL_THREADS", env)
         code, report = run_cli(capsys, *args)
         assert (code, report["result"]) == (0, single["result"])
-    product = ("direct-product-check", "--left-builtin", "so:3", "--right-builtin", "abelian:2")
-    code, plain = run_cli(capsys, *product)
-    code, threaded = run_cli(capsys, *product, "--threads", "2")
-    assert (code, threaded["result"]) == (0, plain["result"])
-    code, report = run_cli(capsys, *args, "--threads", "abc")
-    assert (code, report["error"]["type"]) == (1, "InputError")
+        code, report = run_cli(capsys, *product)
+        assert (code, report["result"]) == (0, plain["result"])
 
 
 def test_sub_file_input(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from liecoh import builtin, cohomology, koszul, subalgebra
+from liecoh import builtin, cohomology, koszul, relative, subalgebra
 from liecoh.cohomology import check_chain_map, odd_generated
 from liecoh.errors import ChainMapViolation
 from liecoh.exterior import Form, pullback_matrix
@@ -34,20 +34,24 @@ def test_delta_chain_of_zero_pair_is_signed_identity():
 
 
 def test_the_koszul_map_checks_its_chain_map_once(monkeypatch):
-    """One exact check per Koszul map; without the sign (-1)^k the pullback
-    is no chain map, and the Koszul map raises ChainMapViolation."""
+    """One exact check per chain map of a pair analysis: the Koszul map
+    checks its own; the factorization adds the comparison of the models and
+    checks neither of its legs again; ``ncz`` checks the restriction.
+    Without the sign (-1)^k the pullback is no chain map, and the Koszul map
+    raises ChainMapViolation."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return check_chain_map(*args)
 
-    monkeypatch.setattr(koszul, "check_chain_map", counted)
-    monkeypatch.setattr(cohomology, "check_chain_map", counted)
+    for module in (koszul, cohomology, relative):
+        monkeypatch.setattr(module, "check_chain_map", counted)
     for pair in (zero_subalgebra(builtin("so", 3)), subalgebra(builtin("so", 4), so_in_so_vectors(3, 4))):
-        calls.clear()
-        assert PairAnalysis(pair).koszul.injective is not None
-        assert len(calls) == 1
+        for run, checks in ((lambda ana: ana.koszul.injective, 1), (factorization_check, 2), (ncz_report, 1)):
+            calls.clear()
+            assert run(PairAnalysis(pair)) is not None
+            assert len(calls) == checks
     monkeypatch.setattr(koszul, "pullback_matrix", lambda f, k: pullback_matrix(f, k).scale((-1) ** k))
     with pytest.raises(ChainMapViolation) as exc:
         PairAnalysis(zero_subalgebra(builtin("so", 3))).koszul

@@ -162,6 +162,15 @@ def test_subalgebra_dependent_vectors():
         subalgebra(g, [g.basis_vector(0), [2, 0, 0, 0]])
 
 
+def test_subalgebra_complement_must_complete_the_basis():
+    g = builtin("gl", 2)
+    so2 = so_in_gl_vectors(2, 2)
+    with pytest.raises(DependentVectors, match="^complement does not complete the subalgebra basis$"):
+        subalgebra(g, so2, quotient=[[1, 0, 0, 0], [0, 1, 1, 0], [2, 0, 0, 0]])
+    with pytest.raises(DependentVectors, match="^complement size must equal dim g - dim h$"):
+        subalgebra(g, so2, quotient=[[1, 0, 0, 0]])
+
+
 def test_action_matrices_form_a_representation():
     pairs = [
         subalgebra(builtin("gl", 3), so_in_gl_vectors(3, 3)),

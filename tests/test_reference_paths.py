@@ -41,19 +41,21 @@ their embeddings.  The references keep the earlier forms: a separate
 the full cochain space, the reference solver over [representatives |
 d_(k-1)] for reduction and over each embedding for coordinates, the ``Fraction``
 product d_(k+1) d_k, the nullspace of the stacked constraints, the
-``Fraction`` Gauss-Jordan span builder and the ``full=False`` scan of the
-subalgebra generators for the complement.
+``Fraction`` Gauss-Jordan span builder, the ``full=False`` scan of the
+subalgebra generators for the complement, and ``subalgebra`` with
+``Fraction`` entries and its own rank of the completion.
 
 The relative models build each theta_x and i_x block only on the columns
 where the kernel narrowed so far is nonzero, and ``cup_product`` computes
 each product once per space; their references are the full operator
 matrices and the stacked nullspace of the full blocks.  Both models build
 d on the support of their embeddings; the basic model must come out the
-same when ``ce_complex`` refuses to run.  The chain-level checks on the
-weight-zero block of g build the full d only at the columns they read;
+same when ``ce_differential`` refuses to run.  The chain-level checks on
+the weight-zero block of g build the full d only at the columns they read;
 their reference is the full complex of g, which must give the same
-verdict, degree and column on perturbed chain maps, and a pair analysis
-must come out the same when ``ce_differential`` refuses to run.  Kernels are sparse matrices whose
+verdict, degree and column on perturbed chain maps, and a pair analysis,
+``ncz`` included, must come out the same when ``ce_differential`` refuses
+to run.  Kernels are sparse matrices whose
 columns, read by ``cols_dense``, are compared with the dense references.  ``validate_structure``
 sums the Jacobi identity in integers straight from the table; its reference
 is three dense ``bracket`` calls per triple in ``Fraction`` arithmetic.
@@ -138,10 +140,12 @@ from liecoh.exterior import (
     pullback_matrix,
     wedge_vector,
 )
-from liecoh.koszul import PairAnalysis, delta_chain, delta_cohom, factorization_check
+from liecoh.koszul import PairAnalysis, delta_chain, delta_cohom, factorization_check, ncz_report
 from liecoh.liealg import (
     Grading,
     LieAlgebra,
+    SubalgebraPair,
+    _sub_names,
     algebra_from_json,
     algebra_to_json,
     full_subalgebra,
@@ -150,7 +154,9 @@ from liecoh.liealg import (
     so_in_gl_vectors,
     so_in_so_vectors,
     so_pairs,
+    symmetric_gl_vectors,
     validate_structure,
+    vectors_from_json,
     zero_subalgebra,
 )
 from liecoh.linalg import ColumnSolver, Matrix, SpanBuilder, row_reduce
@@ -159,6 +165,7 @@ from liecoh.relative import (
     invariant_quotient_complex,
     quotient_bracket_table,
 )
+from test_cli import sp4_in_gl4_vectors
 
 
 def clear_denominators(row):
@@ -1097,10 +1104,68 @@ def test_subalgebra_complement_matches_generator_scan():
         rows = [clear_denominators(list(v)) for v in pair.sub_basis]
         pivot_cols = {c for _, c in row_reduce(rows, pair.ambient.dim)}
         n = pair.ambient.dim
-        want = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n) if j not in pivot_cols)
+        # unit vectors, with int entries like every integral complement
+        want = tuple(tuple(int(i == j) for i in range(n)) for j in range(n) if j not in pivot_cols)
         got = subalgebra(pair.ambient, pair.sub_basis).quotient_basis
         assert got == want
         assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+
+
+def reference_subalgebra(g, vectors, quotient=None):
+    """``subalgebra`` with every generator and complement entry a
+    ``Fraction``, and the completion's rank found by its own elimination."""
+    vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+    r = len(vectors)
+    rows = Matrix.from_rows(vectors, g.dim)
+    assert rows.rank() == r
+    sub_matrix = Matrix.from_cols(vectors, g.dim)
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    closure = ColumnSolver(sub_matrix, [g.bracket(vectors[a], vectors[b]) for a, b in pairs])
+    h_structure = {}
+    for (a, b), coords in zip(pairs, closure.solutions):
+        terms = {k: v for k, v in enumerate(coords) if v}
+        if terms:
+            h_structure[(a, b)] = terms
+    if quotient is None:
+        pivot_cols = set(rows.pivot_columns())
+        quotient = [[int(i == j) for i in range(g.dim)] for j in range(g.dim) if j not in pivot_cols]
+    quotient = [tuple(Fraction(x) for x in v) for v in quotient]
+    full = Matrix.from_cols(vectors + quotient, g.dim)
+    assert full.rank() == g.dim
+    q = len(quotient)
+    rhs = [g.bracket(v, w) for v in vectors for w in quotient]
+    rhs += [[int(i == j) for i in range(g.dim)] for j in range(g.dim)]
+    coords = [x[r:] for x in ColumnSolver(full, rhs).solutions]
+    return SubalgebraPair(
+        ambient=g,
+        sub_basis=tuple(vectors),
+        quotient_basis=tuple(quotient),
+        action=tuple(Matrix.from_cols(coords[a * q:(a + 1) * q], q) for a in range(r)),
+        sub=LieAlgebra(r, _sub_names(g, vectors), h_structure),
+        sub_matrix=sub_matrix,
+        projection_matrix=Matrix.from_cols(coords[r * q:], q),
+    )
+
+
+def test_subalgebra_keeps_integer_entries_as_ints():
+    """Over the sweep pairs, the (gl(4), so(4)) pair with its symmetric
+    complement and (gl(4), sp(4)) read from a sub-file, ``subalgebra`` gives
+    the pair built with ``Fraction`` entries, and on integer input its
+    generators, complement and ``sub_matrix`` hold ints."""
+    gl4 = builtin("gl", 4)
+    sp4 = vectors_from_json({"vectors": [[str(c) for c in v] for v in sp4_in_gl4_vectors()]})
+    cases = [(pair.ambient, pair.sub_basis, None) for pair in sweep_pairs()]
+    cases += [(gl4, so_in_gl_vectors(4, 4), symmetric_gl_vectors(4)), (gl4, sp4, None)]
+    for g, vectors, quotient in cases:
+        got = subalgebra(g, vectors, quotient)
+        assert got == reference_subalgebra(g, vectors, quotient)
+        entries = [x for v in got.sub_basis + got.quotient_basis for x in v]
+        entries += list(got.sub_matrix.entries.values())
+        assert {type(x) for x in entries} == {int}, g.basis_names
+    rational = [[Fraction(1, 2), 0, 0, 0]]
+    got = subalgebra(builtin("gl", 2), rational)
+    assert got == reference_subalgebra(builtin("gl", 2), rational)
+    assert type(got.sub_basis[0][0]) is Fraction and type(got.sub_basis[0][1]) is int
 
 
 def test_internal_constructors_do_not_share_entries():
@@ -2118,15 +2183,15 @@ def test_pairs_without_a_sign_mask_take_the_full_path(monkeypatch):
 
 def test_basic_model_builds_no_ambient_complex(monkeypatch):
     """The basic model builds d on its embedding's support: with
-    ``ce_complex`` refusing to run, it is the model built before, in value
-    and entry type."""
+    ``ce_differential`` refusing to run, it is the model built before, in
+    value and entry type."""
     def refuse(*args, **kwargs):
         raise AssertionError("basic_subcomplex built a full ambient complex")
 
     for pair in sweep_pairs():
         want = basic_subcomplex(pair)
         with monkeypatch.context() as patch:
-            patch.setattr(relative, "ce_complex", refuse)
+            patch.setattr(cohomology, "ce_differential", refuse)
             got = basic_subcomplex(pair)
         assert_models_match(got, want)
 
@@ -2154,7 +2219,7 @@ def test_chain_checks_on_a_block_decide_on_the_full_complex():
         block, full = ana.ambient_cohomology.complex, ce_complex(pair.ambient)
         cases = [
             (delta_chain(ana), lambda ambient: (ana.quotient_model.complex, ambient)),
-            (ana.restriction.maps, lambda ambient: (ambient, ana.restriction.target)),
+            (ana.restriction, lambda ambient: (ambient, ana.sub_cohomology.complex)),
         ]
         for maps, ends in cases:
             assert chain_check_outcome(maps, *ends(block)) is None
@@ -2212,6 +2277,27 @@ def test_pair_analysis_builds_no_ambient_complex(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(cohomology, "ce_differential", refuse)
             got, _ = pair_results(pair, basic)
+        assert got == want, pair.ambient.basis_names
+
+
+def test_ncz_builds_no_full_complex_of_h(monkeypatch):
+    """H(h) lives on the weight-zero block of h, as H(g) does on that of g:
+    with ``ce_differential`` refusing to run, ``ncz_report`` gives the
+    payload it gave before, over the sweep pairs where both g and h are
+    graded and on (gl(4), so(4))."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full complex was built")
+
+    pairs = [
+        pair for pair in sweep_pairs()
+        if not pair.ambient.grading.trivial and not pair.sub.grading.trivial
+    ]
+    assert len(pairs) >= 4
+    for pair in pairs + [canonical_gl_so_pair(4)]:
+        want = ncz_report(PairAnalysis(pair)).to_payload()
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "ce_differential", refuse)
+            got = ncz_report(PairAnalysis(pair)).to_payload()
         assert got == want, pair.ambient.basis_names
 
 
