@@ -250,13 +250,10 @@ class CohomologySpace:
         # on its rows at the free columns of d_(k+1), which span its row space
         # because d_(k+1) d_k = 0, in descending order (d_top has no rows).
         # Its rows that vanish are the kept free columns of degree k + 1, and
-        # the forward rows of d_(k+1) are held only until then.  The
-        # builder's numerators of d_k are read by this elimination last, so
-        # they are dropped after it.
+        # the forward rows of d_(k+1) are held only until then.
         order, above = [], None
         for k in range(top, -1, -1):
             rows, pivots = diffs[k]._eliminate(order)
-            diffs[k]._numerators = None
             if above is not None:
                 pivot_rows = {ri for ri, _ in pivots}
                 kept = sorted(f for ri, f in enumerate(order) if ri not in pivot_rows)
@@ -400,11 +397,6 @@ class CohomologySpace:
         if self.complex.dim(0) != 1:
             raise InternalInvariantError("degree 0 is not one-dimensional")
         return self.reduce(0, [Fraction(1)])
-
-
-def compute_cohomology(complex: CochainComplex) -> CohomologySpace:
-    """Exact Betti numbers and representative cocycles of a complex."""
-    return CohomologySpace(complex)
 
 
 # ---------------------------------------------------------------------------

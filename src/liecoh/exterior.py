@@ -29,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import lcm
+from math import comb, lcm
 
 from .errors import DimensionMismatch, InputError, InternalInvariantError
 from .linalg import Matrix
@@ -61,7 +61,8 @@ def multi_mask_positions(n: int, k: int):
 
 
 def basis_size(n: int, k: int) -> int:
-    return len(multi_indices(n, k))
+    """The dimension C(n, k) of Lambda^k on n letters, counted, not listed."""
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def _insert(index_tuple, m):

@@ -28,7 +28,6 @@ from .cohomology import (
     _induced_map_unchecked,
     ce_cohomology,
     check_chain_map,
-    compute_cohomology,
     induced_map,
 )
 from .errors import (
@@ -67,7 +66,7 @@ class PairAnalysis:
 
     @cached_property
     def relative_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.quotient_model.complex)
+        return CohomologySpace(self.quotient_model.complex)
 
     @cached_property
     def basic_model(self):
@@ -75,10 +74,10 @@ class PairAnalysis:
 
     @cached_property
     def basic_cohomology(self) -> CohomologySpace:
-        return compute_cohomology(self.basic_model.complex)
+        return CohomologySpace(self.basic_model.complex)
 
     @cached_property
-    def comparison(self):
+    def comparison(self) -> tuple:
         return compare_models(self.pair, self.basic_model, self.quotient_model)
 
     @cached_property
@@ -168,15 +167,9 @@ def delta_cohom(pair) -> KoszulResult:
     return _analysis(pair).koszul
 
 
-class FactorizationReport:
-    def __init__(self, pair: SubalgebraPair, degrees: tuple, holds: bool):
-        self.pair = pair
-        self.degrees = degrees
-        self.holds = holds  # always True on return; a mismatch raises instead
-
-
-def factorization_check(pair) -> FactorizationReport:
-    """Verify the two-step factorization of the cohomology map exactly.
+def factorization_check(pair) -> tuple:
+    """Verify the two-step factorization of the cohomology map exactly, and
+    return the degrees checked; a mismatch raises FactorizationMismatch.
 
     Leg 1: the comparison isomorphism onto the basic model (pullback along
     minus the projection).  Leg 2: the inclusion of the basic subcomplex
@@ -187,21 +180,18 @@ def factorization_check(pair) -> FactorizationReport:
     """
     ana = _analysis(pair)
     direct = delta_cohom(ana)
-    leg1 = _induced_map_unchecked(
-        ana.comparison.matrices, ana.relative_cohomology, ana.basic_cohomology
-    )
+    leg1 = _induced_map_unchecked(ana.comparison, ana.relative_cohomology, ana.basic_cohomology)
     leg2 = _induced_map_unchecked(
         ana.basic_model.embeddings, ana.basic_cohomology, ana.ambient_cohomology
     )
-    degrees = []
-    for k in range(ana.relative_cohomology.top_degree + 1):
+    degrees = tuple(range(ana.relative_cohomology.top_degree + 1))
+    for k in degrees:
         composite = leg2.degree(k) @ leg1.degree(k)
         if composite != direct.cohomology_map.degree(k):
             raise FactorizationMismatch(
                 f"factorization fails in degree {k}"
             )
-        degrees.append(k)
-    return FactorizationReport(pair=ana.pair, degrees=tuple(degrees), holds=True)
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +354,10 @@ def invariant_complement(pair) -> ReductiveWitness:
 # ---------------------------------------------------------------------------
 
 class DirectProductReport:
-    def __init__(self, pair: SubalgebraPair, injective: bool, formula_holds: bool,
-                 kunneth_holds: bool, betti_left: tuple, betti_right: tuple, betti_sum: tuple):
+    def __init__(self, pair: SubalgebraPair, injective: bool, kunneth_holds: bool,
+                 betti_left: tuple, betti_right: tuple, betti_sum: tuple):
         self.pair = pair
         self.injective = injective
-        self.formula_holds = formula_holds
         self.kunneth_holds = kunneth_holds
         self.betti_left = betti_left
         self.betti_right = betti_right
@@ -396,7 +385,6 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
             )
     first_projection = Matrix(g.dim, total.dim, {(i, i): 1 for i in range(g.dim)})
     result = delta_cohom(ana)
-    formula_holds = True
     for k in range(g.dim + 1):
         expected = pullback_matrix(first_projection, k).scale((-1) ** k) @ invq.embeddings[k]
         if result.chain_map[k] != expected:
@@ -415,7 +403,6 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
     return DirectProductReport(
         pair=pair,
         injective=result.injective,
-        formula_holds=formula_holds,
         kunneth_holds=kunneth == betti_sum,
         betti_left=left.betti_numbers,
         betti_right=right.betti_numbers,
@@ -427,15 +414,9 @@ def direct_product_check(g: LieAlgebra, h: LieAlgebra) -> DirectProductReport:
 # functoriality
 # ---------------------------------------------------------------------------
 
-class FunctorialityReport:
-    def __init__(self, morphism: PairMorphism, commutes: bool, degrees: tuple):
-        self.morphism = morphism
-        self.commutes = commutes
-        self.degrees = degrees
-
-
-def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
-    """Verify the naturality square of the characteristic map for a morphism.
+def functoriality_check(morphism: PairMorphism) -> tuple:
+    """Verify the naturality square of the characteristic map for a morphism,
+    and return the degrees checked.
 
     For H: (g', h') -> (g, h), the pullback between the invariant quotient
     models composed with the source characteristic map must equal the
@@ -452,13 +433,11 @@ def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
     )
     q_src = src_ana.pair.dim_quotient
     q_dst = dst_ana.pair.dim_quotient
+    # above min(q_src, q_dst) the source or the target of the pullback is
+    # zero, and induced_map reads the missing degrees as zero maps
     plus_maps = []
-    for k in range(q_dst + 1):
-        # above q_src, pullback_matrix(hbar, k) has C(q_src, k) = 0 rows
+    for k in range(min(q_src, q_dst) + 1):
         pulled = pullback_matrix(hbar, k) @ dst_ana.quotient_model.embeddings[k]
-        if k > q_src:
-            plus_maps.append(pulled)
-            continue
         plus, _ = src_ana.quotient_model.embeddings[k].coordinates(pulled)
         if plus is None:
             raise DiagramMismatch(
@@ -489,9 +468,8 @@ def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
     delta_src = delta_cohom(src_ana).cohomology_map
     delta_dst = delta_cohom(dst_ana).cohomology_map
 
-    degrees = []
-    top = dst_ana.relative_cohomology.top_degree
-    for k in range(top + 1):
+    degrees = tuple(range(dst_ana.relative_cohomology.top_degree + 1))
+    for k in degrees:
         left = delta_src.degree(k) @ plus_induced.degree(k)
         right = full_induced.degree(k) @ delta_dst.degree(k)
         if left != right:
@@ -500,5 +478,4 @@ def functoriality_check(morphism: PairMorphism) -> FunctorialityReport:
             if diff.entries:
                 column = min(j for (_, j) in diff.entries)
             raise DiagramMismatch(f"square fails in degree {k} at class {column}")
-        degrees.append(k)
-    return FunctorialityReport(morphism=morphism, commutes=True, degrees=tuple(degrees))
+    return degrees

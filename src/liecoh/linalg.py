@@ -121,9 +121,8 @@ class Matrix:
         self.entries = clean
         self._rank = None
         # The int matrix ``scale * self`` for one int scale above 1, kept by
-        # the operator builder that summed it (``exterior._over_scale``); a
-        # ``CohomologySpace`` drops its differentials' once its elimination
-        # has read them.
+        # the operator builder that summed it (``exterior._over_scale``) and
+        # dropped by ``_eliminate`` once it has read them.
         self._numerators = None
         self._pivot_cols = None
         self._free_cols = None
@@ -371,6 +370,7 @@ class Matrix:
                 nonzeros[i] = nonzeros.get(i, 0) + 1
             order = sorted(nonzeros, key=lambda i: (nonzeros[i], i))
         rows = self._int_rows(order)
+        self._numerators = None
         pivots = row_reduce(rows, self.ncols)
         self._rank = len(pivots)
         self._pivot_cols = sorted(ci for _, ci in pivots)

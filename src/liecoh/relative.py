@@ -19,8 +19,7 @@ block of the theta operators that define it (``liealg.sign_mask``), as
 
 The pullback along minus the projection s: g -> g/h restricts to a chain
 isomorphism from model 2 onto model 1; ``compare_models`` verifies
-bijectivity and the intertwining relation exactly, recording the per-degree
-sign (-1)^k that relates the plain pullback to the chain map.
+bijectivity and the intertwining relation exactly.
 
 Also here: the restriction map Lambda g* -> Lambda h* along the inclusion,
 used by the noncohomologous-to-zero test.
@@ -179,18 +178,10 @@ def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     return _embedded_subcomplex(pair, q, _quotient_bracket(pair), True, operators, InternalInvariantError)
 
 
-class ModelComparison:
-    """Chain isomorphism from the invariant quotient model onto the basic one."""
-
-    def __init__(self, pair, matrices: tuple, signs: tuple, dimensions: tuple):
-        self.pair = pair
-        self.matrices = matrices  # per degree, basic coordinates of the mapped invariant basis
-        self.signs = signs        # (-1)^k relating the plain pullback of s to the chain map
-        self.dimensions = dimensions  # per degree, the common dimension of both models
-
-
-def compare_models(pair, basic, invq) -> ModelComparison:
-    """Verify the two relative models agree through (-s)^* exactly.
+def compare_models(pair, basic, invq) -> tuple:
+    """Verify the two relative models agree through (-s)^* exactly, and
+    return the chain isomorphism: per degree k, the basic coordinates of
+    (-1)^k times the pullback of the invariant basis along the projection.
 
     Checks per degree: equal dimensions, the pullback of invariant forms
     along the projection lands in the basic subspace, bijectivity, and the
@@ -221,12 +212,7 @@ def compare_models(pair, basic, invq) -> ModelComparison:
         raise ModelMismatch(
             f"differentials do not intertwine at degree {exc.degree}, vector {exc.column}"
         ) from exc
-    return ModelComparison(
-        pair=pair,
-        matrices=tuple(matrices),
-        signs=tuple((-1) ** k for k in range(q + 1)),
-        dimensions=tuple(m.nrows for m in matrices),
-    )
+    return tuple(matrices)
 
 
 def restriction_map(pair, ambient: CochainComplex, sub: CochainComplex) -> tuple:

@@ -16,7 +16,7 @@ from liecoh.cli import main
 from liecoh.cohomology import (
     ce_cohomology,
     ce_complex,
-    compute_cohomology,
+    CohomologySpace,
     cup_product,
     induced_map,
     odd_generated,
@@ -158,8 +158,8 @@ def test_criterion_4_ncz_verdicts():
 def test_criterion_5_factorization_identity():
     checks = []
     for ana in (_ana_gl3_so3(), _ana_gl2_so2()):
-        report = factorization_check(ana)
-        checks.append(report.holds and report.degrees == tuple(range(ana.pair.dim_quotient + 1)))
+        # raises unless the factorization holds
+        checks.append(factorization_check(ana) == tuple(range(ana.pair.dim_quotient + 1)))
     ok = all(checks)
     _line(5, ok, "two-step factorization equals the direct map in every degree")
 
@@ -167,21 +167,18 @@ def test_criterion_5_factorization_identity():
 def test_criterion_6_functoriality():
     ana2 = _ana_gl2_so2()
     ana3 = _ana_gl3_so3()
-    a = functoriality_check(identity_morphism(ana2.pair)).commutes
+    # each check raises unless its square commutes
+    functoriality_check(identity_morphism(ana2.pair))
     zero_pair = zero_subalgebra(builtin("gl", 2))
-    b = functoriality_check(
-        pair_morphism(zero_pair, ana2.pair, Matrix.identity(4))
-    ).commutes
-    c = functoriality_check(
-        pair_morphism(ana2.pair, ana3.pair, gl_block_inclusion(2, 3))
-    ).commutes
-    ok = a and b and c
+    functoriality_check(pair_morphism(zero_pair, ana2.pair, Matrix.identity(4)))
+    functoriality_check(pair_morphism(ana2.pair, ana3.pair, gl_block_inclusion(2, 3)))
+    ok = True
     _line(6, ok, "naturality square commutes: identity, (id, 0), block inclusion")
 
 
 def test_criterion_7_direct_product_law():
-    report = direct_product_check(builtin("so", 3), builtin("abelian", 2))
-    ok = report.injective and report.formula_holds and report.kunneth_holds
+    report = direct_product_check(builtin("so", 3), builtin("abelian", 2))  # raises unless the formula holds
+    ok = report.injective and report.kunneth_holds
     _line(
         7,
         ok,
@@ -236,7 +233,7 @@ def test_criterion_8_property_suites():
                 )
                 if theta != term1 + term2:
                     violations.append(f"Cartan formula fails for {name}:{n}, x={i}, k={k}")
-        space = compute_cohomology(complex)
+        space = CohomologySpace(complex)
         chi_betti = space.euler_characteristic()
         chi_dims = sum((-1) ** k * d for k, d in enumerate(complex.dims))
         if chi_betti != chi_dims or (g.dim >= 1 and chi_betti != 0):
@@ -255,8 +252,8 @@ def test_criterion_8_property_suites():
     # graded commutativity of cup products
     rng = random.Random(2024)
     spaces = [
-        compute_cohomology(ce_complex(builtin("so", 3))),
-        compute_cohomology(ce_complex(builtin("heisenberg", 3))),
+        CohomologySpace(ce_complex(builtin("so", 3))),
+        CohomologySpace(ce_complex(builtin("heisenberg", 3))),
         _ana_gl2_so2().relative_cohomology,
         _ana_gl3_so3().relative_cohomology,
     ]
@@ -375,8 +372,7 @@ def test_rigidity_conjugating_h_by_a_unipotent_element():
     adp = Matrix.from_cols([ad_p(g.basis_vector(i)) for i in range(g.dim)], g.dim)
     so3 = so_in_gl_vectors(n, n)
     morphism = pair_morphism(subalgebra(g, so3), subalgebra(g, [ad_p(v) for v in so3]), adp)
-    report = functoriality_check(morphism)
-    assert report.commutes and report.degrees == tuple(range(7))
+    assert functoriality_check(morphism) == tuple(range(7))
 
     space = ce_cohomology(g)
     pullbacks = [pullback_matrix(adp, k) for k in range(g.dim + 1)]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import builtin, linalg
+from liecoh import builtin, exterior, linalg
 from liecoh.cohomology import (
     CochainComplex,
     CohomologySpace,
     _product_vanishes,
+    ce_cohomology,
     ce_complex,
-    compute_cohomology,
     cup_product,
     induced_map,
     odd_generated,
@@ -23,7 +23,7 @@ from liecoh.linalg import Matrix
 
 
 def cohomology_of(name, n):
-    return compute_cohomology(ce_complex(builtin(name, n)))
+    return CohomologySpace(ce_complex(builtin(name, n)))
 
 
 def test_betti_abelian_2():
@@ -65,6 +65,36 @@ def test_betti_against_independent_rank_oracle():
 def test_betti_so3():
     space = cohomology_of("so", 3)
     assert space.betti_numbers == (1, 0, 0, 1)
+
+
+def test_block_cohomology_lists_no_full_basis(monkeypatch):
+    """H(so(6)) on its weight-zero block counts the full degrees with
+    ``basis_size`` and lists none of their multi-indices."""
+
+    def refuse(n, k):
+        raise AssertionError(f"listed all of Lambda^{k} on {n} letters")
+
+    monkeypatch.setattr(exterior, "multi_indices", refuse)
+    space = ce_cohomology(builtin("so", 6))
+    assert space.betti_dict() == {k: 1 for k in (0, 3, 5, 7, 8, 10, 12, 15)}
+
+
+def test_basis_size_counts_the_multi_indices():
+    for n in range(7):
+        for k in range(-2, n + 3):
+            assert exterior.basis_size(n, k) == len(exterior.multi_indices(n, k))
+
+
+def test_elimination_drops_the_builders_numerators():
+    """A built d_k with a common denominator above 1 keeps its int
+    numerators until its elimination has read them, and the elimination
+    gives the rank of the ``Fraction`` entries."""
+    c = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(5), Fraction(1, 2)]
+    d = ce_complex(rescaled(builtin("so", 4), c)).differentials[2]
+    assert d._numerators is not None
+    want = Matrix(d.nrows, d.ncols, d.entries).rank()
+    assert d.rank() == want
+    assert d._numerators is None
 
 
 def test_euler_characteristic_vanishes():
@@ -283,8 +313,8 @@ def test_induced_map_functorial_under_composition():
     # abelian algebras: every linear map pulls back to a chain map
     rng = random.Random(21)
     g3, g4 = builtin("abelian", 3), builtin("abelian", 4)
-    s3 = compute_cohomology(ce_complex(g3))
-    s4 = compute_cohomology(ce_complex(g4))
+    s3 = CohomologySpace(ce_complex(g3))
+    s4 = CohomologySpace(ce_complex(g4))
     a = Matrix.from_rows(
         [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(4)]
     )  # linear map Q^3 -> Q^4

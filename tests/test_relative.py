@@ -4,9 +4,9 @@ from functools import partial
 import pytest
 
 from liecoh import builtin, subalgebra
-from liecoh.cohomology import CochainComplex, ce_complex, compute_cohomology
+from liecoh.cohomology import CochainComplex, CohomologySpace, ce_complex
 from liecoh.errors import ModelMismatch, NotDStable
-from liecoh.exterior import Form, ce_differential, endo_action_matrix
+from liecoh.exterior import Form, ce_differential, endo_action_matrix, pullback_matrix
 from liecoh.liealg import full_subalgebra, zero_subalgebra
 from liecoh.linalg import Matrix
 from liecoh.relative import (
@@ -72,12 +72,14 @@ def test_relative_betti_gl2_so2(ana_gl2_so2):
 def test_models_agree_for_canonical_pairs(ana_gl2_so2, ana_gl3_so3):
     for ana in (ana_gl2_so2, ana_gl3_so3):
         comparison = ana.comparison  # raises on any mismatch
-        for k, dim in enumerate(comparison.dimensions):
-            assert ana.basic_model.complex.dim(k) == dim
-            assert ana.quotient_model.complex.dim(k) == dim
-        assert comparison.signs == tuple(
-            (-1) ** k for k in range(len(comparison.signs))
-        )
+        basic, invq = ana.basic_model, ana.quotient_model
+        proj = ana.pair.projection_matrix
+        assert len(comparison) == ana.pair.dim_quotient + 1
+        for k, phi in enumerate(comparison):
+            # phi_k carries the invariant basis to the basic coordinates of its
+            # pullback along minus the projection, (-1)^k times the plain one
+            assert phi.shape == (basic.complex.dim(k), invq.complex.dim(k))
+            assert basic.embeddings[k] @ phi == pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
 
 
 def test_models_agree_across_sweep():
@@ -88,7 +90,7 @@ def test_models_agree_across_sweep():
         q = pair.dim_quotient
         for k in range(q + 1):
             assert basic.complex.dim(k) == invq.complex.dim(k)
-        assert len(comparison.matrices) == q + 1
+        assert len(comparison) == q + 1
 
 
 def test_comparison_refuses_differentials_that_do_not_intertwine():
@@ -106,10 +108,10 @@ def test_comparison_refuses_differentials_that_do_not_intertwine():
 def test_h0_is_one_dimensional_for_every_pair():
     for pair in sweep_pairs():
         invq = invariant_quotient_complex(pair)
-        space = compute_cohomology(invq.complex)
+        space = CohomologySpace(invq.complex)
         assert space.betti(0) == 1
         basic = basic_subcomplex(pair)
-        assert compute_cohomology(basic.complex).betti(0) == 1
+        assert CohomologySpace(basic.complex).betti(0) == 1
 
 
 def restrict(pair):
