@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -430,3 +433,74 @@ def test_absent_brackets_and_null_basis_accepted(capsys, tmp_path, doc):
     code, report = run_cli(capsys, "validate", "--file", str(path))
     assert code == 0
     assert report["result"] == {"valid": True, "dim": 2, "basis": ["e1", "e2"]}
+
+
+@pytest.mark.parametrize("side", [
+    {"file": 1}, {"file": True}, {"file": 2}, {"builtin": 3}, {"sub": 5, "builtin": "gl:2"},
+    {"sub_file": ["x"], "builtin": "gl:2"}, {"builtin": "gl:2", "sub": "so:2", "file": 0},
+], ids=json.dumps)
+def test_morphism_side_that_is_not_a_string_exit_1(tmp_path, side):
+    """A number in place of a file name would be opened as that file
+    descriptor (1 is stdout): run in a process of its own."""
+    morphism = {"source": dict({"builtin": "gl:2", "sub": "so:2"}, **side),
+                "target": {"builtin": "gl:2", "sub": "so:2"}, "matrix": [[1]]}
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(morphism))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "liecoh", "functoriality", "--morphism", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError" and error["message"].startswith("morphism source.")
+
+
+def test_missing_input_names_the_flags_of_the_command(capsys, tmp_path):
+    code, report = run_cli_error(capsys, "direct-product-check", "--right-builtin", "so:3")
+    assert code == 1
+    assert report["error"]["message"] == (
+        "an algebra is required: --left-builtin name:n or --left-file path")
+    code, report = run_cli_error(capsys, "direct-product-check", "--left-builtin", "so:3")
+    assert "--right-builtin" in report["error"]["message"]
+    code, report = run_cli_error(capsys, "betti", "--builtin", "so:3", "--relative", "zero",
+                                 "--relative-file", "x.json")
+    assert report["error"]["message"] == "give either --relative or --relative-file, not both"
+    path = tmp_path / "morphism.json"
+    for side, message in [
+        ({"sub": "so:2"}, "an algebra is required: target.builtin name:n or target.file path"),
+        ({"builtin": "gl:2"}, "a subalgebra is required: target.sub spec or target.sub_file path"),
+    ]:
+        path.write_text(json.dumps({"source": {"builtin": "gl:2", "sub": "so:2"},
+                                    "target": side, "matrix": [[1]]}))
+        code, report = run_cli_error(capsys, "functoriality", "--morphism", str(path))
+        assert (code, report["error"]["message"]) == (1, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--builtin", "gl:1_0"], ["validate", "--builtin", "gl:+3"],
+    ["validate", "--builtin", "gl: 3"], ["validate", "--builtin", "gl:3 "],
+    ["validate", "--builtin", "gl:３"], ["validate", "--builtin", "gl:٣"],
+    ["validate", "--builtin", "gl:-"], ["validate", "--builtin", "gl:1" + "0" * 5000],
+    ["betti", "--builtin", "gl:3", "--relative", "so:1_0"],
+    ["betti", "--builtin", "gl:3", "--relative", "so:+2"],
+    ["betti", "--builtin", "gl:3", "--relative", "so:٢"],
+], ids=repr)
+def test_parameters_must_be_ascii_decimal_integers(capsys, argv):
+    code, report = run_cli_error(capsys, *argv)
+    assert (code, report["error"]["type"]) == (1, "InputError")
+    assert "parameter must be an integer" in report["error"]["message"]
+
+
+def test_parameter_range_messages(capsys):
+    for argv, message in [
+        (["validate", "--builtin", "gl:-1"], "gl(n) needs n >= 1"),
+        (["validate", "--builtin", "so:0"], "so(n) needs n >= 2"),
+        (["betti", "--builtin", "gl:3", "--relative", "so:0"], "sub parameter must be at least 1: 'so:0'"),
+        (["betti", "--builtin", "gl:3", "--relative", "so:-1"], "sub parameter must be at least 1: 'so:-1'"),
+    ]:
+        code, report = run_cli_error(capsys, *argv)
+        assert (code, report["error"]["message"]) == (1, message)
+    code, report = run_cli(capsys, "validate", "--builtin", "gl:03")
+    assert (code, report["inputs"]["algebra"]) == (0, "builtin:gl:3")

@@ -89,10 +89,20 @@ index tuples with ``merge_sign``.
 the saturation fixpoint and the loop that saturates again after each
 generator it adjoins: the bases of the spans and the generators must agree
 over the sweep pairs.
+
+``cli.build_parser`` reads argv from one option table.  Its reference is
+the argparse parser it replaced: over the contract's argvs, edited to
+``--opt=value`` forms, abbreviations (ambiguous ones included), repeats
+and negative-number values, the table must accept exactly the argvs that
+argparse accepts, with equal attributes, and refuse the rest with exit 1.
 """
 
+import argparse
+import io
 import json
 import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -102,10 +112,11 @@ from types import SimpleNamespace
 import sympy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liecoh import builtin, cohomology, relative, subalgebra
+import test_cli_contract
+from liecoh import builtin, cli, cohomology, relative, subalgebra
 from liecoh.classes import canonical_gl_so_pair, identify_generators
 from liecoh.cohomology import (
     CochainComplex,
@@ -119,6 +130,7 @@ from liecoh.cohomology import (
     odd_degree_generators,
 )
 from liecoh.errors import (
+    InputError,
     InternalInvariantError,
     InvalidComplex,
     InvalidStructure,
@@ -2412,3 +2424,154 @@ def test_bitmask_wedge_matches_merge_sign(args):
     got, want = wedge_vector(*args), reference_wedge_vector(*args)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# ---------------------------------------------------------------------------
+# the CLI's option table against argparse
+# ---------------------------------------------------------------------------
+
+class ReferenceArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
+
+
+def reference_build_parser():
+    """The argparse parser that ``cli.build_parser`` returned before the option table."""
+    parser = ReferenceArgumentParser(prog="liecoh", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def algebra_args(p):
+        p.add_argument("--builtin", help="builtin algebra, e.g. gl:3, so:5, heisenberg:3")
+        p.add_argument("--file", help="algebra JSON file")
+
+    def sub_args(p):
+        p.add_argument("--sub", help="canonical subalgebra: zero or so:k")
+        p.add_argument("--sub-file", dest="sub_file", help="subalgebra vectors JSON file")
+
+    p = sub.add_parser("validate", help="validate structure constants")
+    algebra_args(p)
+    p = sub.add_parser("export", help="write a builtin algebra as JSON")
+    algebra_args(p)
+    p.add_argument("--output", "-o", help="output path (default: stdout)")
+    for name in ("betti", "relative-betti"):
+        p = sub.add_parser(name, help="Betti numbers (optionally relative)")
+        algebra_args(p)
+        p.add_argument("--relative", help="canonical subalgebra: zero or so:k")
+        p.add_argument("--relative-file", dest="relative_file", help="subalgebra vectors JSON file")
+        p.add_argument("--representatives", action="store_true",
+                       help="include representative cocycles as forms")
+    p = sub.add_parser("koszul", help="characteristic homomorphism of a pair")
+    algebra_args(p)
+    sub_args(p)
+    p.add_argument("--matrix", action="store_true", help="include per-degree matrices")
+    p.add_argument("--kernel", action="store_true", help="include kernel forms")
+    p.add_argument("--factor-check", dest="factor_check", action="store_true",
+                   help="verify the two-step factorization")
+    for name in ("ncz", "reductive", "classes"):
+        p = sub.add_parser(name)
+        algebra_args(p)
+        sub_args(p)
+    p = sub.add_parser("functoriality", help="naturality square for a morphism file")
+    p.add_argument("--morphism", required=True, help="morphism JSON file")
+    p = sub.add_parser("direct-product-check", help="characteristic map of (g+h, h)")
+    p.add_argument("--left-builtin", dest="left_builtin", help="first factor, e.g. so:3")
+    p.add_argument("--left-file", dest="left_file")
+    p.add_argument("--right-builtin", dest="right_builtin", help="second factor, e.g. abelian:2")
+    p.add_argument("--right-file", dest="right_file")
+    return parser
+
+
+def read_argv(parse, argv):
+    """What a parser makes of argv: its attributes, "refused" or "help"."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except InputError:
+            return "refused"
+        except (SystemExit, cli._Help):  # argparse prints help and exits 0
+            return "help"
+
+
+NEGATIVE_NUMBERS = ["-1", "-0", "-12", "-.5", "-1.5"]
+OPTION_TOKENS = NEGATIVE_NUMBERS + [
+    "-o", "-ox.json", "-o=x.json", "-o=", "--output=x.json", "--builtin=so:3", "--builtin=",
+    "--file=<file>", "--sub=so:2", "--rep", "--re", "--r", "--s", "--su", "--sub-", "--f",
+    "--fi", "--fa", "--left", "--l", "--right-b", "--m", "--mo=<file>", "--representatives=1",
+    "--matrix=", "--kernel=h", "--kernel", "-", "",
+]
+
+
+def stable_across_pythons(argv):
+    """argparse's reading of "--" and of tokens such as "-1a" (a negative number
+    or not) differs between Python versions; those are tested on their own."""
+    return "--" not in argv and not any(
+        re.match(r"-\.?\d", t) and not re.match(r"^-\d+$|^-\d*\.\d+$", t) for t in argv
+    )
+
+
+@st.composite
+def option_argvs(draw):
+    """The contract's argvs, edited: --opt=value, abbreviations, repeats, and
+    inserted short options, switches with values and negative numbers."""
+    argv = list(draw(test_cli_contract.argvs))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["join", "abbreviate", "repeat", "insert"]))
+        long_at = [i for i, t in enumerate(argv) if t.startswith("--") and len(t) > 2]
+        if edit == "insert" or not long_at:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(OPTION_TOKENS)))
+            continue
+        i = draw(st.sampled_from(long_at))
+        if edit == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        elif edit == "abbreviate":
+            name, eq, value = argv[i].partition("=")
+            argv[i] = name[:draw(st.integers(3, len(name)))] + eq + value
+        elif edit == "repeat":
+            value = draw(st.sampled_from(test_cli_contract.BUILTINS + NEGATIVE_NUMBERS + [None]))
+            argv += [argv[i]] if value is None else [argv[i], value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(argv=option_argvs().filter(stable_across_pythons))
+def test_option_table_reads_every_argv_as_argparse_did(argv):
+    want = read_argv(reference_build_parser().parse_args, argv)
+    got = read_argv(cli.build_parser().parse_args, argv)
+    assert got == want, argv
+    if got == "refused":
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 1
+        assert json.loads(out.getvalue())["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["-h"], "help"), (["--help"], "help"), (["--he"], "help"), (["-hh"], "help"),
+    (["--x", "betti", "-h"], "help"), (["betti", "-h"], "help"), (["betti", "--h"], "help"),
+    (["koszul", "--builtin", "so:3", "--help"], "help"), (["export", "-ho", "x.json"], "help"),
+    (["functoriality", "--help"], "help"), (["betti", "--nope", "-h"], "help"),
+    (["betti", "--builtin", "-h"], "refused"), (["-hx"], "refused"), (["--help=x"], "refused"),
+    (["koszul", "--builtin", "so:3", "--sub", "zero", "--kernel=h"], "refused"),
+    (["betti", "--builtin", "so:3", "--representatives=o"], "refused"),
+    (["export", "--builtin", "so:3", "-ox.json"], "accepted"),
+    (["export", "--builtin", "so:3", "-o=x.json"], "accepted"),
+    (["export", "--builtin", "so:3", "-o", "-1"], "accepted"),
+    (["export", "--builtin", "so:3", "-o="], "accepted"),
+    (["betti", "--builtin", "so:3", "--relative", " -x"], "accepted"),
+    (["betti", "--builtin", "so:3", "--relative", "--x y"], "accepted"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_option_table_reads_hand_picked_argvs_as_argparse_did(argv, want):
+    got = read_argv(cli.build_parser().parse_args, argv)
+    assert got == read_argv(reference_build_parser().parse_args, argv)
+    assert got == want if want != "accepted" else isinstance(got, dict)
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--builtin", "so:3", "--"], ["--", "betti", "--builtin", "so:3"],
+    ["betti", "--", "--builtin", "so:3"], ["betti", "--builtin", "--", "so:3"],
+    ["betti", "--builtin", "-1a"], ["betti", "--builtin", "so:3", "-1a"], ["--"],
+], ids=" ".join)
+def test_option_table_refuses_double_dash_and_number_like_flags(argv):
+    """Python 3.11's argparse refused each of these; later versions may not."""
+    assert read_argv(cli.build_parser().parse_args, argv) == "refused"
