@@ -159,17 +159,13 @@ def _report(command, inputs, result, started):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, started):
-    inputs = {}
-    if args.builtin:
-        name, n = _parse_builtin_spec(args.builtin)
-        inputs["algebra"] = f"builtin:{name}:{n}"
-        g = builtin(name, n)  # builtins are validated constructions
+    if args.builtin or not args.file:
+        # builtins are validated constructions; both inputs or none are refused
+        g, algebra, _ = resolve_algebra(args.builtin, args.file)
         result = {"valid": True, "dim": g.dim, "basis": list(g.basis_names)}
-        return _report("validate", inputs, result, started), 0
-    if not args.file:
-        raise InputError("an algebra is required: --builtin name:n or --file path")
+        return _report("validate", {"algebra": algebra}, result, started), 0
     data, digest = _read_json(args.file)
-    inputs["algebra"] = f"sha256:{digest}"
+    inputs = {"algebra": f"sha256:{digest}"}
     try:
         g = algebra_from_json(data)
     except InvalidStructure as exc:

@@ -59,7 +59,7 @@ from .exterior import (
     alternating_differential_matrix,
     basis_size,
     ce_differential,
-    multi_indices,
+    multi_index_masks,
     wedge_vector,
 )
 from .linalg import Matrix, SpanBuilder
@@ -122,9 +122,9 @@ class Block:
     def differential(self, k: int, columns) -> Matrix:
         """The CE d_k at the ascending full positions ``columns``, with all
         full rows, and zero at the other full columns."""
-        indices = multi_indices(self.n, k)
-        d = alternating_differential_matrix(self.n, self.bracket, k, columns=[indices[c] for c in columns])
-        return Matrix._trusted(d.nrows, len(indices), {(i, columns[j]): v for (i, j), v in d.entries.items()})
+        masks = multi_index_masks(self.n, k)
+        d = alternating_differential_matrix(self.n, self.bracket, k, columns=[masks[c] for c in columns])
+        return Matrix._trusted(d.nrows, len(masks), {(i, columns[j]): v for (i, j), v in d.entries.items()})
 
 
 class CochainComplex:
@@ -214,9 +214,9 @@ def ce_complex(g, grading=None) -> CochainComplex:
         diffs = tuple(ce_differential(g, k) for k in range(n))
         return CochainComplex(dims=dims, differentials=diffs, product=BasisProduct(n))
     blocks = [grading.block(k) for k in range(n + 1)]
-    indices = [[idx for _, idx in b] for b in blocks]
+    masks = [[mask for _, mask in b] for b in blocks]
     diffs = tuple(
-        alternating_differential_matrix(n, g.bracket_basis, k, columns=indices[k], rows=indices[k + 1])
+        alternating_differential_matrix(n, g.bracket_basis, k, columns=masks[k], rows=masks[k + 1])
         for k in range(n)
     )
     block = Block(tuple(tuple(pos for pos, _ in b) for b in blocks), dims, n, g.bracket_basis)

@@ -1,9 +1,11 @@
 """Exterior algebra on the dual of a coordinate space, as exact matrices.
 
-Basis of Lambda^k V* : lexicographically ordered strictly increasing index
-tuples (i_1 < ... < i_k); theta^I denotes the dual basis form of the tuple I.
-All operators are built as sparse matrices over these bases, so every matrix
-is reproducible bit for bit from the structure constants.
+Basis of Lambda^k V* : the strictly increasing multi-indices
+(i_1 < ... < i_k) in lexicographic order; theta^I denotes the dual basis form
+of I.  Inside the library a multi-index is a bitmask over the letters, and
+only ``Form`` keys its coefficients by index tuples.  All operators are built
+as sparse matrices over these bases, so every matrix is reproducible bit for
+bit from the structure constants.
 
 Sign conventions (indices 1-based inside the formulas):
 
@@ -25,7 +27,6 @@ Sign conventions (indices 1-based inside the formulas):
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -36,23 +37,20 @@ from .linalg import Matrix
 from .rationals import format_rational, parse_rational
 
 
-@lru_cache(maxsize=None)
 def multi_indices(n: int, k: int):
-    """All degree-k multi-indices on n letters, lexicographically ordered."""
+    """All degree-k multi-indices on n letters as tuples, lexicographically
+    ordered; listed on each call, not kept (the tables below are masks)."""
     if k < 0 or k > n:
         return ()
     return tuple(combinations(range(n), k))
 
 
 @lru_cache(maxsize=None)
-def multi_index_positions(n: int, k: int):
-    return {idx: pos for pos, idx in enumerate(multi_indices(n, k))}
-
-
-@lru_cache(maxsize=None)
 def multi_index_masks(n: int, k: int):
     """The degree-k multi-indices on n letters as bitmasks, in basis order."""
-    return tuple(map(_mask, multi_indices(n, k)))
+    if k < 0:
+        return ()
+    return tuple(map(sum, combinations([1 << i for i in range(n)], k)))
 
 
 @lru_cache(maxsize=None)
@@ -63,14 +61,6 @@ def multi_mask_positions(n: int, k: int):
 def basis_size(n: int, k: int) -> int:
     """The dimension C(n, k) of Lambda^k on n letters, counted, not listed."""
     return comb(n, k) if 0 <= k <= n else 0
-
-
-def _insert(index_tuple, m):
-    """Insert m into a strictly increasing tuple; (position, tuple) or None."""
-    pos = bisect_left(index_tuple, m)
-    if pos < len(index_tuple) and index_tuple[pos] == m:
-        return None
-    return pos, index_tuple[:pos] + (m,) + index_tuple[pos:]
 
 
 def merge_sign(left, right):
@@ -159,18 +149,18 @@ class Form:
         return self.scale(-1)
 
     def to_vector(self):
-        positions = multi_index_positions(self.ambient_dim, self.degree)
+        positions = multi_mask_positions(self.ambient_dim, self.degree)
         vec = [Fraction(0)] * len(positions)
         for idx, v in self.coeffs.items():
-            vec[positions[idx]] = v
+            vec[positions[_mask(idx)]] = v
         return vec
 
     @staticmethod
     def from_vector(n: int, k: int, vec) -> "Form":
-        basis = multi_indices(n, k)
+        basis = multi_index_masks(n, k)
         if len(vec) != len(basis):
             raise DimensionMismatch(f"vector length {len(vec)} != dim of degree {k}")
-        return Form(n, k, {idx: v for idx, v in zip(basis, vec) if v})
+        return Form(n, k, {_letters(mask): v for mask, v in zip(basis, vec) if v})
 
     def evaluate(self, vectors):
         """Pair with vectors: sum_I c_I F^* theta^I, F the frame with the vectors as columns."""
@@ -181,10 +171,10 @@ class Form:
                 raise DimensionMismatch("vector length != ambient dimension")
         frame = Matrix.from_cols([[Fraction(x) for x in v] for v in vectors], self.ambient_dim)
         minors = pullback_matrix(frame, self.degree)
-        positions = multi_index_positions(self.ambient_dim, self.degree)
+        positions = multi_mask_positions(self.ambient_dim, self.degree)
         total = Fraction(0)
         for idx, c in self.coeffs.items():
-            total += c * minors.entry(0, positions[idx])
+            total += c * minors.entry(0, positions[_mask(idx)])
         return total
 
 
@@ -269,12 +259,12 @@ def alternating_differential_matrix(
 
     The matrix is built column by column: theta^I, for each letter m = I[p],
     meets every bracket [e_u, e_v] with a term on e_m, and reaches the row
-    J = I - {m} + {u, v} when u and v are not in I - {m}; multi-indices are
-    handled as bitmasks.  ``columns`` and ``rows`` restrict the matrix to a
-    block: the degree-k and degree-(k+1) multi-indices, each ascending, that
-    index its columns and rows (default: all).  A term outside ``rows``
-    raises InternalInvariantError.  A grading compatible with the bracket
-    never produces one, so for the weight-zero block of a grading this check
+    J = I - {m} + {u, v} when u and v are not in I - {m}.  ``columns`` and
+    ``rows`` restrict the matrix to a block: the degree-k and degree-(k+1)
+    multi-indices, as bitmasks in basis order, that index its columns and
+    rows (default: all).  A term outside ``rows`` raises
+    InternalInvariantError.  A grading compatible with the bracket never
+    produces one, so for the weight-zero block of a grading this check
     proves that d preserves the block.
 
     Entries are summed as int numerators over one common denominator
@@ -293,27 +283,26 @@ def alternating_differential_matrix(
     for (m, uv, below_u, below_v), c in raw:
         terms[m].append((uv, below_u, below_v, c))
     if columns is None:
-        columns = multi_indices(n, k)
+        columns = multi_index_masks(n, k)
     if rows is None:
         nrows = basis_size(n, k + 1)
         row_of = multi_mask_positions(n, k + 1)
     else:
         nrows = len(rows)
-        row_of = {_mask(J): r for r, J in enumerate(rows)}
+        row_of = {J: r for r, J in enumerate(rows)}
     flip = 1 if flip_sign else 0
     entries = {}
-    for col, I in enumerate(columns):
-        mask = _mask(I)
-        for p, m in enumerate(I):
+    for col, mask in enumerate(columns):
+        for p, m in enumerate(_letters(mask)):
             rest = mask ^ (1 << m)
             for uv, below_u, below_v, c in terms[m]:
                 if uv & rest:
                     continue
                 row = row_of.get(rest | uv)
                 if row is None:
-                    J = tuple(i for i in range(n) if (rest | uv) >> i & 1)
                     raise InternalInvariantError(
-                        f"d of the degree-{k} basis form {I} has a term on {J}, outside the block"
+                        f"d of the degree-{k} basis form {_letters(mask)} has a term on "
+                        f"{_letters(rest | uv)}, outside the block"
                     )
                 # sign (-1)^(a+b+p), flipped on request: u sits at position
                 # a = |rest below u| of J, v at b = |rest below v| + 1
@@ -324,11 +313,21 @@ def alternating_differential_matrix(
 
 
 def _mask(idx) -> int:
-    """The multi-index as a bitmask over the letters."""
+    """The multi-index tuple as a bitmask over the letters."""
     out = 0
     for i in idx:
         out |= 1 << i
     return out
+
+
+def _letters(mask: int) -> tuple:
+    """The letters of a bitmask, ascending: the multi-index as a tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def ce_differential(g, k: int) -> Matrix:
@@ -343,11 +342,10 @@ def endo_action_matrix(a: Matrix, n: int, k: int, columns=None) -> Matrix:
 
     Column I holds theta_A theta^I: for each letter m = I[p] and each entry
     A[m, j], the term on J = I - {m} + {j}, with sign (-1)^(t - p + 1), t the
-    position of j in J; multi-indices are handled as bitmasks.  ``columns``,
-    ascending positions in the degree-k basis, fills only those columns
-    (default: all); the shape stays full, and each filled column equals the
-    full matrix's.  Entries are summed as int numerators over one common
-    denominator (``_int_terms``).
+    position of j in J.  ``columns``, ascending positions in the degree-k
+    basis, fills only those columns (default: all); the shape stays full,
+    and each filled column equals the full matrix's.  Entries are summed as
+    int numerators over one common denominator (``_int_terms``).
     """
     if a.shape != (n, n):
         raise DimensionMismatch(f"endomorphism shape {a.shape} != ({n}, {n})")
@@ -355,15 +353,14 @@ def endo_action_matrix(a: Matrix, n: int, k: int, columns=None) -> Matrix:
     by_row = {}  # m -> (bit of j, mask of the letters below j, A[m, j] * scale)
     for (m, j), v in terms:
         by_row.setdefault(m, []).append((1 << j, (1 << j) - 1, v))
-    indices = multi_indices(n, k)
     masks = multi_index_masks(n, k)
     rows = multi_mask_positions(n, k)
     if columns is None:
-        columns = range(len(indices))
+        columns = range(len(masks))
     entries = {}
     for col in columns:
         mask = masks[col]
-        for p, m in enumerate(indices[col]):
+        for p, m in enumerate(_letters(mask)):
             rest = mask ^ (1 << m)
             for bit, below, v in by_row.get(m, ()):
                 if rest & bit:
@@ -371,7 +368,7 @@ def endo_action_matrix(a: Matrix, n: int, k: int, columns=None) -> Matrix:
                 key = (rows[rest | bit], col)
                 odd = ((rest & below).bit_count() + p) & 1
                 entries[key] = entries.get(key, 0) + (v if odd else -v)
-    return _over_scale(len(indices), len(indices), entries, scale)
+    return _over_scale(len(masks), len(masks), entries, scale)
 
 
 def lie_derivative_matrix(g, x, k: int, columns=None) -> Matrix:
@@ -389,18 +386,17 @@ def interior_matrix(x, n: int, k: int, columns=None) -> Matrix:
     coords, scale = _int_terms(enumerate(x))
     coords = dict(coords)
     rows = multi_mask_positions(n, k - 1)
-    indices = multi_indices(n, k)
     masks = multi_index_masks(n, k)
     if columns is None:
-        columns = range(len(indices))
+        columns = range(len(masks))
     entries = {}
     for col in columns:
-        for p, i in enumerate(indices[col]):
+        for p, i in enumerate(_letters(masks[col])):
             c = coords.get(i)
             if c:
                 key = (rows[masks[col] ^ (1 << i)], col)
                 entries[key] = entries.get(key, 0) + (-c if p % 2 else c)
-    return _over_scale(len(rows), len(indices), entries, scale)
+    return _over_scale(len(rows), len(masks), entries, scale)
 
 
 def _int_terms(items):
@@ -434,32 +430,36 @@ def pullback_matrix(f: Matrix, k: int) -> Matrix:
     Lambda^k f^* = (f^*)^(wedge k) gives f^* theta^J = f^* theta^(j_1) ^
     f^* theta^(J minus j_1), with f^* theta^j the row j of f, so each form wedges
     one sparse row onto its memoized suffix form and integers stay integers.
+    Forms are keyed by bitmasks: theta^i ^ theta^I is (-1)^t theta^(I | i),
+    t the number of letters of I below i.
     """
     dim_w, dim_v = f.shape
-    rows_idx = multi_index_positions(dim_v, k)
-    cols_idx = multi_indices(dim_w, k)
+    row_of = multi_mask_positions(dim_v, k)
+    cols = multi_index_masks(dim_w, k)
     rows = [{} for _ in range(dim_w)]
     for (j, i), v in f.entries.items():
         rows[j][i] = v
-    pulled = {(): {(): 1}}
+    pulled = {0: {0: 1}}
 
     def pull(J):
         if J not in pulled:
             form = pulled[J] = {}
-            for i, c in rows[J[0]].items():
-                for I, v in pull(J[1:]).items():
-                    ins = _insert(I, i)
-                    if ins is not None:
-                        pos, merged = ins
-                        form[merged] = form.get(merged, 0) + (-c * v if pos % 2 else c * v)
+            low = J & -J
+            for i, c in rows[low.bit_length() - 1].items():
+                bit = 1 << i
+                for I, v in pull(J ^ low).items():
+                    if not I & bit:
+                        key = I | bit
+                        odd = (I & (bit - 1)).bit_count() & 1
+                        form[key] = form.get(key, 0) + (-c * v if odd else c * v)
         return pulled[J]
 
     entries = {}
-    for col_pos, J in enumerate(cols_idx):
+    for col_pos, J in enumerate(cols):
         for I, v in pull(J).items():
             if v:
-                entries[(rows_idx[I], col_pos)] = v
-    return Matrix(len(rows_idx), len(cols_idx), entries)
+                entries[(row_of[I], col_pos)] = v
+    return Matrix(len(row_of), len(cols), entries)
 
 
 def wedge_vector(n: int, k: int, v, l: int, w):

@@ -77,8 +77,18 @@ class PairAnalysis:
         return CohomologySpace(self.basic_model.complex)
 
     @cached_property
+    def koszul_chain(self) -> tuple:
+        """Per degree k, (-1)^k times the pullback along the projection of
+        the invariant basis: the Koszul chain map into Lambda^k g*, formed
+        once for ``delta_chain`` and ``compare_models``."""
+        proj = self.pair.projection_matrix
+        return tuple(
+            pullback_matrix(proj, k).scale((-1) ** k) @ e for k, e in enumerate(self.quotient_model.embeddings)
+        )
+
+    @cached_property
     def comparison(self) -> tuple:
-        return compare_models(self.pair, self.basic_model, self.quotient_model)
+        return compare_models(self.basic_model, self.quotient_model, self.koszul_chain)
 
     @cached_property
     def sub_cohomology(self) -> CohomologySpace:
@@ -130,15 +140,9 @@ def delta_chain(pair):
     internal error (the sign-convention arbiter).
     """
     ana = _analysis(pair)
-    proj = ana.pair.projection_matrix
-    invq = ana.quotient_model
-    q = ana.pair.dim_quotient
-    maps = [
-        (pullback_matrix(proj, k).scale((-1) ** k)) @ invq.embeddings[k]
-        for k in range(q + 1)
-    ]
+    maps = ana.koszul_chain
     try:
-        check_chain_map(maps, invq.complex, ana.ambient_cohomology.complex)
+        check_chain_map(maps, ana.quotient_model.complex, ana.ambient_cohomology.complex)
     except NotAChainMap as exc:
         raise ChainMapViolation(exc.degree, exc.column) from exc
     return maps

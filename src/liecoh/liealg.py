@@ -151,7 +151,7 @@ class Grading:
         return not any(self.weights) and not any(self.parities)
 
     def block(self, k: int):
-        """The degree-k weight-zero block as ascending (position, multi-index)
+        """The degree-k weight-zero block as ascending (position, bitmask)
         pairs, positions in the lexicographic basis of Lambda^k g*.
 
         Only the block is visited: a depth-first search over ascending
@@ -166,22 +166,22 @@ class Grading:
         reach = self._suffix_states()
         out = []
 
-        def visit(start, left, weight, parity, pos, idx):
+        def visit(start, left, weight, parity, pos, mask):
             if left == 1:
                 # the last letter: no suffix table needed
                 for v in range(start, n):
                     if weights[v] == -weight and parities[v] == parity:
-                        out.append((pos - (n - 1 - v), idx + (v,)))
+                        out.append((pos - (n - 1 - v), mask | 1 << v))
                 return
             for v in range(start, n - left + 1):
                 w, p = weight + weights[v], parity ^ parities[v]
                 if (left - 1, -w, p) in reach[v + 1]:
-                    visit(v + 1, left - 1, w, p, pos - comb(n - 1 - v, left), idx + (v,))
+                    visit(v + 1, left - 1, w, p, pos - comb(n - 1 - v, left), mask | 1 << v)
 
         if k:
-            visit(0, k, 0, 0, comb(n, k) - 1, ())
+            visit(0, k, 0, 0, comb(n, k) - 1, 0)
         else:
-            out.append((0, ()))
+            out.append((0, 0))
         return out
 
     def _suffix_states(self):

@@ -43,7 +43,7 @@ from .exterior import (
     endo_action_matrix,
     interior_matrix,
     lie_derivative_matrix,
-    multi_indices,
+    multi_index_masks,
     pullback_matrix,
 )
 from .liealg import Grading, sign_mask, sign_parities
@@ -99,9 +99,9 @@ def _embedded_subcomplex(pair, n, bracket, flip_sign, operators, failure, interi
         support = sorted({i for i, _ in e.entries})
         local = {i: j for j, i in enumerate(support)}
         e = Matrix._trusted(len(support), e.ncols, {(local[i], j): v for (i, j), v in e.entries.items()})
-        indices = multi_indices(n, k)
+        basis = multi_index_masks(n, k)
         d_k = alternating_differential_matrix(
-            n, bracket, k, flip_sign=flip_sign, columns=[indices[i] for i in support]
+            n, bracket, k, flip_sign=flip_sign, columns=[basis[i] for i in support]
         )
         d, outside = embeddings[k + 1].coordinates(d_k @ e)
         if d is None:
@@ -178,26 +178,24 @@ def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     return _embedded_subcomplex(pair, q, _quotient_bracket(pair), True, operators, InternalInvariantError)
 
 
-def compare_models(pair, basic, invq) -> tuple:
+def compare_models(basic, invq, chain) -> tuple:
     """Verify the two relative models agree through (-s)^* exactly, and
     return the chain isomorphism: per degree k, the basic coordinates of
-    (-1)^k times the pullback of the invariant basis along the projection.
+    ``chain[k]``, (-1)^k times the pullback of the invariant basis along the
+    projection (``koszul.PairAnalysis.koszul_chain``).
 
     Checks per degree: equal dimensions, the pullback of invariant forms
     along the projection lands in the basic subspace, bijectivity, and the
     intertwining of the two differentials.  Any failure is a hard error.
     """
-    q = pair.dim_quotient
-    proj = pair.projection_matrix
     matrices = []
-    for k in range(q + 1):
+    for k, pulled in enumerate(chain):
         b_dim = basic.complex.dim(k)
         i_dim = invq.complex.dim(k)
         if b_dim != i_dim:
             raise ModelMismatch(
                 f"model dimensions differ in degree {k}: basic {b_dim}, invariant {i_dim}"
             )
-        pulled = pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
         phi, outside = basic.embeddings[k].coordinates(pulled)
         if phi is None:
             raise ModelMismatch(

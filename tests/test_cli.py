@@ -33,6 +33,20 @@ def test_validate_bad_file_exit_2(capsys, tmp_path):
     assert v["residual"] == "2"
 
 
+def test_validate_refuses_both_inputs(capsys, tmp_path):
+    """Like every other command, validate takes one algebra: --builtin and
+    --file together are refused before either is read."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "brackets": [[0, 1, 0, "1"], [1, 0, 0, "1"]]}))
+    for path in (tmp_path / "missing.json", bad):
+        code, report = run_cli_error(capsys, "validate", "--builtin", "so:3", "--file", str(path))
+        assert code == 1
+        assert report["error"] == {"type": "InputError", "message": "give either --builtin or --file, not both"}
+    code, report = run_cli_error(capsys, "validate")
+    assert code == 1
+    assert report["error"]["message"] == "an algebra is required: --builtin name:n or --file path"
+
+
 def test_validate_jacobi_violation(capsys, tmp_path):
     bad = tmp_path / "jac.json"
     bad.write_text(

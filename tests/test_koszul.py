@@ -1,6 +1,6 @@
 import pytest
 
-from liecoh import builtin, cohomology, koszul, relative, subalgebra
+from liecoh import builtin, cohomology, exterior, koszul, relative, subalgebra
 from liecoh.cohomology import check_chain_map, odd_generated
 from liecoh.errors import ChainMapViolation
 from liecoh.exterior import Form, pullback_matrix
@@ -56,6 +56,50 @@ def test_the_koszul_map_checks_its_chain_map_once(monkeypatch):
     with pytest.raises(ChainMapViolation) as exc:
         PairAnalysis(zero_subalgebra(builtin("so", 3))).koszul
     assert exc.value.degree == 1
+
+
+def test_the_koszul_chain_map_is_formed_once(monkeypatch):
+    """The Koszul map and the comparison of the models share one product of
+    the pullback with the invariant basis per degree."""
+    calls = []
+
+    def counted(f, k):
+        calls.append(k)
+        return pullback_matrix(f, k)
+
+    for module in (koszul, relative):
+        monkeypatch.setattr(module, "pullback_matrix", counted)
+    pair = subalgebra(builtin("so", 4), so_in_so_vectors(3, 4))
+    ana = PairAnalysis(pair)
+    factorization_check(ana)
+    assert calls == list(range(pair.dim_quotient + 1))
+    assert ana.koszul.chain_map == ana.koszul_chain
+
+
+def test_pair_analysis_lists_no_multi_index_tuples_of_g(monkeypatch):
+    """The chain-level checks of a pair (the Koszul chain map, ``reduce`` on
+    the ambient block, the restriction map) read Lambda^k g* as bitmasks: with
+    every tuple listing of Lambda^k so(6)* refused, (so(6), so(5)) gives the
+    same Koszul map, kernel forms and ncz report."""
+    pair = subalgebra(builtin("so", 6), so_in_so_vectors(5, 6))
+
+    def run():
+        ana = PairAnalysis(pair)
+        result = ana.koszul
+        maps = [result.cohomology_map.degree(k) for k in range(pair.dim_quotient + 1)]
+        return maps, result.kernel_basis, ncz_report(ana).to_payload()
+
+    want = run()
+    listing = exterior.multi_indices
+
+    def refuse(n, k):
+        if n == pair.ambient.dim:
+            raise AssertionError(f"listed all of Lambda^{k} on {n} letters as tuples")
+        return listing(n, k)
+
+    monkeypatch.setattr(exterior, "multi_indices", refuse)
+    assert run() == want
+    assert want[2]["ncz"] is True and want[1] == ()
 
 
 def test_delta_chain_of_full_pair_is_unit_only():

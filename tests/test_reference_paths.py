@@ -147,6 +147,7 @@ from liecoh.exterior import (
     lie_derivative,
     lie_derivative_matrix,
     merge_sign,
+    multi_index_masks,
     multi_indices,
     pullback_matrix,
     wedge_vector,
@@ -776,7 +777,7 @@ def reference_block(grading: Grading, k: int):
             weight += grading.weights[i]
             parity ^= grading.parities[i]
         if not weight and parity == 0:
-            out.append((pos, idx))
+            out.append((pos, sum(1 << i for i in idx)))
     return out
 
 
@@ -1855,14 +1856,14 @@ def reference_alternating_differential_matrix(n, bracket_fn, k, flip_sign=False,
                 if c:
                     terms[m].append(((1 << u) | (1 << v), (1 << u) - 1, (1 << v) - 1, c))
     if columns is None:
-        columns = multi_indices(n, k)
+        columns = [sum(1 << i for i in I) for I in multi_indices(n, k)]
     if rows is None:
-        rows = multi_indices(n, k + 1)
-    row_of = {sum(1 << i for i in J): r for r, J in enumerate(rows)}
+        rows = [sum(1 << i for i in J) for J in multi_indices(n, k + 1)]
+    row_of = {J: r for r, J in enumerate(rows)}
     flip = 1 if flip_sign else 0
     entries = {}
-    for col, I in enumerate(columns):
-        mask = sum(1 << i for i in I)
+    for col, mask in enumerate(columns):
+        I = [i for i in range(n) if mask >> i & 1]
         for p, m in enumerate(I):
             rest = mask ^ (1 << m)
             for uv, below_u, below_v, c in terms[m]:
@@ -1901,8 +1902,8 @@ def test_integer_builder_matches_fraction_builder():
         positions = ce_complex(g, g.grading).block.positions
 
         def block(k, n=g.dim, positions=positions):
-            return {"columns": [multi_indices(n, k)[i] for i in positions[k]],
-                    "rows": [multi_indices(n, k + 1)[i] for i in positions[k + 1]] if k < n else []}
+            return {"columns": [multi_index_masks(n, k)[i] for i in positions[k]],
+                    "rows": [multi_index_masks(n, k + 1)[i] for i in positions[k + 1]] if k < n else []}
 
         assert_builder_matches_reference(g.dim, g.bracket_basis, block)
     # three quotient tables, whose constants are projected lifts

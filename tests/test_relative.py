@@ -82,11 +82,17 @@ def test_models_agree_for_canonical_pairs(ana_gl2_so2, ana_gl3_so3):
             assert basic.embeddings[k] @ phi == pullback_matrix(proj, k).scale((-1) ** k) @ invq.embeddings[k]
 
 
+def koszul_chain(pair, invq):
+    """(-1)^k times the pullback of the invariant basis along the projection."""
+    proj = pair.projection_matrix
+    return [pullback_matrix(proj, k).scale((-1) ** k) @ e for k, e in enumerate(invq.embeddings)]
+
+
 def test_models_agree_across_sweep():
     for pair in sweep_pairs():
         basic = basic_subcomplex(pair)
         invq = invariant_quotient_complex(pair)
-        comparison = compare_models(pair, basic, invq)
+        comparison = compare_models(basic, invq, koszul_chain(pair, invq))
         q = pair.dim_quotient
         for k in range(q + 1):
             assert basic.complex.dim(k) == invq.complex.dim(k)
@@ -102,7 +108,8 @@ def test_comparison_refuses_differentials_that_do_not_intertwine():
     c = invq.complex
     doubled = CochainComplex(c.dims, tuple(d.scale(2) for d in c.differentials), c.product)
     with pytest.raises(ModelMismatch, match="^differentials do not intertwine at degree 1, vector 2$"):
-        compare_models(pair, basic_subcomplex(pair), EmbeddedSubcomplex(pair, doubled, invq.embeddings))
+        compare_models(basic_subcomplex(pair), EmbeddedSubcomplex(pair, doubled, invq.embeddings),
+                       koszul_chain(pair, invq))
 
 
 def test_h0_is_one_dimensional_for_every_pair():
