@@ -27,7 +27,7 @@ from .errors import (
     LiecohError,
     MathValidationError,
 )
-from .exterior import Form, form_to_json
+from .exterior import form_to_json
 from .koszul import (
     PairAnalysis,
     delta_cohom,
@@ -214,17 +214,14 @@ def cmd_betti(args, started, command="betti"):
 
         model = invariant_quotient_complex(pair)
         space = CohomologySpace(model.complex)
-        form_of_vector = model.form
+        n, embeddings = pair.dim_quotient, model.embeddings
     else:
         space = ce_cohomology(g)
-
-        def form_of_vector(k, vec):
-            return Form.from_vector(g.dim, k, vec)
-
+        n, embeddings = g.dim, None
     if args.representatives:
         from .cohomology import cohomology_to_json
 
-        result = cohomology_to_json(space, form_of_vector)
+        result = cohomology_to_json(space, n, embeddings)
     else:
         result = {"betti": _betti_json(space)}
     return _report(command, inputs, result, started), 0
@@ -248,7 +245,7 @@ def cmd_koszul(args, started):
         }
     if args.kernel:
         result["kernel"] = [
-            {"degree": k, "form": form_to_json(f)} for k, f in res.kernel_basis
+            {"degree": k, "form": form_to_json(pair.dim_quotient, k, vec)} for k, vec in res.kernel_basis
         ]
     if args.factor_check:
         # a failing check raises, so a report that is written holds
@@ -293,9 +290,9 @@ def cmd_classes(args, started):
     generators = []
     for degree, coords, label in report.generators:
         rep = ana.relative_cohomology.representative_matrix(degree).apply(list(coords))
-        form = ana.quotient_model.form(degree, rep)
+        vec = ana.quotient_model.embeddings[degree].apply(rep)
         generators.append(
-            {"degree": degree, "label": label, "form": form_to_json(form)}
+            {"degree": degree, "label": label, "form": form_to_json(pair.dim_quotient, degree, vec)}
         )
     result = {"generators": generators, "presentation": report.presentation}
     inputs = {"algebra": digest, "sub": sub_digest}
@@ -565,7 +562,11 @@ def _usage(command):
     lines = [f"usage: liecoh {command} [-h] {usage}", "", text, "", "options:"]
     for row in (_HELP,) + options:
         names = ", ".join(row[0]) + (f" {row[1].upper()}" if row[2] else "")
-        lines.append(f"  {names:<26}{row[4]}")
+        if len(names) > 24:
+            # as argparse does: a flag that fills its column puts its help below
+            lines += [f"  {names}", " " * 28 + row[4]]
+        else:
+            lines.append(f"  {names:<26}{row[4]}")
     return "\n".join(lines)
 
 

@@ -41,7 +41,7 @@ is checked where the complexes are eliminated; on the image of a chain map
 f it follows from the checks that stay, d d f = d f d = f d d = 0.
 
 Complexes that carry a graded product (all complexes in this library do)
-also support cup products and the odd-generation test on their cohomology.
+also support cup products on their cohomology.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .exterior import (
     alternating_differential_matrix,
     basis_size,
     ce_differential,
+    form_to_json,
     multi_index_masks,
     wedge_vector,
 )
@@ -293,9 +294,6 @@ class CohomologySpace:
     def betti_dict(self) -> dict:
         return {k: b for k, b in enumerate(self.betti_numbers) if b}
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti_numbers))
-
     def _pick_representatives(self, k: int, rows, pivots, kept):
         """Record the representatives of degree k: the canonical kernel
         vectors kappa_f of d_k at the ``kept`` free columns f, back-substituted
@@ -418,12 +416,6 @@ class CohomologyMap:
         """Kernel classes in degree k, as coordinates in source representatives."""
         return self.degree(k).nullspace().cols_dense()
 
-    def total_kernel_dimension(self) -> int:
-        return sum(
-            self.source.betti(k) - self.degree(k).rank()
-            for k in range(self.source.top_degree + 1)
-        )
-
 
 def check_chain_map(maps, src: CochainComplex, dst: CochainComplex):
     """Exact commutation with the full differentials; raises NotAChainMap.
@@ -533,60 +525,23 @@ def generated_spans(space: CohomologySpace, generators):
     return spans
 
 
-def odd_degree_generators(space: CohomologySpace):
-    gens = []
-    for k in range(1, space.top_degree + 1, 2):
-        for i in range(space.betti(k)):
-            coords = [Fraction(0)] * space.betti(k)
-            coords[i] = Fraction(1)
-            gens.append((k, coords))
-    return gens
-
-
-def odd_generated(space: CohomologySpace) -> bool:
-    """True iff 1 and the odd-degree classes generate the whole ring."""
-    spans = generated_spans(space, odd_degree_generators(space))
-    return all(spans[k].rank == space.betti(k) for k in spans)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def complex_to_json(complex: CochainComplex) -> dict:
-    from .rationals import format_rational
+def cohomology_to_json(space: CohomologySpace, n: int, embeddings=None) -> dict:
+    """Betti numbers plus representatives, as forms on n letters.
 
-    diffs = {}
-    for k, d in enumerate(complex.differentials):
-        diffs[str(k)] = [
-            [format_rational(d.entry(i, j)) for j in range(d.ncols)]
-            for i in range(d.nrows)
-        ]
-    return {"dims": list(complex.dims), "differentials": diffs}
-
-
-def cohomology_to_json(space: CohomologySpace, form_of_vector=None) -> dict:
-    """Betti numbers plus representatives; forms need a vector converter.
-
-    ``form_of_vector(k, vec)`` turns a degree-k chain vector into a Form
-    (e.g. via a subcomplex embedding); when omitted, representatives are
-    emitted as raw coordinate vectors.
+    ``embeddings[k]`` maps the complex's degree-k coordinates into
+    Lambda^k on the n letters; without it, they are those coordinates.
     """
-    from .rationals import format_rational
-
     representatives = {}
     for k in range(space.top_degree + 1):
-        if not space.betti(k):
-            continue
-        reps = []
-        for vec in space.representative_vectors(k):
-            if form_of_vector is None:
-                reps.append([format_rational(x) for x in vec])
-            else:
-                from .exterior import form_to_json
-
-                reps.append(form_to_json(form_of_vector(k, vec)))
-        representatives[str(k)] = reps
+        if space.betti(k):
+            reps = space.representative_matrix(k)
+            if embeddings is not None:
+                reps = embeddings[k] @ reps
+            representatives[str(k)] = [form_to_json(n, k, vec) for vec in reps.cols_dense()]
     return {
         "betti": {str(k): b for k, b in sorted(space.betti_dict().items())},
         "representatives": representatives,

@@ -137,18 +137,6 @@ class DimensionMismatch(MathValidationError):
     pass
 
 
-class DegreeOutOfRange(MathValidationError):
-    pass
-
-
-class NotSkewSymmetric(MathValidationError):
-    pass
-
-
-class OddSize(MathValidationError):
-    pass
-
-
 class NotACocycle(MathValidationError):
     def __init__(self, degree: int, residual):
         self.degree = degree
@@ -166,10 +154,6 @@ class NotAChainMap(MathValidationError):
 
 
 class InvalidComplex(MathValidationError):
-    pass
-
-
-class NoEvenGenerator(MathValidationError):
     pass
 
 

@@ -2,8 +2,8 @@
 
 Basis of Lambda^k V* : the strictly increasing multi-indices
 (i_1 < ... < i_k) in lexicographic order; theta^I denotes the dual basis form
-of I.  Inside the library a multi-index is a bitmask over the letters, and
-only ``Form`` keys its coefficients by index tuples.  All operators are built
+of I.  Inside the library a multi-index is a bitmask over the letters; index
+tuples appear only in the JSON ``terms`` of a form.  All operators are built
 as sparse matrices over these bases, so every matrix is reproducible bit for
 bit from the structure constants.
 
@@ -21,28 +21,18 @@ Sign conventions (indices 1-based inside the formulas):
   For a Lie algebra element x, theta_x uses A = ad_x.
 * wedge: shuffle convention, so theta^I ^ theta^J is the merge sign times
   theta^(I union J), with no factorial normalization.
-* alternation: plain signed sum over permutations, no 1/k! factor (the field
-  is Q and nonzero-class detection is normalization independent).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, lcm
 
-from .errors import DimensionMismatch, InputError, InternalInvariantError
+from .errors import DimensionMismatch, InternalInvariantError
 from .linalg import Matrix
-from .rationals import format_rational, parse_rational
-
-
-def multi_indices(n: int, k: int):
-    """All degree-k multi-indices on n letters as tuples, lexicographically
-    ordered; listed on each call, not kept (the tables below are masks)."""
-    if k < 0 or k > n:
-        return ()
-    return tuple(combinations(range(n), k))
+from .rationals import format_rational
 
 
 @lru_cache(maxsize=None)
@@ -61,185 +51,6 @@ def multi_mask_positions(n: int, k: int):
 def basis_size(n: int, k: int) -> int:
     """The dimension C(n, k) of Lambda^k on n letters, counted, not listed."""
     return comb(n, k) if 0 <= k <= n else 0
-
-
-def merge_sign(left, right):
-    """Merge two disjoint increasing tuples; (sign, merged) or None."""
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            if (len(left) - i) % 2:
-                sign = -sign
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
-
-
-def perm_sign(perm) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
-# ---------------------------------------------------------------------------
-# forms
-# ---------------------------------------------------------------------------
-
-class Form:
-    """A degree-k element of Lambda^k V* with sparse rational coefficients.
-
-    The coefficients are normalized on construction: index tuples, Fraction
-    values, zeros dropped; forms are equal when all three fields are.
-    """
-
-    def __init__(self, ambient_dim: int, degree: int, coeffs: dict = None):
-        self.ambient_dim = ambient_dim
-        self.degree = degree
-        clean = {}
-        for idx, value in (coeffs or {}).items():
-            idx = tuple(idx)
-            value = Fraction(parse_rational(value))
-            if len(idx) != self.degree:
-                raise InputError(f"index {idx} has length != degree {self.degree}")
-            if any(not 0 <= i < self.ambient_dim for i in idx):
-                raise InputError(f"index {idx} outside dimension {self.ambient_dim}")
-            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise InputError(f"index {idx} is not strictly increasing")
-            if value:
-                clean[idx] = value
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ambient_dim, self.degree, self.coeffs) == (
-            other.ambient_dim, other.degree, other.coeffs
-        )
-
-    __hash__ = None  # the coefficients are a dict
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Form") -> "Form":
-        if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
-            raise DimensionMismatch("forms live in different spaces")
-        coeffs = dict(self.coeffs)
-        for idx, v in other.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + v
-        return Form(self.ambient_dim, self.degree, coeffs)
-
-    def scale(self, c) -> "Form":
-        return Form(self.ambient_dim, self.degree, {i: c * v for i, v in self.coeffs.items()})
-
-    def __neg__(self) -> "Form":
-        return self.scale(-1)
-
-    def to_vector(self):
-        positions = multi_mask_positions(self.ambient_dim, self.degree)
-        vec = [Fraction(0)] * len(positions)
-        for idx, v in self.coeffs.items():
-            vec[positions[_mask(idx)]] = v
-        return vec
-
-    @staticmethod
-    def from_vector(n: int, k: int, vec) -> "Form":
-        basis = multi_index_masks(n, k)
-        if len(vec) != len(basis):
-            raise DimensionMismatch(f"vector length {len(vec)} != dim of degree {k}")
-        return Form(n, k, {_letters(mask): v for mask, v in zip(basis, vec) if v})
-
-    def evaluate(self, vectors):
-        """Pair with vectors: sum_I c_I F^* theta^I, F the frame with the vectors as columns."""
-        if len(vectors) != self.degree:
-            raise DimensionMismatch(f"need {self.degree} vectors, got {len(vectors)}")
-        for v in vectors:
-            if len(v) != self.ambient_dim:
-                raise DimensionMismatch("vector length != ambient dimension")
-        frame = Matrix.from_cols([[Fraction(x) for x in v] for v in vectors], self.ambient_dim)
-        minors = pullback_matrix(frame, self.degree)
-        positions = multi_mask_positions(self.ambient_dim, self.degree)
-        total = Fraction(0)
-        for idx, c in self.coeffs.items():
-            total += c * minors.entry(0, positions[_mask(idx)])
-        return total
-
-
-def basis_form(n: int, idx) -> Form:
-    return Form(n, len(idx), {tuple(idx): Fraction(1)})
-
-
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product with the shuffle sign convention."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("wedge of forms over different spaces")
-    coeffs = {}
-    for ia, va in a.coeffs.items():
-        for ib, vb in b.coeffs.items():
-            merged = merge_sign(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * va * vb
-    return Form(a.ambient_dim, a.degree + b.degree, coeffs)
-
-
-def interior(x, a: Form) -> Form:
-    """Contraction i_x a; on 0-forms this is the zero form."""
-    if len(x) != a.ambient_dim:
-        raise DimensionMismatch("vector length != ambient dimension")
-    if a.degree == 0:
-        return Form(a.ambient_dim, 0, {})
-    coeffs = {}
-    for idx, v in a.coeffs.items():
-        for p, i in enumerate(idx):
-            if x[i]:
-                rest = idx[:p] + idx[p + 1:]
-                sign = -1 if p % 2 else 1
-                coeffs[rest] = coeffs.get(rest, Fraction(0)) + sign * x[i] * v
-    return Form(a.ambient_dim, a.degree - 1, coeffs)
-
-
-def lie_derivative(g, x, a: Form) -> Form:
-    """theta_x a for a Lie algebra g and coordinate vector x."""
-    if g.dim != a.ambient_dim or len(x) != g.dim:
-        raise DimensionMismatch("vector or form does not match the algebra")
-    op = endo_action_matrix(g.adjoint_matrix(x), g.dim, a.degree)
-    return Form.from_vector(g.dim, a.degree, op.apply(a.to_vector()))
-
-
-def alternation(n: int, degree: int, table) -> Form:
-    """Alternate a multilinear map given on basis tuples.
-
-    ``table`` is either a mapping from length-``degree`` index tuples to
-    scalars or a callable on such tuples.  The result is the plain signed
-    permutation sum, so alternating an already alternating map multiplies
-    it by degree!.
-    """
-    get = table.__getitem__ if hasattr(table, "__getitem__") else table
-    coeffs = {}
-    for idx in multi_indices(n, degree):
-        total = Fraction(0)
-        for perm in permutations(range(degree)):
-            value = get(tuple(idx[p] for p in perm))
-            if value:
-                total += perm_sign(perm) * Fraction(parse_rational(value))
-        if total:
-            coeffs[idx] = total
-    return Form(n, degree, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +121,6 @@ def alternating_differential_matrix(
                 key = (row, col)
                 entries[key] = entries.get(key, 0) + (-c if odd else c)
     return _over_scale(nrows, len(columns), entries, scale)
-
-
-def _mask(idx) -> int:
-    """The multi-index tuple as a bitmask over the letters."""
-    out = 0
-    for i in idx:
-        out |= 1 << i
-    return out
 
 
 def _letters(mask: int) -> tuple:
@@ -508,16 +311,9 @@ def _odd_below(mask: int, n: int) -> int:
 # JSON form serialization
 # ---------------------------------------------------------------------------
 
-def form_to_json(a: Form) -> dict:
-    terms = [[list(idx), format_rational(v)] for idx, v in sorted(a.coeffs.items())]
-    return {"degree": a.degree, "terms": terms}
-
-
-def form_from_json(data, ambient_dim: int) -> Form:
-    if not isinstance(data, dict) or "degree" not in data:
-        raise InputError("form must be an object with 'degree' and 'terms'")
-    coeffs = {}
-    for entry in data.get("terms", []):
-        idx, value = entry
-        coeffs[tuple(idx)] = parse_rational(value)
-    return Form(ambient_dim, data["degree"], coeffs)
+def form_to_json(n: int, k: int, vec) -> dict:
+    """The degree-k form with coordinate vector ``vec`` in the basis of
+    Lambda^k on n letters, as JSON: its nonzero terms in basis order, each
+    as [letters, "p/q"]."""
+    terms = [[list(_letters(mask)), format_rational(v)] for mask, v in zip(multi_index_masks(n, k), vec) if v]
+    return {"degree": k, "terms": terms}

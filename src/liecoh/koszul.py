@@ -12,8 +12,8 @@ basic model (an isomorphism) followed by the inclusion-induced map.
 
 Injectivity is decided degreewise by exact rank; the Example criteria that
 accompany it are implemented as cross-checks, not decision procedures:
-``ncz`` (surjectivity of H(g) -> H(h) under restriction, with stored and
-re-verified preimage witnesses) and ``invariant_complement`` (an
+``ncz_report`` (surjectivity of H(g) -> H(h) under restriction, with
+stored and re-verified preimage witnesses) and ``invariant_complement`` (an
 h-equivariant projection g -> h, the witness that the pair is reductive).
 """
 
@@ -111,7 +111,7 @@ class PairAnalysis:
         for k in range(self.relative_cohomology.top_degree + 1):
             for coords in mapping.kernel_basis(k):
                 rep = self.relative_cohomology.representative_matrix(k).apply(coords)
-                kernel.append((k, self.quotient_model.form(k, rep)))
+                kernel.append((k, self.quotient_model.embeddings[k].apply(rep)))
         return KoszulResult(
             pair=self.pair,
             chain_map=tuple(chain),
@@ -155,7 +155,7 @@ class KoszulResult:
         self.chain_map = chain_map        # per degree, invariant coords -> Lambda^k g*
         self.cohomology_map = cohomology_map
         self.injective = injective
-        self.kernel_basis = kernel_basis  # (degree, Form on g/h) pairs spanning the kernel
+        self.kernel_basis = kernel_basis  # (degree, vector of Lambda^degree (g/h)*) pairs spanning the kernel
 
     @property
     def source(self) -> CohomologySpace:
@@ -264,10 +264,6 @@ def ncz_report(pair) -> NczReport:
                 )
         witnesses[k] = found
     return NczReport(pair=ana.pair, ncz=surjective, degrees=degrees, witnesses=witnesses)
-
-
-def ncz(pair) -> bool:
-    return ncz_report(pair).ncz
 
 
 # ---------------------------------------------------------------------------

@@ -630,11 +630,6 @@ def zero_subalgebra(g: LieAlgebra) -> SubalgebraPair:
     return subalgebra(g, [])
 
 
-def full_subalgebra(g: LieAlgebra) -> SubalgebraPair:
-    """The pair (g, g); the quotient is zero."""
-    return subalgebra(g, [_unit(g.dim, i) for i in range(g.dim)])
-
-
 # ---------------------------------------------------------------------------
 # morphisms of pairs
 # ---------------------------------------------------------------------------
@@ -677,16 +672,6 @@ def pair_morphism(source: SubalgebraPair, target: SubalgebraPair, matrix) -> Pai
         if x is None:
             raise SubalgebraNotPreserved(a)
     return PairMorphism(source=source, target=target, matrix=matrix)
-
-
-def identity_morphism(pair: SubalgebraPair) -> PairMorphism:
-    return PairMorphism(pair, pair, Matrix.identity(pair.ambient.dim))
-
-
-def compose_morphisms(outer: PairMorphism, inner: PairMorphism) -> PairMorphism:
-    if outer.source != inner.target:
-        raise InputError("morphisms are not composable")
-    return PairMorphism(inner.source, outer.target, outer.matrix @ inner.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -735,32 +720,6 @@ def symmetric_gl_vectors(n: int):
                 vec[b * n + a] = 1
             out.append(vec)
     return out
-
-
-def symmetric_gl_matrices(n: int):
-    """The same complement as actual n x n matrices (same order)."""
-    out = []
-    for a in range(n):
-        for b in range(a, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            if a == b:
-                m[a][a] = Fraction(1)
-            else:
-                m[a][b] = Fraction(1)
-                m[b][a] = Fraction(1)
-            out.append(m)
-    return out
-
-
-def gl_block_inclusion(k: int, n: int) -> Matrix:
-    """Coordinate matrix of the block inclusion gl(k) -> gl(n)."""
-    if k > n:
-        raise InvalidParams(f"gl({k}) does not embed in gl({n}) as a block")
-    entries = {}
-    for a in range(k):
-        for b in range(k):
-            entries[(a * n + b, a * k + b)] = 1
-    return Matrix(n * n, k * k, entries)
 
 
 # ---------------------------------------------------------------------------

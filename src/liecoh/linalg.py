@@ -178,12 +178,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), 0)
 
-    def rows_dense(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def cols_dense(self):
         cols = [[0] * self.nrows for _ in range(self.ncols)]
         for (i, j), v in self.entries.items():
@@ -278,27 +272,6 @@ class Matrix:
         for (i, j), v in other.entries.items():
             entries[(i, j + self.ncols)] = v
         return Matrix._trusted(self.nrows, self.ncols + other.ncols, entries)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i + self.nrows, j)] = v
-        return Matrix._trusted(self.nrows + other.nrows, self.ncols, entries)
-
-    @staticmethod
-    def stack_rows(matrices, ncols: int) -> "Matrix":
-        """Vertical stack; degenerate (0-row) blocks are allowed."""
-        entries = {}
-        offset = 0
-        for m in matrices:
-            if m.ncols != ncols:
-                raise ValueError("column count mismatch")
-            for (i, j), v in m.entries.items():
-                entries[(i + offset, j)] = v
-            offset += m.nrows
-        return Matrix._trusted(offset, ncols, entries)
 
     # -- elimination-backed operations --------------------------------
 
@@ -454,8 +427,8 @@ class Matrix:
 
     @staticmethod
     def stacked_nullspace(builders, ncols: int, within=None) -> "Matrix":
-        """``Matrix.stack_rows(blocks, ncols).nullspace()`` for the blocks
-        that ``builders`` build, without the stack.
+        """The ``nullspace`` of the blocks that ``builders`` build, stacked
+        vertically, without forming the stack.
 
         The kernel is narrowed one block at a time, K <- K nullspace(B K), so
         each elimination is only as wide as the kernel left so far.  Scaling
@@ -527,10 +500,6 @@ class Matrix:
         keys = image.entries.keys() | v.entries.keys()
         return None, min(j for i, j in keys if image.entries.get((i, j)) != v.entries.get((i, j)))
 
-    def solve(self, b):
-        """One solution of A x = b, or None if inconsistent."""
-        return ColumnSolver(self, [b]).solutions[0]
-
 
 _ZERO = Fraction(0)
 
@@ -592,16 +561,8 @@ class SpanBuilder:
         self.rows = []
         self.pivots = []  # (index into rows, pivot column)
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def _int_row(self, vec):
         return Matrix.from_rows([vec], self.dim)._int_rows()[0]
-
-    def contains(self, vec) -> bool:
-        row = self._int_row(vec)
-        return _reduce_row(self.rows, self.pivots, row, self.dim) < 0
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True if the span grew."""

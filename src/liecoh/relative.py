@@ -37,7 +37,6 @@ from .cohomology import (
 )
 from .errors import InternalInvariantError, ModelMismatch, NotAChainMap, NotDStable
 from .exterior import (
-    Form,
     alternating_differential_matrix,
     basis_size,
     endo_action_matrix,
@@ -58,10 +57,6 @@ class EmbeddedSubcomplex:
         self.pair = pair
         self.complex = complex
         self.embeddings = embeddings  # per degree, columns are basis vectors inside Lambda^k V*
-
-    def form(self, k: int, vec) -> Form:
-        """The degree-k cochain with model coordinates ``vec``, as a form on V."""
-        return Form.from_vector(len(self.embeddings) - 1, k, self.embeddings[k].apply(vec))
 
 
 def _embedded_subcomplex(pair, n, bracket, flip_sign, operators, failure, interiors=()) -> EmbeddedSubcomplex:
@@ -158,12 +153,6 @@ def _quotient_bracket(pair):
     return lambda i, j: table.get((i, j), {})
 
 
-def quotient_differential(pair, k: int) -> Matrix:
-    """d_k on Lambda (g/h)*: the alternating sum over the projected
-    brackets of the lifts, with the sign opposite to the ambient convention."""
-    return alternating_differential_matrix(pair.dim_quotient, _quotient_bracket(pair), k, flip_sign=True)
-
-
 def invariant_quotient_complex(pair) -> EmbeddedSubcomplex:
     """h-invariant forms on g/h with the opposite-sign differential.
 
@@ -224,21 +213,3 @@ def restriction_map(pair, ambient: CochainComplex, sub: CochainComplex) -> tuple
     maps = tuple(pullback_matrix(incl, k) for k in range(pair.ambient.dim + 1))
     check_chain_map(maps, ambient, sub)
     return maps
-
-
-def subcomplex_to_json(model) -> dict:
-    """Complex serialization plus the embedding of each basis vector.
-
-    Works for both relative models: the embedding columns are coordinates
-    in Lambda g* (basic) or Lambda (g/h)* (invariant quotient).
-    """
-    from .cohomology import complex_to_json
-    from .rationals import format_rational
-
-    payload = complex_to_json(model.complex)
-    payload["embedding"] = {
-        str(k): [[format_rational(x) for x in col] for col in e.cols_dense()]
-        for k, e in enumerate(model.embeddings)
-        if e.ncols
-    }
-    return payload

@@ -10,8 +10,10 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import full_subalgebra, gl_block_inclusion, identity_morphism, odd_generated, pfaffian
+
 from liecoh import builtin, subalgebra
-from liecoh.classes import canonical_gl_so_pair, pfaffian
+from liecoh.classes import canonical_gl_so_pair
 from liecoh.cli import main
 from liecoh.cohomology import (
     ce_cohomology,
@@ -19,7 +21,6 @@ from liecoh.cohomology import (
     CohomologySpace,
     cup_product,
     induced_map,
-    odd_generated,
 )
 from liecoh.exterior import (
     ce_differential,
@@ -36,9 +37,6 @@ from liecoh.koszul import (
     functoriality_check,
 )
 from liecoh.liealg import (
-    full_subalgebra,
-    gl_block_inclusion,
-    identity_morphism,
     pair_morphism,
     so_in_gl_vectors,
     so_in_so_vectors,
@@ -119,7 +117,9 @@ def test_criterion_3_injectivity_verdicts_with_oracle():
     oracle3 = _brute_force_kernel_dimension(ana3)
     ana2 = _ana_gl2_so2()
     res2 = delta_cohom(ana2)
-    kernel2 = res2.cohomology_map.total_kernel_dimension()
+    kernel2 = sum(
+        res2.source.betti(k) - res2.cohomology_map.degree(k).rank() for k in range(res2.source.top_degree + 1)
+    )
     oracle2 = _brute_force_kernel_dimension(ana2)
     ok = (
         res3.injective
@@ -139,12 +139,12 @@ def test_criterion_3_injectivity_verdicts_with_oracle():
 
 
 def test_criterion_4_ncz_verdicts():
-    from liecoh.koszul import ncz
+    from liecoh.koszul import ncz_report
 
-    ok_gl3 = ncz(_ana_gl3_so3())
+    ok_gl3 = ncz_report(_ana_gl3_so3()).ncz
     started = time.perf_counter()
     pair = subalgebra(builtin("so", 5), so_in_so_vectors(3, 5))
-    ok_so5 = ncz(PairAnalysis(pair))
+    ok_so5 = ncz_report(PairAnalysis(pair)).ncz
     elapsed = time.perf_counter() - started
     ok = ok_gl3 and ok_so5 and elapsed < 120
     _line(
@@ -233,7 +233,7 @@ def test_criterion_8_property_suites():
                 if theta != term1 + term2:
                     violations.append(f"Cartan formula fails for {name}:{n}, x={i}, k={k}")
         space = CohomologySpace(complex)
-        chi_betti = space.euler_characteristic()
+        chi_betti = sum((-1) ** k * b for k, b in enumerate(space.betti_numbers))
         chi_dims = sum((-1) ** k * d for k, d in enumerate(complex.dims))
         if chi_betti != chi_dims or (g.dim >= 1 and chi_betti != 0):
             violations.append(f"Euler characteristic mismatch for {name}:{n}")

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from liecoh.cli import main
+from liecoh.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -518,3 +519,25 @@ def test_parameter_range_messages(capsys):
         assert (code, report["error"]["message"]) == (1, message)
     code, report = run_cli(capsys, "validate", "--builtin", "gl:03")
     assert (code, report["inputs"]["algebra"]) == (0, "builtin:gl:3")
+
+
+OPTION_LINE = re.compile(r"^  (-[^ ,]+(?:, -[^ ,]+)*(?: [A-Z_]+)?)(.*)$")
+
+
+def test_help_keeps_two_spaces_between_each_flag_and_its_help(capsys):
+    """A flag that fills the flag column puts its help on the next line, at
+    the help column of the other options, as argparse does."""
+    for command in _COMMANDS:
+        assert main([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        options = lines[lines.index("options:") + 1:]
+        column = options[0].index("show this help message")  # the -h line
+        for i, line in enumerate(options):
+            if not line.startswith("  -"):
+                continue
+            rest = OPTION_LINE.match(line).group(2)
+            if rest:
+                assert rest.startswith("  ") and len(line) - len(rest.lstrip(" ")) == column, (command, line)
+            else:
+                follow = options[i + 1]
+                assert follow.startswith(" " * column) and follow[column] != " ", (command, line, follow)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import multi_indices, odd_generated
+
 from liecoh import builtin, exterior, linalg
 from liecoh.cohomology import (
     CochainComplex,
@@ -14,12 +16,11 @@ from liecoh.cohomology import (
     ce_complex,
     cup_product,
     induced_map,
-    odd_generated,
 )
 from liecoh.errors import InternalInvariantError, InvalidComplex, NotAChainMap, NotACocycle
 from liecoh.exterior import pullback_matrix
 from liecoh.liealg import LieAlgebra
-from liecoh.linalg import Matrix
+from liecoh.linalg import ColumnSolver, Matrix
 
 
 def cohomology_of(name, n):
@@ -69,13 +70,12 @@ def test_betti_so3():
 
 def test_block_cohomology_lists_no_full_basis(monkeypatch):
     """H(so(6)) on its weight-zero block counts the full degrees with
-    ``basis_size`` and lists none of their multi-indices, as tuples or as
-    masks."""
+    ``basis_size`` and lists none of their multi-indices."""
 
     def refuse(n, k):
         raise AssertionError(f"listed all of Lambda^{k} on {n} letters")
 
-    for table in ("multi_indices", "multi_index_masks", "multi_mask_positions"):
+    for table in ("multi_index_masks", "multi_mask_positions"):
         monkeypatch.setattr(exterior, table, refuse)
     space = ce_cohomology(builtin("so", 6))
     assert space.betti_dict() == {k: 1 for k in (0, 3, 5, 7, 8, 10, 12, 15)}
@@ -84,7 +84,7 @@ def test_block_cohomology_lists_no_full_basis(monkeypatch):
 def test_basis_size_counts_the_multi_indices():
     for n in range(7):
         for k in range(-2, n + 3):
-            assert exterior.basis_size(n, k) == len(exterior.multi_indices(n, k))
+            assert exterior.basis_size(n, k) == len(multi_indices(n, k))
 
 
 def test_elimination_drops_the_builders_numerators():
@@ -102,7 +102,7 @@ def test_elimination_drops_the_builders_numerators():
 def test_euler_characteristic_vanishes():
     for name, n in [("gl", 2), ("so", 3), ("heisenberg", 3), ("abelian", 4), ("sl", 2)]:
         space = cohomology_of(name, n)
-        assert space.euler_characteristic() == 0
+        assert sum((-1) ** k * b for k, b in enumerate(space.betti_numbers)) == 0
 
 
 def test_poincare_duality_for_unimodular_examples():
@@ -257,7 +257,7 @@ def test_reduce_representative_is_unit_vector():
     coords = space.reduce(3, rep)
     assert coords == [Fraction(1)]
     rest = [x - y for x, y in zip(rep, space.representative_matrix(3).apply(coords))]
-    witness = space.complex.differential(2).solve(rest)
+    witness = ColumnSolver(space.complex.differential(2), [rest]).solutions[0]
     assert all(x == 0 for x in witness)
 
 
@@ -269,7 +269,7 @@ def test_reduce_coboundary_is_zero_with_witness():
     coords = space.reduce(2, vec)
     assert all(x == 0 for x in coords)
     rest = [x - y for x, y in zip(vec, space.representative_matrix(2).apply(coords))]
-    witness = d1.solve(rest)
+    witness = ColumnSolver(d1, [rest]).solutions[0]
     assert d1.apply(witness) == vec
 
 

@@ -131,10 +131,9 @@ def test_solver_solutions_and_certificates():
 
 def test_solver_degenerate_shapes():
     empty_rows = Matrix.zeros(0, 3)
-    assert empty_rows.solve([]) == [0, 0, 0]
+    assert ColumnSolver(empty_rows, [[]]).solutions == [[0, 0, 0]]
     empty_cols = Matrix.zeros(3, 0)
-    assert empty_cols.solve([0, 0, 0]) == []
-    assert empty_cols.solve([0, 1, 0]) is None
+    assert ColumnSolver(empty_cols, [[0, 0, 0], [0, 1, 0]]).solutions == [[], None]
 
 
 def test_solver_refuses_a_rhs_of_the_wrong_length():
@@ -142,8 +141,6 @@ def test_solver_refuses_a_rhs_of_the_wrong_length():
     for rhs in ([[1, 2]], [[1, 2, 3], [1, 2, 3, 4]], [[]]):
         with pytest.raises(ValueError, match="rhs length"):
             ColumnSolver(a, rhs)
-    with pytest.raises(ValueError, match="rhs length"):
-        a.solve([1, 2])
 
 
 def test_matmul_and_stacking():
@@ -151,7 +148,6 @@ def test_matmul_and_stacking():
     b = Matrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b) == Matrix.from_rows([[2, 1], [4, 3]])
     assert a.hstack(b).shape == (2, 4)
-    assert a.vstack(b).shape == (4, 2)
     assert (a - a).is_zero()
     assert a.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
 
@@ -161,9 +157,9 @@ def test_span_builder():
     assert sb.insert([1, 0, 0])
     assert sb.insert([1, 1, 0])
     assert not sb.insert([2, 1, 0])
-    assert sb.rank == 2
-    assert sb.contains([5, -7, 0])
-    assert not sb.contains([0, 0, 1])
+    assert not sb.insert([5, -7, 0])
+    assert len(sb.basis()) == 2
+    assert sb.insert([0, 0, 1])
 
 
 def test_det_against_sympy():

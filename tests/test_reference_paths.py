@@ -116,6 +116,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_cli_contract
+from oracles import (
+    Form,
+    full_subalgebra,
+    lie_derivative,
+    merge_sign,
+    multi_indices,
+    odd_degree_generators,
+    stack_rows,
+)
+
 from liecoh import builtin, cli, cohomology, relative, subalgebra
 from liecoh.classes import canonical_gl_so_pair, identify_generators
 from liecoh.cohomology import (
@@ -127,7 +137,6 @@ from liecoh.cohomology import (
     cohomology_to_json,
     cup_product,
     generated_spans,
-    odd_degree_generators,
 )
 from liecoh.errors import (
     InputError,
@@ -139,16 +148,12 @@ from liecoh.errors import (
     NotACocycle,
 )
 from liecoh.exterior import (
-    Form,
     alternating_differential_matrix,
     basis_size,
     endo_action_matrix,
     interior_matrix,
-    lie_derivative,
     lie_derivative_matrix,
-    merge_sign,
     multi_index_masks,
-    multi_indices,
     pullback_matrix,
     wedge_vector,
 )
@@ -160,7 +165,6 @@ from liecoh.liealg import (
     _sub_names,
     algebra_from_json,
     algebra_to_json,
-    full_subalgebra,
     sign_mask,
     sign_parities,
     so_in_gl_vectors,
@@ -222,7 +226,7 @@ def reference_det(rows) -> Fraction:
 def reference_pullback(f: Matrix, k: int) -> Matrix:
     """entry[I, J] = det f[J, I], one minor at a time."""
     dim_w, dim_v = f.shape
-    fd = f.rows_dense()
+    fd = f.transpose().cols_dense()
     entries = {}
     for col, J in enumerate(multi_indices(dim_w, k)):
         for row, I in enumerate(multi_indices(dim_v, k)):
@@ -234,7 +238,7 @@ def reference_pullback(f: Matrix, k: int) -> Matrix:
 
 def reference_nullspace(a: Matrix):
     """Canonical kernel basis from the reduced echelon form over Fraction."""
-    rows = [[Fraction(x) for x in row] for row in a.rows_dense()]
+    rows = [[Fraction(x) for x in row] for row in a.transpose().cols_dense()]
     pivots = []
     r = 0
     for c in range(a.ncols):
@@ -268,7 +272,7 @@ class ReferenceSolver:
     def __init__(self, a: Matrix):
         self.nrows = a.nrows
         self.ncols = a.ncols
-        rows = a.rows_dense()
+        rows = a.transpose().cols_dense()
         for i, row in enumerate(rows):
             ext = row + [0] * a.nrows
             ext[a.ncols + i] = 1
@@ -379,7 +383,7 @@ def test_elimination_with_zero_and_repeated_rows_matches_fraction_elimination():
     reference."""
     rng = random.Random(48)
     for _ in range(120):
-        rows = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7)).rows_dense()
+        rows = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7)).transpose().cols_dense()
         width = len(rows[0]) if rows else rng.randint(0, 7)
         for _ in range(rng.randint(1, 4)):
             extra = list(rng.choice(rows)) if rows and rng.random() < 0.5 else [0] * width
@@ -468,7 +472,7 @@ def test_int_rows_match_clear_denominators():
     rng = random.Random(14)
     for _ in range(80):
         a = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
-        assert a._int_rows() == [clear_denominators(r) for r in a.rows_dense()]
+        assert a._int_rows() == [clear_denominators(r) for r in a.transpose().cols_dense()]
     scaled = Matrix.from_rows([[2, 4], [Fraction(1, 2), Fraction(3, 4)], [Fraction(6, 3), 0]])
     assert scaled._int_rows() == [[2, 4], [2, 3], [2, 0]]
 
@@ -581,7 +585,7 @@ def conjugate(g, rng, positions):
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = p.solve(g.bracket(cols[i], cols[j]))
+            coords = ColumnSolver(p, [g.bracket(cols[i], cols[j])]).solutions[0]
             terms = {m: c for m, c in enumerate(coords) if c}
             if terms:
                 structure[(i, j)] = terms
@@ -718,11 +722,7 @@ def assert_graded_matches_full(g, rng):
         ]
     assert graded.betti_numbers == full.betti_numbers
 
-    def form_of_vector(k, vec):
-        return Form.from_vector(g.dim, k, vec)
-
-    for converter in (None, form_of_vector):
-        assert json.dumps(cohomology_to_json(graded, converter)) == json.dumps(cohomology_to_json(full, converter))
+    assert json.dumps(cohomology_to_json(graded, g.dim)) == json.dumps(cohomology_to_json(full, g.dim))
     # random cocycles of the full complex are not homogeneous
     for k in range(g.dim + 1):
         for z in random_cocycles(rng, full, k):
@@ -863,7 +863,7 @@ def test_matmul_matches_reference_with_entry_types():
             # [a, -a, a'] [b; b; b'] with int a', b': every partial sum falls to
             # zero halfway, and the int terms that follow decide the entry type
             a = a.hstack(a.scale(-1)).hstack(numerators(a))
-            b = b.vstack(b).vstack(numerators(b))
+            b = stack_rows([b, b, numerators(b)], b.ncols)
         got, want = a @ b, reference_matmul(a, b)
         assert got == want
         assert {key: type(v) for key, v in got.entries.items()} == {key: type(v) for key, v in want.entries.items()}
@@ -880,7 +880,7 @@ def test_matmul_matches_reference_with_entry_types():
 def assert_stacked_nullspace_matches(blocks, ncols, builders=None):
     """``stacked_nullspace`` against the stacked nullspace, with the blocks
     restricted to the columns asked for, and also with ``builders``."""
-    want = Matrix.stack_rows(blocks, ncols).nullspace()
+    want = stack_rows(blocks, ncols).nullspace()
     wrapped = [partial(restricted, b) for b in blocks]
     for given in (wrapped, builders) if builders is not None else (wrapped,):
         got = Matrix.stacked_nullspace(given, ncols)
@@ -1033,10 +1033,6 @@ class ReferenceSpanBuilder:
         self.dim = dim
         self.rows = []
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def residual(self, vec):
         vec = [Fraction(x) for x in vec]
         for lead, row in self.rows:
@@ -1045,9 +1041,6 @@ class ReferenceSpanBuilder:
                 for j in range(self.dim):
                     vec[j] -= c * row[j]
         return vec
-
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
 
     def insert(self, vec) -> bool:
         res = self.residual(vec)
@@ -1087,11 +1080,7 @@ def test_span_builder_matches_fraction_reference():
                 vec = [rng.choice((0, 0, 1, -3, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
                        for _ in range(dim)]
                 pool.append(vec)
-            probe = [rng.randint(-2, 2) for _ in range(dim)]
-            assert fast.contains(vec) == ref.contains(vec)
-            assert fast.contains(probe) == ref.contains(probe)
             assert fast.insert(vec) == ref.insert(vec)
-            assert fast.rank == ref.rank
             got, want = fast.basis(), ref.basis()
             assert got == want
             assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
@@ -1256,11 +1245,12 @@ def reference_generators(space):
             continue
         while True:
             span = reference_generated_spans(space, [(g_d, list(g_v)) for g_d, g_v, _ in gens]).get(d)
-            if span is not None and span.rank >= betti:
+            if span is not None and len(span.pivots) >= betti:
                 break
+            # the first unit outside the span (the span is found again next round)
             unit = next(
                 u for u in ([Fraction(int(i == j)) for j in range(betti)] for i in range(betti))
-                if span is None or not span.contains(u)
+                if span is None or span.insert(u)
             )
             gens.append((d, tuple(unit), f"y{(d + 1) // 2}" if d % 2 else f"y{d}"))
     return gens
@@ -1558,7 +1548,7 @@ def test_sorted_elimination_matches_given_order_on_random_matrices(monkeypatch):
         a = random_matrix(rng, rng.randint(0, 8), rng.randint(0, 7))
         if rng.random() < 0.4 and a.nrows and a.ncols:
             # a sparse row below dense ones, and a repeated row
-            a = a.vstack(Matrix.from_rows([[0] * (a.ncols - 1) + [1], a.rows_dense()[0]]))
+            a = stack_rows([a, Matrix.from_rows([[0] * (a.ncols - 1) + [1], a.transpose().cols_dense()[0]])], a.ncols)
         mats.append(a)
     mats += [d for g in rational_conjugates() for d in ce_complex(g).differentials]
     sorted_facts = [kernel_facts(copied(a)) for a in mats]

@@ -3,11 +3,13 @@ from functools import partial
 
 import pytest
 
+from oracles import Form, full_subalgebra
+
 from liecoh import builtin, subalgebra
 from liecoh.cohomology import CochainComplex, CohomologySpace, ce_complex
 from liecoh.errors import ModelMismatch, NotDStable
-from liecoh.exterior import Form, ce_differential, endo_action_matrix, pullback_matrix
-from liecoh.liealg import full_subalgebra, zero_subalgebra
+from liecoh.exterior import ce_differential, endo_action_matrix, pullback_matrix
+from liecoh.liealg import zero_subalgebra
 from liecoh.linalg import Matrix
 from liecoh.relative import (
     EmbeddedSubcomplex,
@@ -175,19 +177,14 @@ def test_restriction_composes_through_intermediate_block():
         assert r53[k] == r43[k] @ r54[k]
 
 
-def test_subcomplex_serialization_shape(gl2_so2):
-    from liecoh.relative import subcomplex_to_json
-
+def test_relative_model_shapes(gl2_so2):
     basic = basic_subcomplex(gl2_so2)
-    data = subcomplex_to_json(basic)
-    assert data["dims"] == [1, 1, 1, 1, 0]
-    assert set(data["embedding"]) == {"0", "1", "2", "3"}
+    assert basic.complex.dims == (1, 1, 1, 1, 0)
     # each embedded basis vector has ambient length C(4, k)
-    assert len(data["embedding"]["1"][0]) == 4
+    assert [e.shape for e in basic.embeddings] == [(1, 1), (4, 1), (6, 1), (4, 1), (1, 0)]
     invq = invariant_quotient_complex(gl2_so2)
-    data = subcomplex_to_json(invq)
-    assert data["dims"] == [1, 1, 1, 1]
-    assert len(data["embedding"]["1"][0]) == 3
+    assert invq.complex.dims == (1, 1, 1, 1)
+    assert [e.shape for e in invq.embeddings] == [(1, 1), (3, 1), (3, 1), (1, 1)]
 
 
 def test_builder_refuses_a_kernel_that_is_not_d_stable():

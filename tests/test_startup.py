@@ -20,17 +20,16 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import identity_morphism
 
 from liecoh import builtin, subalgebra
 from liecoh.cli import main
 from liecoh.cohomology import ce_complex
 from liecoh.errors import AntisymmetryViolation, JacobiViolation
-from liecoh.exterior import Form
 from liecoh.liealg import (
     LieAlgebra,
     algebra_from_json,
     algebra_to_json,
-    identity_morphism,
     so_in_gl_vectors,
 )
 
@@ -164,16 +163,6 @@ def test_pairs_and_morphisms_compare_by_value():
     one, two = subalgebra(g, so_in_gl_vectors(3, 3)), subalgebra(g, so_in_gl_vectors(3, 3))
     assert one == two and identity_morphism(one) == identity_morphism(two)
     assert one != subalgebra(g, so_in_gl_vectors(2, 3))
-
-
-def test_forms_normalize_then_compare():
-    half = Form(3, 2, {(0, 1): Fraction(1, 2)})
-    assert Form(3, 2, {(0, 1): "1/2", (1, 2): 0}) == half
-    assert Form(3, 2, {(0, 1): "2/4"}).coeffs == {(0, 1): Fraction(1, 2)}
-    assert Form(3, 2, {(0, 1): "1/3"}) != half
-    assert Form(4, 2, {(0, 1): "1/2"}) != half
-    assert half != "1/2"
-    assert Form(3, 2).coeffs == {} and Form(3, 2, None) == Form(3, 2, {}) == Form(3, 2, {(0, 2): 0})
 
 
 def test_violation_records_compare_and_hash_by_fields():
